@@ -9,8 +9,10 @@ Commands:
 Each config section chooses a model (lsw, linear, map_iteration,
 self_similar, analysis), an initial-data family with parameters, numeric
 settings, and a comma-separated list of checks.  The exit status is nonzero
-exactly when a requested check fails; scenario crashes are reported and
-counted as failures without aborting the batch.
+exactly when a requested check fails or is not evaluated (an unknown name,
+or a check that needs snapshots the run did not take), or a solver run stops
+before t_final; scenario crashes are reported and counted as failures
+without aborting the batch.
 """
 from __future__ import annotations
 
@@ -76,6 +78,16 @@ def _parse_times(raw: str) -> tuple:
     return tuple(float(v) for v in raw.split(",") if v.strip())
 
 
+def _requested(opts: dict) -> list:
+    return [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
+
+
+def _termination_check(checks: dict, terminated: str, t_end: float) -> None:
+    # a run that stopped short of t_final must not read as passed
+    if terminated != "t_final":
+        checks["termination"] = (False, f"run ended by {terminated} at t={t_end:g}")
+
+
 def _make_map(opts: dict) -> MapF:
     kind = opts.get("map", "cube-root")
     if kind == "linear":
@@ -97,7 +109,7 @@ def _run_lsw(opts: dict, outdir: Path) -> dict:
     )
     t_final = float(opts.get("t_final", 20.0))
     snaps = _parse_times(opts.get("snapshots", ""))
-    requested = [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
+    requested = _requested(opts)
     if "stationarity" in requested:
         # evolve to the requested rescaled time: Lambda grows linearly at the
         # stationary rate beta*(0), so t(tau) is explicit
@@ -172,6 +184,7 @@ def _run_lsw(opts: dict, outdir: Path) -> dict:
             f.write("y,w_star\n")
             for a, b in zip(y, ws):
                 f.write(f"{_fmt(a)},{_fmt(b)}\n")
+    _termination_check(checks, result.terminated, result.trace.t[-1])
     save_summary(result, outdir / "summary.json", scenario=opts.get("_name", ""),
                  violations=[k for k, (ok, _) in checks.items() if not ok])
     return checks
@@ -184,7 +197,7 @@ def _run_linear(opts: dict, outdir: Path) -> dict:
     result = run_linear_model(fam.profile, t_final, cfg, beta0=fam.beta_exact)
     result.trace.save(outdir / "trace.csv")
     checks = {}
-    requested = [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
+    requested = _requested(opts)
     if "conservation" in requested:
         drift = mass_drift(result)
         checks["conservation"] = (bool(drift <= 1e-4), f"max relative mass drift {drift:.3g}")
@@ -207,6 +220,7 @@ def _run_linear(opts: dict, outdir: Path) -> dict:
             tol = float(opts.get("stability_tol", 0.05))
             ok = abs(rep.slope - float(target)) <= tol
             checks["stability"] = (bool(ok), f"slope {rep.slope:.4f} vs {float(target):.4f}")
+    _termination_check(checks, result.terminated, result.trace.t[-1])
     (outdir / "summary.json").write_text(json.dumps({
         "model": "linear",
         "scenario": opts.get("_name", ""),
@@ -228,7 +242,7 @@ def _run_map_iteration(opts: dict, outdir: Path) -> dict:
                    n_grid=int(opts.get("n_grid", 2048)))
     hist.save(outdir / "history.csv")
     checks = {}
-    requested = [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
+    requested = _requested(opts)
     if "pointwise" in requested:
         tb = beta_transform(fam.profile, F)
         base = beta_from_profile(fam.profile)
@@ -249,7 +263,7 @@ def _run_self_similar(opts: dict, outdir: Path) -> dict:
     g = g_alpha_profile(prof)
     prof.save(outdir / "self_similar.csv", g=g.values)
     checks = {}
-    requested = [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
+    requested = _requested(opts)
     if "z4" in requested:
         checks["z4"] = (bool(prof.z4_residual <= 1e-5), f"residual {prof.z4_residual:.3g}")
     if "g_end" in requested:
@@ -267,7 +281,7 @@ def _run_analysis(opts: dict, outdir: Path) -> dict:
     fam = _build_family(opts)
     alpha = float(opts.get("alpha", 0.5))
     checks = {}
-    requested = [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
+    requested = _requested(opts)
     if "reverse_jensen" in requested:
         cert = jensen.reverse_jensen(fam.profile, alpha)
         cert.to_json(outdir / "reverse_jensen.json")
@@ -338,6 +352,10 @@ def run_config(config_path: str, output_root: str | None = None) -> int:
             failures += 1
             continue
         elapsed = time.perf_counter() - t0
+        # a requested check that left no result is a misspelling or was
+        # skipped for want of data; either way it has not passed
+        for name in _requested(opts):
+            checks.setdefault(name, (False, "unknown or not evaluated"))
         if not checks:
             rows.append((section, "ok", "no checks requested", elapsed))
         for name, (ok, detail) in checks.items():

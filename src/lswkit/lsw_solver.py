@@ -14,6 +14,7 @@ reconstructs w(0,t) and hence the mean cluster volume Lambda = mass/w(0,t).
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -35,6 +36,11 @@ def _phi_of_u(u):
     return -0.5 * u * u - u - np.log1p(-u)
 
 
+_EPS = np.finfo(float).eps
+_NEWTON_CAP = 60
+_NEWTON_FLOOR_ULPS = 4.0
+
+
 def exit_time_frozen(x, L):
     """Time for a characteristic at x < L to reach 0 with L held fixed."""
     x = np.asarray(x, float)
@@ -48,22 +54,33 @@ def _analytic_descent(x, L, ds):
     """Advance x < L by ds with L frozen, by inverting the exit-time map.
 
     Exact for frozen L; returns positions (entries that would cross 0 must
-    have been screened out by the caller).
+    have been screened out by the caller).  Each entry stops once its Newton
+    step falls to 1e-13 relative or to the rounding floor of ``_phi_of_u``;
+    entries still moving after the iteration cap are reported in a
+    RuntimeWarning.
     """
     u = np.minimum(np.cbrt(x / L), 1.0 - 1e-15)
     target = _phi_of_u(u) - ds / (3.0 * L)
-    # start from u itself: the map is increasing and convex, so Newton
-    # descends monotonically onto the root
-    un = np.where(target <= 0, 0.0, u)
-    live = target > 0
-    for _ in range(60):
+    done = target <= 0
+    # phi(u) >= u^3/3, so cbrt(3*target) bounds the root from above as u
+    # does; the map is increasing and convex, so Newton descends
+    # monotonically onto the root from there
+    un = np.where(done, 0.0, np.minimum(u, np.cbrt(3.0 * target)))
+    for _ in range(_NEWTON_CAP):
         f = _phi_of_u(un) - target
-        fp = un * un / (1.0 - un)
-        step = np.where(live & (fp > 0), f / np.maximum(fp, 1e-300), 0.0)
+        fp = np.maximum(un * un / (1.0 - un), 1e-300)
+        step = np.where(done, 0.0, f / fp)
+        # _phi_of_u cancels to ~u^3/3 from O(u) terms, so f carries an
+        # absolute rounding error of a few eps*(u + |log1p(-u)|)
+        floor = _NEWTON_FLOOR_ULPS * _EPS * (un + np.abs(np.log1p(-un))) / fp
         new = un - step
         un = np.where(new <= 0.0, 0.5 * un, new)
-        if np.max(np.abs(step)) < 1e-16:
-            break
+        done |= np.abs(step) <= np.maximum(1e-13 * un, floor)
+        if done.all():
+            return L * un**3
+    warnings.warn(f"_analytic_descent: {int(np.count_nonzero(~done))} of {len(un)} "
+                  f"entries did not converge in {_NEWTON_CAP} Newton iterations",
+                  RuntimeWarning, stacklevel=2)
     return L * un**3
 
 
@@ -218,11 +235,14 @@ def _phi_primitive(u):
     # int_0^u phi(s) ds = sum_{k>=3} u^(k+1)/(k(k+1)); closed form cancels
     # below u = 0.25, so switch to the series there
     u = np.asarray(u, float)
+    out = np.empty_like(u)
+    small = u < 0.25
+    us, ub = u[small], u[~small]
     k = np.arange(3, 61).reshape(-1, 1)
-    series = np.sum(u ** (k + 1) / (k * (k + 1)), axis=0)
+    out[small] = np.sum(us ** (k + 1) / (k * (k + 1)), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        closed = -u**3 / 6 - u**2 / 2 + u + (1.0 - u) * np.log1p(-u)
-    return np.where(u < 0.25, series, closed)
+        out[~small] = -ub**3 / 6 - ub**2 / 2 + ub + (1.0 - ub) * np.log1p(-ub)
+    return out
 
 
 def _phi_u2_primitive(u):
@@ -260,31 +280,41 @@ def _origin_split(x, L):
     return max(min(k, len(x) - 1), 1)
 
 
-def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None) -> float:
+def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None,
+                 far: Optional[np.ndarray] = None) -> float:
     """L from the flux balance, exact per cell for the linear representative.
 
     With L_guess given, cells near the origin switch to the time-to-origin
     model of the integrand, which removes the cusp bias of the linear cells.
+    ``far`` is ``cellquad.power_suffix(ens.pos, ens.w, -2/3)``, the x^(-2/3)
+    integrals from each survivor to the last; a caller that varies only w0b
+    and L_guess computes it once.  It leaves w unclipped at w0b, where the
+    clip cannot bind: w0b = w0(y_b) with y_b at or below the first
+    survivor's label, and w0 is nonincreasing.
     """
     if ens.n_alive == 0:
         raise ExtinctionError("no surviving characteristics")
+    if far is None:
+        far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
     x, w = _augmented_state(ens, w0b)
     if L_guess is not None and L_guess > 0 and x[1] < 0.125 * L_guess:
         k = _origin_split(x, L_guess)
-        flux, _ = _theta_cell_integrals(x[:k + 1], w[:k + 1], L_guess)
-        third = (flux + cellquad.power_total(x[k:], w[k:], -2.0 / 3.0)) / (3.0 * w0b)
+        near, _ = _theta_cell_integrals(x[:k + 1], w[:k + 1], L_guess)
     else:
-        third = cellquad.power_total(x, w, -2.0 / 3.0) / (3.0 * w0b)
-    return float(third**3)
+        k = 1
+        near = cellquad.power_total(x[:2], w[:2], -2.0 / 3.0)
+    return float(((near + far[k - 1]) / (3.0 * w0b)) ** 3)
 
 
 def _state_L(ens: Ensemble, L_guess: float) -> tuple[float, float, float]:
     """Self-consistent (L, y_b, w0b) at the ensemble's current time."""
+    # only the cells next to the origin and w0b change between iterations
+    far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
     L = L_guess
     for _ in range(40):
         yb = boundary_label(ens, L)
         w0b = float(ens.initial.w_at(yb))
-        L_new = l_from_state(ens, w0b, L_guess=L)
+        L_new = l_from_state(ens, w0b, L_guess=L, far=far)
         if abs(L_new - L) < 1e-13 * max(L, 1.0):
             L = L_new
             break

@@ -128,3 +128,41 @@ def test_linear_summary_contents(config_path, tmp_path):
     assert data["model"] == "linear"
     assert data["scenario"] == "quick-linear"
     assert data["violations"] == []
+
+
+def test_misspelled_check_fails(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(
+        "[typo]\nmodel = linear\nfamily = constant-beta\nbeta = 0.5\n"
+        "t_final = 10\nchecks = conservaton\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "conservaton: unknown or not evaluated" in out
+
+
+def test_check_without_its_data_fails(tmp_path, capsys):
+    # dyadic needs snapshots; without them it is not evaluated
+    cfg = tmp_path / "nosnap.ini"
+    cfg.write_text(
+        "[nosnap]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0.2\n"
+        "checks = conservation, dyadic\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "dyadic: unknown or not evaluated" in out
+
+
+def test_truncated_run_fails(tmp_path, capsys):
+    # the 32-node indicator dies out at t = 1.55, long before t_final
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(
+        "[short]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 50\n"
+        "checks = conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "termination: run ended by extinction" in out
+    data = json.loads((tmp_path / "out" / "short" / "summary.json").read_text())
+    assert data["terminated"] == "extinction"
+    assert data["violations"] == ["termination"]

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import lswkit as lk
+from lswkit import cellquad, lsw_solver
 from lswkit.lsw_solver import (
     SolverConfig, make_ensemble, advance_global, exit_time_frozen, drift,
     coarsening_identity_check, beta_along_flow, g_profile, normalized_view,
@@ -160,3 +163,81 @@ def test_theta_quadrature_matches_closed_form():
     phi = -(u**2) / 2.0 - u - np.log1p(-u)
     np.testing.assert_allclose([exit_time_frozen(x, L) for x in xs],
                                3.0 * L * phi, rtol=1e-12)
+
+
+def test_phi_primitive_matches_both_branch_form():
+    # each branch is evaluated only where it applies; the result must be
+    # bit-identical to evaluating both everywhere and selecting
+    u = np.concatenate((np.linspace(0.0, 1.0 - 1e-12, 2001),
+                        [np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0)]))
+    k = np.arange(3, 61).reshape(-1, 1)
+    series = np.sum(u ** (k + 1) / (k * (k + 1)), axis=0)
+    closed = -u**3 / 6 - u**2 / 2 + u + (1.0 - u) * np.log1p(-u)
+    np.testing.assert_array_equal(lsw_solver._phi_primitive(u),
+                                  np.where(u < 0.25, series, closed))
+
+
+def test_descent_warns_when_newton_cannot_converge(monkeypatch):
+    # a map whose value flips by a relative 1e-8 between calls keeps every
+    # Newton step far above both stopping floors
+    clean = lsw_solver._phi_of_u
+    flips = [1.0]
+
+    def noisy(u):
+        flips[0] = -flips[0]
+        return clean(u) * (1.0 + 1e-8 * flips[0])
+
+    monkeypatch.setattr(lsw_solver, "_phi_of_u", noisy)
+    x = np.linspace(0.1, 0.8, 50)
+    with pytest.warns(RuntimeWarning, match="50 of 50 entries did not converge"):
+        lsw_solver._analytic_descent(x, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("ds", [1e-9, 1e-5, 1e-3, 0.05, 0.5])
+def test_descent_inverts_exit_time(monkeypatch, ds):
+    L = 1.3
+    x = L * np.geomspace(1e-6, 0.9, 400, endpoint=False)
+    tte = exit_time_frozen(x, L)
+    x, tte = x[tte > ds], tte[tte > ds]
+    clean = lsw_solver._phi_of_u
+    calls = [0]
+
+    def counted(u):
+        calls[0] += 1
+        return clean(u)
+
+    monkeypatch.setattr(lsw_solver, "_phi_of_u", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lsw_solver._analytic_descent(x, L, ds)
+    # one call for the target, one per Newton iteration
+    assert calls[0] - 1 <= 8
+    monkeypatch.setattr(lsw_solver, "_phi_of_u", clean)
+    # exit_time_frozen cancels to ~x/L from O((x/L)^(1/3)) terms, so for
+    # small x/L its own rounding floor exceeds 1e-12 relative; allow that
+    u = np.cbrt(x / L)
+    floor = 4.0 * 3.0 * L * np.finfo(float).eps * (u + np.abs(np.log1p(-u)))
+    ref = tte - ds
+    assert np.all(np.abs(exit_time_frozen(out, L) - ref) <= 1e-12 * ref + floor)
+
+
+def test_far_field_cache_matches_full_quadrature(short_exp_run):
+    _, res = short_exp_run
+    ens = res.ensemble
+    L = res.trace.L[-1]
+    w0b = float(ens.initial.w_at(lsw_solver.boundary_label(ens, L)))
+    # the clip of w at w0b in the augmented state never binds
+    assert np.all(ens.w <= w0b)
+    far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
+    x, w = lsw_solver._augmented_state(ens, w0b)
+    third = -2.0 / 3.0
+    # linear cells throughout
+    full = (cellquad.power_total(x, w, third) / (3.0 * w0b)) ** 3
+    assert lsw_solver.l_from_state(ens, w0b, far=far) == pytest.approx(full, rel=1e-13)
+    # time-to-origin cells next to the origin, linear cells beyond
+    assert x[1] < 0.125 * L
+    k = lsw_solver._origin_split(x, L)
+    near, _ = lsw_solver._theta_cell_integrals(x[:k + 1], w[:k + 1], L)
+    split = ((near + cellquad.power_total(x[k:], w[k:], third)) / (3.0 * w0b)) ** 3
+    assert lsw_solver.l_from_state(ens, w0b, L_guess=L, far=far) == pytest.approx(split, rel=1e-13)
+    assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)
