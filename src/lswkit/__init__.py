@@ -27,8 +27,6 @@ from .profiles import (
     beta_from_profile,
     beta_envelope,
     profile_from_beta,
-    moment,
-    energy,
     regular_variation_exponent,
     fisher_information,
 )
@@ -84,6 +82,7 @@ from .lsw_solver import (
     RunResult,
     Snapshot,
     coarsening_identity_check,
+    mass_drift,
     beta_along_flow,
     g_profile,
     normalized_view,
@@ -95,8 +94,6 @@ from .linear_model import (
     LinearRunResult,
     run_linear_model,
     stability_check,
-    identity_check,
-    mass_drift,
     affine_exactness_check,
 )
 
@@ -108,7 +105,7 @@ __all__ = [
     "ExtinctionError", "ConfigError",
     "SurvivalProfile", "TailModel", "BetaProfile", "TailMass",
     "FisherInformation", "RegularVariationEstimate", "integrate_tail",
-    "beta_from_profile", "beta_envelope", "profile_from_beta", "moment", "energy",
+    "beta_from_profile", "beta_envelope", "profile_from_beta",
     "regular_variation_exponent", "fisher_information",
     "AnalyticFamily", "quantile_grid", "constant_beta", "exponential",
     "indicator", "oscillating_exponential", "oscillating_compact",
@@ -121,9 +118,9 @@ __all__ = [
     "SelfSimilarProfile", "GAlphaProfile", "f_alpha", "f_alpha_roots",
     "build_profile", "g_alpha_profile", "beta_star", "seed_solver",
     "SolverConfig", "Ensemble", "make_ensemble", "advance_global",
-    "CoarseningTrace", "RunResult", "Snapshot", "coarsening_identity_check",
+    "CoarseningTrace", "RunResult", "Snapshot", "coarsening_identity_check", "mass_drift",
     "beta_along_flow", "g_profile", "normalized_view", "dyadic_intervals",
     "dyadic_report",
     "LinearModelConfig", "LinearRunResult", "run_linear_model",
-    "stability_check", "identity_check", "mass_drift", "affine_exactness_check",
+    "stability_check", "affine_exactness_check",
 ]

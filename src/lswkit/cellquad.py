@@ -55,24 +55,6 @@ def power_suffix(x, w, s) -> np.ndarray:
     return out
 
 
-def end_power_cells(x: np.ndarray, w: np.ndarray, p: float, a: float) -> np.ndarray:
-    """Exact integral of (a - x)^p * wlin(x) over each cell; requires x <= a, p > -1."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    # substitute u = a - x and integrate u^p against the (reversed) linear data
-    u = (a - x)[::-1]
-    wr = w[::-1]
-    return power_cells(u, wr, p)[::-1]
-
-
-def end_power_suffix(x, w, p, a) -> np.ndarray:
-    """Integral of (a - x)^p * wlin from each node to the last node."""
-    cells = end_power_cells(x, w, p, a)
-    out = np.zeros(len(x))
-    out[:-1] = np.cumsum(cells[::-1])[::-1]
-    return out
-
-
 def linear_suffix(x, w) -> np.ndarray:
     """Integral of wlin from each node to the last node (exact trapezoid)."""
     x = np.asarray(x, dtype=float)

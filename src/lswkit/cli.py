@@ -8,7 +8,10 @@ Commands:
 
 Each config section chooses a model (lsw, linear, map_iteration,
 self_similar, analysis), an initial-data family with parameters, numeric
-settings, and a comma-separated list of checks.  The exit status is nonzero
+settings, and a comma-separated list of checks.  A runner per model runs
+it, writes its outputs and returns what the checks read; each requested
+check is then looked up in ``CHECKS`` by (model, name), and every section
+gets a ``summary.json`` with all of its rows.  The exit status is nonzero
 exactly when a requested check fails or is not evaluated (an unknown name,
 or a check that needs snapshots the run did not take), or a solver run stops
 before t_final; scenario crashes are reported and counted as failures
@@ -20,26 +23,30 @@ import argparse
 import configparser
 import inspect
 import json
+import math
 import os
 import sys
 import time
+import traceback
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, LswkitError
+from .errors import ConfigError
 from .families import FAMILY_BUILDERS, make_family
 from . import jensen
 from .lsw_solver import (
-    SolverConfig, advance_global, coarsening_identity_check, beta_along_flow,
-    g_profile, normalized_view, dyadic_report, save_summary,
+    SolverConfig, advance_global, coarsening_identity_check, mass_drift, beta_along_flow,
+    g_profile, normalized_view, dyadic_report,
 )
 from .linear_model import (
-    LinearModelConfig, run_linear_model, stability_check, identity_check,
-    mass_drift, affine_exactness_check,
+    LinearModelConfig, run_linear_model, stability_check, affine_exactness_check,
 )
 from .map_iteration import MapF, linear_map, cube_root_map, iterate, beta_transform
-from .profiles import beta_from_profile, regular_variation_exponent
+from .profiles import beta_from_profile, regular_variation_exponent, write_csv
 from .self_similar import build_profile, g_alpha_profile
 
 OUTPUT_ROOT_ENV = "LSWKIT_OUTPUT_ROOT"
@@ -56,10 +63,6 @@ FAMILY_DESCRIPTIONS = {
 }
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _build_family(opts: dict):
     name = opts.get("family", "exponential")
     if name == "self-similar":
@@ -74,18 +77,8 @@ def _build_family(opts: dict):
     return make_family(name, **params)
 
 
-def _parse_times(raw: str) -> tuple:
-    return tuple(float(v) for v in raw.split(",") if v.strip())
-
-
 def _requested(opts: dict) -> list:
     return [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
-
-
-def _termination_check(checks: dict, terminated: str, t_end: float) -> None:
-    # a run that stopped short of t_final must not read as passed
-    if terminated != "t_final":
-        checks["termination"] = (False, f"run ended by {terminated} at t={t_end:g}")
 
 
 def _make_map(opts: dict) -> MapF:
@@ -98,17 +91,16 @@ def _make_map(opts: dict) -> MapF:
 
 
 # ---------------------------------------------------------------------------
-# per-model scenario drivers; each returns {check_name: (passed, detail)}
+# per-model runners: each runs its model, writes its output files and
+# returns what the checks read; ``summary`` holds the model's own
+# summary.json fields
 
 
-def _run_lsw(opts: dict, outdir: Path) -> dict:
+def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
     fam = _build_family(opts)
-    cfg = SolverConfig(
-        delta=float(opts.get("delta", 0.05)),
-        tol=float(opts.get("tol", 1e-8)),
-    )
+    cfg = SolverConfig(delta=float(opts.get("delta", 0.05)), tol=float(opts.get("tol", 1e-8)))
     t_final = float(opts.get("t_final", 20.0))
-    snaps = _parse_times(opts.get("snapshots", ""))
+    snaps = tuple(float(v) for v in opts.get("snapshots", "").split(",") if v.strip())
     requested = _requested(opts)
     if "stationarity" in requested:
         # evolve to the requested rescaled time: Lambda grows linearly at the
@@ -124,192 +116,58 @@ def _run_lsw(opts: dict, outdir: Path) -> dict:
     result.trace.save(outdir / "trace.csv")
     for i, snap in enumerate(result.snapshots):
         snap.profile().save(outdir / f"snapshot_{i}.csv")
-    checks = {}
-    trace = result.trace.as_arrays()
-    if "conservation" in requested:
-        drift = np.max(np.abs(trace["mass"] - trace["mass"][0])) / trace["mass"][0]
-        checks["conservation"] = (bool(drift <= 1e-4), f"max relative mass drift {drift:.3g}")
-    if "upper_bound" in requested:
-        b = beta_from_profile(fam.profile)
-        bound = trace["Lambda"][0] + b.sup * trace["t"]
-        slack = float(np.max(trace["Lambda"] - bound))
-        e_slack = float(np.max(trace["E"] - trace["Lambda"] ** (-1.0 / 3.0)))
-        ok = slack <= 1e-9 * trace["Lambda"][0] and e_slack <= 1e-9
-        checks["upper_bound"] = (bool(ok), f"Lambda slack {slack:.3g}, E slack {e_slack:.3g}")
-    if "identity" in requested:
-        rep = coarsening_identity_check(result.trace)
-        ok = rep["frac_within_2pct"] >= 0.95
-        checks["identity"] = (bool(ok), f"{rep['frac_within_2pct']:.3f} of samples within 2%")
-    if "picard" in requested:
-        iters = max(p.iterations for p in result.picard)
-        ratios = [r for p in result.picard for r in p.ratios]
-        ok = iters <= 10 and all(r < 1.0 for r in ratios)
-        checks["picard"] = (bool(ok), f"max iterations {iters}, max ratio "
-                            f"{max(ratios) if ratios else 0.0:.3g}")
-    if "monotonicity" in requested:
-        worst = 0.0
-        for snap in result.snapshots:
-            tb, _ = beta_along_flow(snap, fam.profile, result.ensemble.beta0)
-            ok_nodes = ~tb.low_confidence
-            bv = tb.values[ok_nodes]
-            worst = max(worst, float(np.max(np.maximum(-np.diff(bv), 0.0), initial=0.0)))
-            gx, gv = g_profile(snap)
-            worst = max(worst, float(np.max(-gv, initial=0.0)))
-            worst = max(worst, float(np.max(np.diff(gv[gx < 0.9 * gx[-1]]), initial=0.0)))
-        checks["monotonicity"] = (bool(worst <= 1e-6), f"worst violation {worst:.3g}")
-    if "stationarity" in requested and result.snapshots:
-        snap = result.snapshots[-1]
-        y, ws = normalized_view(snap)
-        yy = np.linspace(0.0, max(float(y[-1]), float(fam.profile.sup_x)), 8192)
-        sup = float(np.max(np.abs(np.interp(yy, y, ws, right=0.0) - fam.profile.w_at(yy))))
-        rate = float(fam.beta_exact(0.0))
-        berr = abs(trace["beta0"][-1] - rate)
-        ok = sup <= 1e-2 and berr <= 1e-2
-        checks["stationarity"] = (bool(ok), f"sup |w*-w*(0)| {sup:.3g}, "
-                                  f"|beta(0,tau)-beta*(0)| {berr:.3g}")
+    dyadic = None
     if "dyadic" in requested and result.snapshots:
-        rep = dyadic_report(result.snapshots)
-        last = rep["snapshots"][-1]["ratios"]
-        finite = last[np.isfinite(last)]
-        detail = f"final ratios {np.array2string(finite[:10], precision=3)}"
-        ok = len(finite) >= 10 and abs(finite[9] - 2.0) <= 0.1
-        checks["dyadic"] = (bool(ok), detail)
+        dyadic = dyadic_report(result.snapshots)
         (outdir / "dyadic.json").write_text(json.dumps(
             [{"tau": r["tau"], "lengths": r["lengths"].tolist(),
-              "ratios": r["ratios"].tolist()} for r in rep["snapshots"]],
+              "ratios": r["ratios"].tolist()} for r in dyadic["snapshots"]],
             indent=2) + "\n")
     if result.snapshots:
-        y, ws = normalized_view(result.snapshots[-1])
-        with (outdir / "normalized.csv").open("w") as f:
-            f.write("y,w_star\n")
-            for a, b in zip(y, ws):
-                f.write(f"{_fmt(a)},{_fmt(b)}\n")
-    _termination_check(checks, result.terminated, result.trace.t[-1])
-    save_summary(result, outdir / "summary.json", scenario=opts.get("_name", ""),
-                 violations=[k for k, (ok, _) in checks.items() if not ok])
-    return checks
+        write_csv(outdir / "normalized.csv", "y,w_star", normalized_view(result.snapshots[-1]))
+    summary = {"T_final": result.trace.t[-1] if result.trace.t else 0.0,
+               "steps": len(result.picard),
+               "picard_iters_total": int(sum(p.iterations for p in result.picard)),
+               "terminated": result.terminated}
+    return SimpleNamespace(fam=fam, result=result, dyadic=dyadic, summary=summary)
 
 
-def _run_linear(opts: dict, outdir: Path) -> dict:
+def _run_linear(opts: dict, outdir: Path) -> SimpleNamespace:
     fam = _build_family(opts)
     cfg = LinearModelConfig(delta=float(opts.get("delta", 0.05)))
     t_final = float(opts.get("t_final", 200.0))
     result = run_linear_model(fam.profile, t_final, cfg, beta0=fam.beta_exact)
     result.trace.save(outdir / "trace.csv")
-    checks = {}
-    requested = _requested(opts)
-    if "conservation" in requested:
-        drift = mass_drift(result)
-        checks["conservation"] = (bool(drift <= 1e-4), f"max relative mass drift {drift:.3g}")
-    if "identity" in requested:
-        rep = identity_check(result)
-        ok = rep["frac_within_2pct"] >= 0.95
-        checks["identity"] = (bool(ok), f"{rep['frac_within_2pct']:.3f} of samples within 2%")
-    if "affine" in requested:
-        dev = affine_exactness_check(result)
-        tol = float(opts.get("affine_tol", 1e-6))
-        checks["affine"] = (bool(dev <= tol), f"max reconstruction deviation {dev:.3g}")
-    if "stability" in requested:
-        rep = stability_check(fam.profile, result)
-        target = opts.get("beta_limit")
-        if not rep.applicable:
-            checks["stability"] = (True, f"inapplicable: {rep.note}")
-        elif target is None:
-            checks["stability"] = (True, f"slope {rep.slope:.4f} (no target configured)")
-        else:
-            tol = float(opts.get("stability_tol", 0.05))
-            ok = abs(rep.slope - float(target)) <= tol
-            checks["stability"] = (bool(ok), f"slope {rep.slope:.4f} vs {float(target):.4f}")
-    _termination_check(checks, result.terminated, result.trace.t[-1])
-    (outdir / "summary.json").write_text(json.dumps({
-        "model": "linear",
-        "scenario": opts.get("_name", ""),
-        "T_final": result.trace.t[-1] if result.trace.t else 0.0,
-        "tau_final": result.tau,
-        "terminated": result.terminated,
-        "violations": [k for k, (ok, _) in checks.items() if not ok],
-    }, indent=2) + "\n")
-    return checks
+    summary = {"T_final": result.trace.t[-1] if result.trace.t else 0.0,
+               "tau_final": result.tau, "terminated": result.terminated}
+    return SimpleNamespace(fam=fam, result=result, summary=summary)
 
 
-def _run_map_iteration(opts: dict, outdir: Path) -> dict:
+def _run_map_iteration(opts: dict, outdir: Path) -> SimpleNamespace:
     fam = _build_family(opts)
     F = _make_map(opts)
-    n_steps = int(opts.get("n_steps", 20))
-    rho = float(opts.get("rho", 0.5))
-    K = float(opts.get("k_norm", 1.0))
-    hist = iterate(fam.profile, F, rho, K, n_steps,
-                   n_grid=int(opts.get("n_grid", 2048)))
+    hist = iterate(fam.profile, F, float(opts.get("rho", 0.5)), float(opts.get("k_norm", 1.0)),
+                   int(opts.get("n_steps", 20)), n_grid=int(opts.get("n_grid", 2048)))
     hist.save(outdir / "history.csv")
-    checks = {}
-    requested = _requested(opts)
-    if "pointwise" in requested:
-        tb = beta_transform(fam.profile, F)
-        base = beta_from_profile(fam.profile)
-        ok_nodes = ~tb.low_confidence
-        excess = tb.values[ok_nodes] - base.at(F(tb.grid[ok_nodes]))
-        worst = float(np.max(excess, initial=-np.inf))
-        checks["pointwise"] = (bool(worst <= 1e-8), f"max excess {worst:.3g}")
-    if "sup_beta" in requested:
-        sb = np.array(hist.sup_beta)
-        worst = float(np.max(np.diff(sb), initial=0.0))
-        checks["sup_beta"] = (bool(worst <= 1e-8), f"max increase {worst:.3g}")
-    return checks
+    return SimpleNamespace(fam=fam, F=F, hist=hist)
 
 
-def _run_self_similar(opts: dict, outdir: Path) -> dict:
-    alpha = float(opts.get("alpha", 0.05))
-    prof = build_profile(alpha)
+def _run_self_similar(opts: dict, outdir: Path) -> SimpleNamespace:
+    prof = build_profile(float(opts.get("alpha", 0.05)))
     g = g_alpha_profile(prof)
     prof.save(outdir / "self_similar.csv", g=g.values)
-    checks = {}
-    requested = _requested(opts)
-    if "z4" in requested:
-        checks["z4"] = (bool(prof.z4_residual <= 1e-5), f"residual {prof.z4_residual:.3g}")
-    if "g_end" in requested:
-        err0 = abs(g.g0 - alpha * prof.gamma)
-        err1 = abs(g.g_end - g.g_end_exact)
-        ok = err0 <= 1e-4 and err1 <= 1e-4
-        checks["g_end"] = (bool(ok), f"|g(0)-alpha*gamma|={err0:.3g}, end error {err1:.3g}")
-    if "monotone" in requested:
-        worst = float(np.max(np.maximum(-np.diff(g.values), 0.0)))
-        checks["monotone"] = (bool(worst <= 1e-8), f"worst decrease {worst:.3g}")
-    return checks
+    return SimpleNamespace(prof=prof, g=g)
 
 
-def _run_analysis(opts: dict, outdir: Path) -> dict:
+def _run_analysis(opts: dict, outdir: Path) -> SimpleNamespace:
     fam = _build_family(opts)
     alpha = float(opts.get("alpha", 0.5))
-    checks = {}
-    requested = _requested(opts)
-    if "reverse_jensen" in requested:
-        cert = jensen.reverse_jensen(fam.profile, alpha)
-        cert.to_json(outdir / "reverse_jensen.json")
-        checks["reverse_jensen"] = (bool(cert.passed or not cert.applicable),
-                                    f"C={cert.C_used:.4g}" if cert.applicable else cert.note)
-    if "sharp_jensen" in requested:
-        cert = jensen.sharp_jensen(fam.profile, alpha)
-        cert.to_json(outdir / "sharp_jensen.json")
-        checks["sharp_jensen"] = (bool(cert.passed or not cert.applicable),
-                                  f"eta={cert.eta_used:.4g}" if cert.applicable else cert.note)
-    if "tail_bounds" in requested:
-        rep = jensen.tail_and_conditional_bounds(fam.profile)
-        checks["tail_bounds"] = (rep.passed, f"max violation {rep.max_violation:.3g}")
-    if "gap" in requested:
-        rep = jensen.quantitative_jensen_gap(fam.profile, alpha)
-        checks["gap"] = (rep.passed, f"max violation {rep.max_violation:.3g}")
-    if "regular_variation" in requested:
-        est = regular_variation_exponent(fam.profile)
-        target = opts.get("rv_target")
-        if est.oscillatory:
-            ok = opts.get("rv_expect", "") == "oscillatory"
-            checks["regular_variation"] = (bool(ok), f"oscillatory, residual {est.residual:.3g}")
-        elif target is not None:
-            ok = abs(est.exponent - float(target)) <= float(opts.get("rv_tol", 0.05))
-            checks["regular_variation"] = (bool(ok), f"exponent {est.exponent:.4f}")
-        else:
-            checks["regular_variation"] = (True, f"exponent {est.exponent:.4f}")
-    return checks
+    certificates = {}
+    for name in ("reverse_jensen", "sharp_jensen"):
+        if name in _requested(opts):
+            certificates[name] = getattr(jensen, name)(fam.profile, alpha)
+            certificates[name].to_json(outdir / f"{name}.json")
+    return SimpleNamespace(fam=fam, alpha=alpha, certificates=certificates)
 
 
 MODEL_RUNNERS = {
@@ -319,6 +177,241 @@ MODEL_RUNNERS = {
     "self_similar": _run_self_similar,
     "analysis": _run_analysis,
 }
+
+
+# ---------------------------------------------------------------------------
+# the checks: each reads a runner's result and the section options, and
+# returns a CheckResult, or None when the run produced no data for it
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    passed: bool
+    value: float      # the quantity compared; NaN where nothing is compared
+    bound: float      # what it is compared with; NaN where no bound applies
+    detail: str
+
+
+NOT_EVALUATED = CheckResult(False, math.nan, math.nan, "unknown or not evaluated")
+
+# default bounds; affine, stability and regular_variation take theirs from
+# affine_tol, stability_tol and rv_tol when a section sets them
+BOUNDS = {
+    "conservation": 1e-4,       # relative mass drift
+    "identity": (0.02, 0.95),   # relative error, least fraction of samples within it
+    "upper_bound": 1e-9,        # Lambda slack relative to Lambda(0), and E slack
+    "picard": (10, 1.0),        # most sweeps in a step, contraction ratio strictly below
+    "monotonicity": 1e-6,
+    "stationarity": 1e-2,       # sup |w* - w*(0)| and |beta(0,tau) - beta*(0)|
+    "dyadic": (2.0, 0.1, 10),   # ratio at the last of the levels, tolerance, levels needed
+    "pointwise": 1e-8,
+    "sup_beta": 1e-8,
+    "z4": 1e-5,
+    "g_end": 1e-4,              # |g(0) - alpha gamma| and the end-value error
+    "monotone": 1e-8,
+    "affine": 1e-6,
+    "stability": 0.05,
+    "regular_variation": 0.05,
+}
+
+
+def _at_most(name: str, measure, fmt: str, option: str = "") -> Callable:
+    """A check that passes while ``measure(run)`` is at most the bound of
+    ``name``, or the section's ``option`` where the section sets it."""
+    def check(run, opts) -> CheckResult:
+        value = measure(run)
+        bound = float(opts.get(option, BOUNDS[name]))
+        return CheckResult(value <= bound, value, bound, fmt.format(value))
+    return check
+
+
+def _identity(run, opts) -> CheckResult:
+    within, fraction = BOUNDS["identity"]
+    rel = coarsening_identity_check(run.result.trace)["rel_errors"]
+    frac = float(np.mean(rel <= within))
+    return CheckResult(frac >= fraction, frac, fraction,
+                       f"{frac:.3f} of samples within {within:.0%}")
+
+
+def _upper_bound(run, opts) -> CheckResult:
+    bound = BOUNDS["upper_bound"]
+    a = run.result.trace.as_arrays()
+    lam = a["Lambda"]
+    slack = float(np.max(lam - (lam[0] + beta_from_profile(run.fam.profile).sup * a["t"])))
+    e_slack = float(np.max(a["E"] - lam ** (-1.0 / 3.0)))
+    ok = slack <= bound * lam[0] and e_slack <= bound
+    return CheckResult(bool(ok), max(slack / lam[0], e_slack), bound,
+                       f"Lambda slack {slack:.3g}, E slack {e_slack:.3g}")
+
+
+def _picard(run, opts) -> CheckResult:
+    max_sweeps, max_ratio = BOUNDS["picard"]
+    iters = max(p.iterations for p in run.result.picard)
+    ratios = [r for p in run.result.picard for r in p.ratios]
+    ok = iters <= max_sweeps and all(r < max_ratio for r in ratios)
+    return CheckResult(ok, iters, max_sweeps,
+                       f"max iterations {iters}, max ratio {max(ratios, default=0.0):.3g}")
+
+
+def _monotonicity_violation(run) -> float:
+    """Worst failure of beta(., t) to rise and of g(., t) to be >= 0 and fall."""
+    res = run.result
+    worst = 0.0
+    for snap in res.snapshots:
+        tb, _ = beta_along_flow(snap, run.fam.profile, res.ensemble.beta0)
+        bv = tb.values[~tb.low_confidence]
+        worst = max(worst, float(np.max(np.maximum(-np.diff(bv), 0.0), initial=0.0)))
+        gx, gv = g_profile(snap)
+        worst = max(worst, float(np.max(-gv, initial=0.0)))
+        worst = max(worst, float(np.max(np.diff(gv[gx < 0.9 * gx[-1]]), initial=0.0)))
+    return worst
+
+
+def _stationarity(run, opts) -> CheckResult | None:
+    res, prof = run.result, run.fam.profile
+    if not res.snapshots:
+        return None
+    y, ws = normalized_view(res.snapshots[-1])
+    yy = np.linspace(0.0, max(float(y[-1]), float(prof.sup_x)), 8192)
+    sup = float(np.max(np.abs(np.interp(yy, y, ws, right=0.0) - prof.w_at(yy))))
+    berr = float(abs(res.trace.beta0[-1] - float(run.fam.beta_exact(0.0))))
+    bound = BOUNDS["stationarity"]
+    return CheckResult(max(sup, berr) <= bound, max(sup, berr), bound,
+                       f"sup |w*-w*(0)| {sup:.3g}, |beta(0,tau)-beta*(0)| {berr:.3g}")
+
+
+def _dyadic(run, opts) -> CheckResult | None:
+    if run.dyadic is None:
+        return None
+    target, tol, levels = BOUNDS["dyadic"]
+    last = run.dyadic["snapshots"][-1]["ratios"]
+    finite = last[np.isfinite(last)]
+    dev = float(abs(finite[levels - 1] - target)) if len(finite) >= levels else math.inf
+    return CheckResult(dev <= tol, dev, tol,
+                       f"final ratios {np.array2string(finite[:10], precision=3)}")
+
+
+def _stability(run, opts) -> CheckResult:
+    rep = stability_check(run.fam.profile, run.result)
+    target = opts.get("beta_limit")
+    if not rep.applicable:
+        return CheckResult(True, rep.slope, math.nan, f"inapplicable: {rep.note}")
+    if target is None:
+        return CheckResult(True, rep.slope, math.nan,
+                           f"slope {rep.slope:.4f} (no target configured)")
+    tol = float(opts.get("stability_tol", BOUNDS["stability"]))
+    dev = abs(rep.slope - float(target))
+    return CheckResult(dev <= tol, dev, tol, f"slope {rep.slope:.4f} vs {float(target):.4f}")
+
+
+def _pointwise_excess(run) -> float:
+    """Largest excess of the transformed beta T_F beta(x) over beta(F(x))."""
+    tb = beta_transform(run.fam.profile, run.F)
+    base = beta_from_profile(run.fam.profile)
+    ok = ~tb.low_confidence
+    return float(np.max(tb.values[ok] - base.at(run.F(tb.grid[ok])), initial=-np.inf))
+
+
+def _g_end(run, opts) -> CheckResult:
+    err0 = abs(run.g.g0 - run.prof.alpha * run.prof.gamma)
+    err1 = abs(run.g.g_end - run.g.g_end_exact)
+    bound = BOUNDS["g_end"]
+    return CheckResult(max(err0, err1) <= bound, max(err0, err1), bound,
+                       f"|g(0)-alpha*gamma|={err0:.3g}, end error {err1:.3g}")
+
+
+def _certificate(name: str, fmt: str) -> Callable:
+    """A Jensen certificate that holds or does not apply; its value is <X^alpha>."""
+    def check(run, opts) -> CheckResult:
+        cert = run.certificates[name]
+        return CheckResult(cert.passed or not cert.applicable, cert.lhs, math.nan,
+                           fmt.format(cert) if cert.applicable else cert.note)
+    return check
+
+
+def _bound_report(rep) -> CheckResult:
+    return CheckResult(rep.passed, rep.max_violation, rep.tol,
+                       f"max violation {rep.max_violation:.3g}")
+
+
+def _regular_variation(run, opts) -> CheckResult:
+    est = regular_variation_exponent(run.fam.profile)
+    target = opts.get("rv_target")
+    if est.oscillatory:
+        return CheckResult(opts.get("rv_expect", "") == "oscillatory", est.residual, math.nan,
+                           f"oscillatory, residual {est.residual:.3g}")
+    if target is None:
+        return CheckResult(True, est.exponent, math.nan, f"exponent {est.exponent:.4f}")
+    tol = float(opts.get("rv_tol", BOUNDS["regular_variation"]))
+    dev = abs(est.exponent - float(target))
+    return CheckResult(dev <= tol, dev, tol, f"exponent {est.exponent:.4f}")
+
+
+_conservation = _at_most("conservation", lambda run: mass_drift(run.result.trace),
+                         "max relative mass drift {:.3g}")
+
+CHECKS = {
+    ("lsw", "conservation"): _conservation,
+    ("lsw", "upper_bound"): _upper_bound,
+    ("lsw", "identity"): _identity,
+    ("lsw", "picard"): _picard,
+    ("lsw", "monotonicity"): _at_most("monotonicity", _monotonicity_violation,
+                                      "worst violation {:.3g}"),
+    ("lsw", "stationarity"): _stationarity,
+    ("lsw", "dyadic"): _dyadic,
+    ("linear", "conservation"): _conservation,
+    ("linear", "identity"): _identity,
+    ("linear", "affine"): _at_most("affine", lambda run: affine_exactness_check(run.result),
+                                   "max reconstruction deviation {:.3g}", option="affine_tol"),
+    ("linear", "stability"): _stability,
+    ("map_iteration", "pointwise"): _at_most("pointwise", _pointwise_excess, "max excess {:.3g}"),
+    ("map_iteration", "sup_beta"): _at_most(
+        "sup_beta", lambda run: float(np.max(np.diff(run.hist.sup_beta), initial=0.0)),
+        "max increase {:.3g}"),
+    ("self_similar", "z4"): _at_most("z4", lambda run: run.prof.z4_residual, "residual {:.3g}"),
+    ("self_similar", "g_end"): _g_end,
+    ("self_similar", "monotone"): _at_most(
+        "monotone", lambda run: float(np.max(np.maximum(-np.diff(run.g.values), 0.0))),
+        "worst decrease {:.3g}"),
+    ("analysis", "reverse_jensen"): _certificate("reverse_jensen", "C={0.C_used:.4g}"),
+    ("analysis", "sharp_jensen"): _certificate("sharp_jensen", "eta={0.eta_used:.4g}"),
+    ("analysis", "tail_bounds"): lambda run, opts: _bound_report(
+        jensen.tail_and_conditional_bounds(run.fam.profile)),
+    ("analysis", "gap"): lambda run, opts: _bound_report(
+        jensen.quantitative_jensen_gap(run.fam.profile, run.alpha)),
+    ("analysis", "regular_variation"): _regular_variation,
+}
+
+
+def _json_number(v) -> float | None:
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
+def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
+    """Run one section, evaluate its requested checks and write its summary.json."""
+    if model not in MODEL_RUNNERS:
+        raise ConfigError(f"unknown model {model!r}")
+    run = MODEL_RUNNERS[model](opts, outdir)
+    results = {}
+    for name in _requested(opts):
+        check = CHECKS.get((model, name))
+        # a name not registered for the model, or a check without the data
+        # it needs, has not passed
+        results[name] = (check(run, opts) if check else None) or NOT_EVALUATED
+    summary = getattr(run, "summary", {})
+    if summary.get("terminated", "t_final") != "t_final":
+        # a run that stopped short of t_final must not read as passed
+        results["termination"] = CheckResult(
+            False, summary["T_final"], math.nan,
+            f"run ended by {summary['terminated']} at t={summary['T_final']:g}")
+    record = {"model": model, "scenario": section, **summary,
+              "violations": [name for name, r in results.items() if not r.passed],
+              "checks": {name: {"passed": bool(r.passed), "value": _json_number(r.value),
+                                "bound": _json_number(r.bound), "detail": r.detail}
+                         for name, r in results.items()}}
+    (outdir / "summary.json").write_text(json.dumps(record, indent=2) + "\n")
+    return results
 
 
 def run_config(config_path: str, output_root: str | None = None) -> int:
@@ -333,34 +426,28 @@ def run_config(config_path: str, output_root: str | None = None) -> int:
     rows = []
     for section in parser.sections():
         opts = dict(parser.items(section))
-        opts["_name"] = section
         model = opts.get("model", "lsw")
         outdir = root / opts.get("output", section)
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         try:
-            runner = MODEL_RUNNERS[model]
-        except KeyError:
-            rows.append((section, "FAIL", f"unknown model {model!r}", 0.0))
+            results = _run_section(section, model, opts, outdir)
+        except Exception as exc:
+            # one crashing section is a failure, not the end of the batch;
+            # its summary.json keeps the traceback
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append((section, "FAIL", error, time.perf_counter() - t0))
             failures += 1
-            continue
-        try:
-            checks = runner(opts, outdir)
-        except (LswkitError, ValueError, KeyError, TypeError) as exc:
-            rows.append((section, "FAIL", f"{type(exc).__name__}: {exc}",
-                         time.perf_counter() - t0))
-            failures += 1
+            crash = {"model": model, "scenario": section, "error": error,
+                     "traceback": traceback.format_exc()}
+            (outdir / "summary.json").write_text(json.dumps(crash, indent=2) + "\n")
             continue
         elapsed = time.perf_counter() - t0
-        # a requested check that left no result is a misspelling or was
-        # skipped for want of data; either way it has not passed
-        for name in _requested(opts):
-            checks.setdefault(name, (False, "unknown or not evaluated"))
-        if not checks:
+        if not results:
             rows.append((section, "ok", "no checks requested", elapsed))
-        for name, (ok, detail) in checks.items():
-            rows.append((section, "ok" if ok else "FAIL", f"{name}: {detail}", elapsed))
-            if not ok:
+        for name, r in results.items():
+            rows.append((section, "ok" if r.passed else "FAIL", f"{name}: {r.detail}", elapsed))
+            if not r.passed:
                 failures += 1
     width = max((len(r[0]) for r in rows), default=8)
     for section, status, detail, elapsed in rows:

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import cellquad
-from .profiles import SurvivalProfile, beta_from_profile, regular_variation_exponent
+from .profiles import (SurvivalProfile, beta_from_profile, beta_interpolant,
+                       regular_variation_exponent)
 from .lsw_solver import CoarseningTrace
 
 
@@ -64,7 +65,7 @@ def _energy(profile: SurvivalProfile, tau: float, B: float) -> float:
     y = np.concatenate(([B], profile.grid[mask]))
     w = np.concatenate(([profile.w_at(B)], profile.values[mask]))
     body = cellquad.power_total(y, w, -1.0 / 3.0, shift=B)
-    tail = profile._tail_mass * (y[-1] - B) ** (-1.0 / 3.0) if profile._tail_mass > 0 else 0.0
+    tail = profile.tail_mass * (y[-1] - B) ** (-1.0 / 3.0) if profile.tail_mass > 0 else 0.0
     return (2.0 / 3.0) * np.exp(2.0 * tau / 3.0) * (body + tail)
 
 
@@ -77,13 +78,7 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
     logarithmically many steps.
     """
     if beta0 is None:
-        b = beta_from_profile(profile)
-        ok = ~b.low_confidence
-        bx, bv = b.grid[ok], b.values[ok]
-
-        def beta0(x):
-            return np.interp(x, bx, bv)
-
+        beta0 = beta_interpolant(profile)
     mass0 = profile.mass
     state = np.array([0.0, 0.0])
     t = 0.0
@@ -185,20 +180,6 @@ def stability_check(profile: SurvivalProfile, result: LinearRunResult) -> Stabil
             note = "boundary beta oscillates; no growth-rate limit is claimed"
     return StabilityReport(slope=slope, beta_end=float(b[-1]), rv_exponent=rv_exp,
                            oscillatory=oscillatory, applicable=applicable, note=note)
-
-
-def identity_check(result: LinearRunResult) -> dict:
-    """Centered-difference d(Lambda)/dt against the transported beta(0,t)."""
-    a = result.trace.as_arrays()
-    t, lam, b = a["t"], a["Lambda"], a["beta0"]
-    dl = (lam[2:] - lam[:-2]) / (t[2:] - t[:-2])
-    rel = np.abs(dl - b[1:-1]) / np.maximum(np.abs(b[1:-1]), 1e-12)
-    return {"max_rel_error": float(np.max(rel)), "frac_within_2pct": float(np.mean(rel <= 0.02))}
-
-
-def mass_drift(result: LinearRunResult) -> float:
-    m = np.array(result.trace.mass)
-    return float(np.max(np.abs(m - m[0])) / m[0])
 
 
 def affine_exactness_check(result: LinearRunResult, labels=None) -> float:

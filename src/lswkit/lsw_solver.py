@@ -13,7 +13,6 @@ reconstructs w(0,t) and hence the mean cluster volume Lambda = mass/w(0,t).
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,10 @@ from scipy.interpolate import CubicSpline
 
 from . import cellquad
 from .errors import ExtinctionError
-from .profiles import SurvivalProfile, BetaProfile, beta_from_profile, _derivative_nonuniform
+from .profiles import (
+    SurvivalProfile, BetaProfile, beta_from_profile, beta_interpolant, derivative_nonuniform,
+    low_confidence_mask, write_csv,
+)
 
 
 def drift(x, L):
@@ -137,13 +139,7 @@ class Ensemble:
 def make_ensemble(profile: SurvivalProfile, beta0: Optional[Callable] = None) -> Ensemble:
     """Seed one characteristic per grid node with positive position."""
     if beta0 is None:
-        b = beta_from_profile(profile)
-        ok = ~b.low_confidence
-        bx, bv = b.grid[ok], b.values[ok]
-
-        def beta0(x):
-            return np.interp(x, bx, bv)
-
+        beta0 = beta_interpolant(profile)
     mask = profile.grid > 0
     return Ensemble(labels=profile.grid[mask].copy(), pos=profile.grid[mask].copy(),
                     w=profile.values[mask].copy(), initial=profile, beta0=beta0)
@@ -225,9 +221,10 @@ def boundary_jacobian(ens: Ensemble, L: float, t: Optional[float] = None) -> flo
     return float(np.exp(lj))
 
 
-def _augmented_state(ens: Ensemble, w0b: float):
-    x = np.concatenate(([0.0], ens.pos))
-    w = np.concatenate(([w0b], np.minimum(ens.w, w0b)))
+def _augmented_state(state, w0b: float):
+    """(x, w) of an Ensemble or Snapshot behind the origin node (0, w0b), w clipped at w0b."""
+    x = np.concatenate(([0.0], state.pos))
+    w = np.concatenate(([w0b], np.minimum(state.w, w0b)))
     return x, w
 
 
@@ -395,8 +392,7 @@ class Snapshot:
     jac: Optional[np.ndarray] = None   # dx/dy at the surviving nodes
 
     def profile(self) -> SurvivalProfile:
-        x, w = np.concatenate(([0.0], self.pos)), np.concatenate(([self.w0b], np.minimum(self.w, self.w0b)))
-        return SurvivalProfile(x, w)
+        return SurvivalProfile(*_augmented_state(self, self.w0b))
 
 
 @dataclass
@@ -415,11 +411,8 @@ class CoarseningTrace:
                 ("t", "tau", "L", "Lambda", "E", "beta0", "mass", "gamma")}
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w") as f:
-            f.write("t,tau,L,Lambda,E,beta0,mass,gamma\n")
-            for row in zip(self.t, self.tau, self.L, self.Lambda, self.E,
-                           self.beta0, self.mass, self.gamma):
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, "t,tau,L,Lambda,E,beta0,mass,gamma",
+                  (self.t, self.tau, self.L, self.Lambda, self.E, self.beta0, self.mass, self.gamma))
 
 
 @dataclass
@@ -430,19 +423,11 @@ class RunResult:
     picard: list                 # PicardStats per accepted global step
     terminated: str = "t_final"
 
-    def summary(self) -> dict:
-        return {
-            "T_final": self.trace.t[-1] if self.trace.t else 0.0,
-            "steps": len(self.picard),
-            "picard_iters_total": int(sum(p.iterations for p in self.picard)),
-            "terminated": self.terminated,
-        }
-
 
 def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: float) -> None:
     x, w = _augmented_state(ens, w0b)
     # the tail beyond the last survivor stretches with the label-map Jacobian
-    tail = ens.initial._tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
+    tail = ens.initial.tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
     if len(x) > 1 and x[1] < 0.125 * L:
         k = _origin_split(x, L)
         _, near = _theta_cell_integrals(x[:k + 1], w[:k + 1], L)
@@ -526,9 +511,16 @@ def advance_global(profile: SurvivalProfile, t_final: float,
 # diagnostics on traces and snapshots
 
 
+def mass_drift(trace: CoarseningTrace) -> float:
+    """Largest relative deviation of the recorded mass from its initial value."""
+    m = np.array(trace.mass)
+    return float(np.max(np.abs(m - m[0])) / m[0])
+
+
 def coarsening_identity_check(trace: CoarseningTrace, floor: float = 1e-8) -> dict:
     """Centered-difference d(Lambda)/dt against the recorded beta(0,t).
 
+    Serves the full solver and the affine model, which record the same trace.
     The denominator floor keeps the relative error meaningful for stationary
     data where both sides vanish identically.
     """
@@ -554,27 +546,19 @@ def beta_along_flow(snap: Snapshot, initial: SurvivalProfile,
     Transported form: beta(x,t) = beta0(F(x,t)) * dF/dx * h(x,t) / h0(F(x,t)),
     with F the label map and h the current tail mass.
     """
-    x = np.concatenate(([0.0], snap.pos))
+    x, w = _augmented_state(snap, snap.w0b)
     y = np.concatenate(([snap.y_b], snap.labels))
-    w = np.concatenate(([snap.w0b], np.minimum(snap.w, snap.w0b)))
-    fp = _derivative_nonuniform(x, y)
+    fp = derivative_nonuniform(x, y)
     # the analytic tail beyond the last survivor is the initial tail mass
     # stretched by the local Jacobian dx/dy of the label map
     j_end = float(snap.jac[-1]) if snap.jac is not None and len(snap.jac) else 1.0
-    h_cur = cellquad.linear_suffix(x, w) + initial._tail_mass * j_end
+    h_cur = cellquad.linear_suffix(x, w) + initial.tail_mass * j_end
     h0 = initial.h_at(y)
     ok = h0 > 0
     vals = np.where(ok, beta0(y) * fp * h_cur / np.where(ok, h0, 1.0), 0.0)
-    low = np.zeros(len(x), dtype=bool)
-    low[-2:] = True
-    # near a compact support end the node spacing collapses toward the ulp
-    # of the position values, which quantizes the difference quotient dF/dx;
-    # flag nodes whose adjacent gaps cannot support ~1e-7 slope accuracy
-    gaps = np.diff(x)
-    tiny = gaps < 1e7 * np.finfo(float).eps * np.maximum(x[1:], 1.0)
-    low[1:] |= tiny
-    low[:-1] |= tiny
-    transported = BetaProfile(grid=x, values=vals, support_end=float(x[-1]), low_confidence=low)
+    # dF/dx is a difference quotient too, so the same nodes are unreliable
+    transported = BetaProfile(grid=x, values=vals, support_end=float(x[-1]),
+                              low_confidence=low_confidence_mask(x))
     direct = beta_from_profile(snap.profile())
     return transported, direct
 
@@ -596,9 +580,8 @@ def g_profile(snap: Snapshot) -> tuple[np.ndarray, np.ndarray]:
 
 def normalized_view(snap: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     """(y, w*) with y = x/Lambda and w* = Lambda * w; w*(0) = mass."""
-    y = np.concatenate(([0.0], snap.pos)) / snap.Lambda
-    ws = snap.Lambda * np.concatenate(([snap.w0b], np.minimum(snap.w, snap.w0b)))
-    return y, ws
+    x, w = _augmented_state(snap, snap.w0b)
+    return x / snap.Lambda, snap.Lambda * w
 
 
 def dyadic_intervals(y: np.ndarray, w_star: np.ndarray, n_levels: int = 14) -> np.ndarray:
@@ -626,11 +609,3 @@ def dyadic_report(snaps: list, n_levels: int = 14) -> dict:
                      "ratios": lens[:-1] / lens[1:]})
     return {"snapshots": rows}
 
-
-def save_summary(result: RunResult, path: str | Path, scenario: str = "",
-                 violations: Optional[list] = None) -> None:
-    data = result.summary()
-    data["model"] = "lsw"
-    data["scenario"] = scenario
-    data["violations"] = violations or []
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")

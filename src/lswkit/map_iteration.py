@@ -16,7 +16,8 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, DegenerateImageError
-from .profiles import BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope
+from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
+                       write_csv)
 from .families import quantile_grid
 
 X_MAX_FACTOR = 1e6  # search cap for gamma_F in units of the fixed point
@@ -191,12 +192,9 @@ class IterationHistory:
     final_profile: Optional[SurvivalProfile] = None
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w") as f:
-            f.write("n,lambda,mean,sup_beta,inf_beta,ratio_third,ratio_half,ratio_two_thirds\n")
-            rows = zip(self.n, self.lam, self.mean, self.sup_beta, self.inf_beta,
-                       self.ratio_third, self.ratio_half, self.ratio_two_thirds)
-            for row in rows:
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, "n,lambda,mean,sup_beta,inf_beta,ratio_third,ratio_half,ratio_two_thirds",
+                  (self.n, self.lam, self.mean, self.sup_beta, self.inf_beta,
+                   self.ratio_third, self.ratio_half, self.ratio_two_thirds))
 
 
 def iterate(profile0: SurvivalProfile, F: MapF, rho: float, K: float,

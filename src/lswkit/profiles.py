@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -31,7 +31,13 @@ from .errors import (
     UnsupportedOperationError,
 )
 
-FMT = "%.17g"
+
+def write_csv(path: str | Path, header: str, columns) -> None:
+    """Equal-length columns as comma-separated rows, every value as %.17g."""
+    with Path(path).open("w") as f:
+        f.write(header + "\n")
+        for row in zip(*columns):
+            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,8 @@ class SurvivalProfile:
         return float(self.grid[min(last + 1, len(self.grid) - 1)]) if self.values[-1] == 0 else float(self.grid[-1])
 
     @cached_property
-    def _tail_mass(self) -> float:
+    def tail_mass(self) -> float:
+        """Mass of the analytic tail beyond the last grid node."""
         xm, wm = float(self.grid[-1]), float(self.values[-1])
         if self.tail.kind == "compact" or wm == 0.0:
             return 0.0
@@ -136,7 +143,7 @@ class SurvivalProfile:
 
     @cached_property
     def _suffix_mass(self) -> np.ndarray:
-        return cellquad.linear_suffix(self.grid, self.values) + self._tail_mass
+        return cellquad.linear_suffix(self.grid, self.values) + self.tail_mass
 
     @cached_property
     def mass(self) -> float:
@@ -166,24 +173,21 @@ class SurvivalProfile:
         """Tail mass h(x) = integral of w over (x, infinity); exact per cell."""
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, len(self.grid) - 2)
-        x0 = self.grid[idx]
         x1 = self.grid[idx + 1]
-        w0 = self.values[idx]
         wx = np.interp(np.minimum(x, self.grid[-1]), self.grid, self.values)
         # remaining piece of the containing cell
         part = 0.5 * (wx + self.values[idx + 1]) * (x1 - np.minimum(x, x1))
-        body = part + self._suffix_mass[idx + 1] - self._tail_mass
+        body = part + self._suffix_mass[idx + 1] - self.tail_mass
         xm, wm = self.grid[-1], self.values[-1]
         if self.tail.kind == "exponential":
             lam = self.tail.param
-            tail = np.where(x > xm, wm * np.exp(-lam * (x - xm)) / lam, self._tail_mass)
-            out = np.where(x > xm, tail, body + self._tail_mass)
+            tail = wm * np.exp(-lam * (x - xm)) / lam
         elif self.tail.kind == "power":
             p = self.tail.param
-            tail = np.where(x > xm, wm * xm ** p * np.power(np.maximum(x, xm), 1.0 - p) / (p - 1.0), self._tail_mass)
-            out = np.where(x > xm, tail, body + self._tail_mass)
+            tail = wm * xm ** p * np.power(np.maximum(x, xm), 1.0 - p) / (p - 1.0)
         else:
-            out = np.where(x > xm, 0.0, body)
+            tail = 0.0  # and tail_mass is 0
+        out = np.where(x > xm, tail, body + self.tail_mass)
         return float(out) if out.ndim == 0 else out
 
     def survival(self, x):
@@ -218,10 +222,6 @@ class SurvivalProfile:
         body = cellquad.power_total(self.grid, self.values, s)
         return body + _tail_power_integral(self.tail, float(self.grid[-1]), float(self.values[-1]), s)
 
-    def partial_mass(self, y: float) -> float:
-        """Integral of w over (0, y)."""
-        return self.mass - self.h_at(y)
-
     def moment(self, alpha: float) -> float:
         """<X^alpha> for alpha in (0, 1]; singular cell at 0 in closed form."""
         if not 0 < alpha <= 1:
@@ -243,20 +243,11 @@ class SurvivalProfile:
             tail = TailModel.exponential(tail.param / lam)
         return SurvivalProfile(self.grid * lam, self.values, tail)
 
-    def scale_values(self, c: float) -> "SurvivalProfile":
-        return SurvivalProfile(self.grid, self.values * c, self.tail)
-
-    def view(self) -> "RandomVariableView":
-        return RandomVariableView(mean=self.mean, sup=self.sup_x, quantile=self.quantile)
-
     # -- serialization ---------------------------------------------------
 
     def save(self, csv_path: str | Path) -> None:
         csv_path = Path(csv_path)
-        with csv_path.open("w") as f:
-            f.write("x,w\n")
-            for x, w in zip(self.grid, self.values):
-                f.write(f"{x:.17g},{w:.17g}\n")
+        write_csv(csv_path, "x,w", (self.grid, self.values))
         sidecar = {
             "tail_model": self.tail.kind,
             "params": {"param": self.tail.param},
@@ -274,15 +265,6 @@ class SurvivalProfile:
             meta = json.loads(sidecar_path.read_text())
             tail = TailModel(meta["tail_model"], float(meta["params"]["param"]))
         return cls(data[:, 0], data[:, 1], tail)
-
-
-@dataclass(frozen=True)
-class RandomVariableView:
-    """Moment/quantile view of the variable X with P(X > x) = w(x)/w(0)."""
-
-    mean: float
-    sup: float
-    quantile: object
 
 
 @dataclass(frozen=True)
@@ -318,10 +300,7 @@ class BetaProfile:
         return np.interp(x, self.grid, self.values)
 
     def save(self, csv_path: str | Path) -> None:
-        with Path(csv_path).open("w") as f:
-            f.write("x,beta\n")
-            for x, b in zip(self.grid, self.values):
-                f.write(f"{x:.17g},{b:.17g}\n")
+        write_csv(csv_path, "x,beta", (self.grid, self.values))
 
 
 @dataclass(frozen=True)
@@ -353,7 +332,7 @@ def integrate_tail(profile: SurvivalProfile) -> TailMass:
     return TailMass(grid=profile.grid, values=h, profile=profile)
 
 
-def _derivative_nonuniform(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def derivative_nonuniform(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Three-point derivative on a nonuniform grid, one-sided at the ends."""
     d = np.empty_like(y)
     hm = x[1:-1] - x[:-2]
@@ -390,20 +369,31 @@ def beta_from_profile(profile: SurvivalProfile) -> BetaProfile:
     x = profile.grid[: last + 1]
     wv = w[: last + 1]
     h = profile.h_at(x)
-    c = -_derivative_nonuniform(x, wv)  # h'' = c, the cluster density
+    c = -derivative_nonuniform(x, wv)  # h'' = c, the cluster density
     beta = c * h / wv**2
-    # endpoint nodes: one-sided h'' estimate meets the modeled tail, so the
-    # quotient is unreliable there for every tail kind
+    return BetaProfile(grid=x, values=beta, support_end=profile.sup_x,
+                       low_confidence=low_confidence_mask(x))
+
+
+def low_confidence_mask(x: np.ndarray) -> np.ndarray:
+    """Nodes of a grid x >= 0 where a difference-quotient beta is unreliable:
+    the last two, where a one-sided estimate meets the modeled tail, and those
+    next to a gap below ~1e7 ulp of their position, where position rounding
+    quantizes the quotient (deep nodes near a compact support end)."""
     low = np.zeros(len(x), dtype=bool)
     low[-2:] = True
-    # nodes packed tighter than ~1e7 ulp: the difference quotient is
-    # quantized by position rounding (deep quantile nodes near a support
-    # end with a fractional-power profile collapse onto each other)
-    gaps = np.diff(x)
-    tiny = gaps < 1e7 * np.finfo(float).eps * np.maximum(np.abs(x[1:]), 1.0)
+    tiny = np.diff(x) < 1e7 * np.finfo(float).eps * np.maximum(x[1:], 1.0)
     low[1:] |= tiny
     low[:-1] |= tiny
-    return BetaProfile(grid=x, values=beta, support_end=profile.sup_x, low_confidence=low)
+    return low
+
+
+def beta_interpolant(profile: SurvivalProfile) -> Callable:
+    """x -> beta of the profile, interpolated between its confident nodes."""
+    b = beta_from_profile(profile)
+    ok = ~b.low_confidence
+    bx, bv = b.grid[ok], b.values[ok]
+    return lambda x: np.interp(x, bx, bv)
 
 
 def beta_envelope(profile: SurvivalProfile, beta: Optional[BetaProfile] = None,
@@ -472,14 +462,6 @@ def profile_from_beta(beta: BetaProfile, mean: float) -> SurvivalProfile:
     else:
         tail = TailModel.exponential(1.0 / d[-1])
     return SurvivalProfile(grid, w, tail)
-
-
-def moment(profile: SurvivalProfile, alpha: float) -> float:
-    return profile.moment(alpha)
-
-
-def energy(profile: SurvivalProfile) -> float:
-    return profile.energy()
 
 
 def regular_variation_exponent(

@@ -21,7 +21,7 @@ from scipy import optimize
 
 from . import cellquad
 from .errors import ConfigError
-from .profiles import BetaProfile, SurvivalProfile, TailModel
+from .profiles import BetaProfile, SurvivalProfile, TailModel, write_csv
 
 ALPHA_MAX = 4.0 / 27.0
 
@@ -31,17 +31,12 @@ def f_alpha(alpha: float, z):
     return 1.0 - np.cbrt(z) + alpha * z
 
 
-def f_alpha_roots(alpha: float) -> tuple[float, float]:
-    """(minimal root a_alpha, upper root) of 1 - z^(1/3) + alpha z."""
+def f_alpha_roots(alpha: float) -> float:
+    """The minimal root a_alpha of 1 - z^(1/3) + alpha z."""
     if not 0 < alpha < ALPHA_MAX:
         raise ConfigError("alpha must lie in (0, 4/27)")
     zmin = (1.0 / (3.0 * alpha)) ** 1.5  # location of the minimum
-    a = float(optimize.brentq(lambda z: f_alpha(alpha, z), 1.0, zmin, xtol=1e-15, rtol=1e-15))
-    hi = zmin
-    while f_alpha(alpha, hi) <= 0:
-        hi *= 2.0
-    upper = float(optimize.brentq(lambda z: f_alpha(alpha, z), zmin, hi, xtol=1e-12))
-    return a, upper
+    return float(optimize.brentq(lambda z: f_alpha(alpha, z), 1.0, zmin, xtol=1e-15, rtol=1e-15))
 
 
 def f_alpha_near_root(alpha: float, a: float, u):
@@ -59,7 +54,6 @@ def f_alpha_near_root(alpha: float, a: float, u):
 class SelfSimilarProfile:
     alpha: float
     a_alpha: float
-    upper_root: float
     gamma: float
     z: np.ndarray          # nodes in (0 <= z < a_alpha)
     u: np.ndarray          # exact distances a_alpha - z (grid is built in u)
@@ -77,10 +71,7 @@ class SelfSimilarProfile:
 
     def save(self, csv_path: str | Path, g=None) -> None:
         g = np.full_like(self.z, np.nan) if g is None else g
-        with Path(csv_path).open("w") as fh:
-            fh.write("z,Gamma,w_star,g_alpha\n")
-            for row in zip(self.z, self.Gamma, self.w, g):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(csv_path, "z,Gamma,w_star,g_alpha", (self.z, self.Gamma, self.w, g))
         meta = {"alpha": self.alpha, "a_alpha": self.a_alpha,
                 "gamma": self.gamma, "z4_residual": self.z4_residual}
         Path(csv_path).with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -98,7 +89,7 @@ def build_profile(alpha: float, n_bulk: int = 4000, n_cluster: int = 3000,
             f"alpha must be below 4/27 - {margin:g}; near the degenerate value "
             "the two roots of the drift coalesce and the profile is ill-conditioned"
         )
-    a, upper = f_alpha_roots(alpha)
+    a = f_alpha_roots(alpha)
     cp = 3.0 * a ** (2.0 / 3.0) / (1.0 - 3.0 * alpha * a ** (2.0 / 3.0))
     # the grid lives in u = a - z: exact near the root where z itself rounds
     u_bulk = a - np.linspace(0.0, 0.9 * a, n_bulk, endpoint=False)
@@ -128,7 +119,7 @@ def build_profile(alpha: float, n_bulk: int = 4000, n_cluster: int = 3000,
         cellquad.power_total(ze[:2], we[:2], -2.0 / 3.0)
     z4_residual = abs(z4 - 3.0)
     return SelfSimilarProfile(
-        alpha=alpha, a_alpha=a, upper_root=upper, gamma=gamma,
+        alpha=alpha, a_alpha=a, gamma=gamma,
         z=z, u=u, f=f, Gamma=Gamma, w=w, pole_coeff=cp, z4_residual=z4_residual,
     )
 

@@ -51,14 +51,6 @@ def test_power_suffix_matches_total_and_is_monotone():
     assert suf[-1] == 0.0
 
 
-def test_end_power_cells():
-    # int_0^1 (1-x)^(-1/2) (1-x) dx = int_0^1 sqrt(u) du = 2/3
-    x = np.linspace(0.0, 1.0, 2000)
-    w = 1.0 - x
-    cells = cellquad.end_power_cells(x, w, -0.5, 1.0)
-    assert np.sum(cells) == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-
 def test_linear_suffix_trapezoid():
     x = np.array([0.0, 1.0, 3.0])
     w = np.array([1.0, 0.5, 0.0])

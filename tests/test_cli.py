@@ -1,7 +1,10 @@
+import configparser
 import json
+from pathlib import Path
 
 import pytest
 
+from lswkit import cli
 from lswkit.cli import main
 
 
@@ -166,3 +169,86 @@ def test_truncated_run_fails(tmp_path, capsys):
     data = json.loads((tmp_path / "out" / "short" / "summary.json").read_text())
     assert data["terminated"] == "extinction"
     assert data["violations"] == ["termination"]
+
+
+def test_check_without_its_data_is_a_violation(tmp_path, capsys):
+    cfg = tmp_path / "nosnap.ini"
+    cfg.write_text(
+        "[nosnap]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0.2\n"
+        "checks = conservation, dyadic\n")
+    main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    capsys.readouterr()
+    data = json.loads((tmp_path / "out" / "nosnap" / "summary.json").read_text())
+    assert data["violations"] == ["dyadic"]
+    assert data["checks"]["conservation"]["passed"] is True
+
+
+def test_crash_is_isolated(tmp_path, capsys, monkeypatch):
+    def crash(opts, outdir):
+        raise RuntimeError("runner blew up")
+
+    monkeypatch.setitem(cli.MODEL_RUNNERS, "self_similar", crash)
+    cfg = tmp_path / "crash.ini"
+    cfg.write_text(
+        "[crashing]\nmodel = self_similar\nchecks = z4\n\n"
+        "[after]\nmodel = linear\nfamily = constant-beta\nbeta = 0.5\n"
+        "t_final = 10\nchecks = conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "crashing  FAIL  RuntimeError: runner blew up" in out
+    assert "after     ok    conservation:" in out
+    data = json.loads((tmp_path / "out" / "crashing" / "summary.json").read_text())
+    assert data["error"] == "RuntimeError: runner blew up"
+    assert "in crash" in data["traceback"]
+
+
+def test_every_model_writes_summary(config_path, tmp_path, capsys):
+    text = config_path.read_text() + "\n[quick-self-similar]\nmodel = self_similar\nchecks = z4\n"
+    config_path.write_text(text)
+    assert main(["run", str(config_path), "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    for section, model in (("quick-linear", "linear"), ("quick-map", "map_iteration"),
+                           ("quick-analysis", "analysis"), ("quick-self-similar", "self_similar")):
+        data = json.loads((tmp_path / "out" / section / "summary.json").read_text())
+        assert data["model"] == model and data["scenario"] == section
+        assert data["violations"] == []
+        assert all(c["passed"] for c in data["checks"].values())
+    data = json.loads((tmp_path / "out" / "quick-self-similar" / "summary.json").read_text())
+    assert list(data["checks"]) == ["z4"]
+    assert data["checks"]["z4"]["bound"] == 1e-5
+
+
+def test_standard_scenarios_request_registered_checks():
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "scenarios" / "standard.ini")
+    assert parser.sections()
+    for section in parser.sections():
+        opts = dict(parser.items(section))
+        model = opts.get("model", "lsw")
+        assert model in cli.MODEL_RUNNERS, section
+        for name in (c.strip() for c in opts["checks"].split(",") if c.strip()):
+            assert (model, name) in cli.CHECKS, (section, name)
+
+
+def test_default_bounds_are_pinned():
+    # loosening any of these needs this test changed as well
+    assert cli.BOUNDS == {
+        "conservation": 1e-4,
+        "identity": (0.02, 0.95),
+        "upper_bound": 1e-9,
+        "picard": (10, 1.0),
+        "monotonicity": 1e-6,
+        "stationarity": 1e-2,
+        "dyadic": (2.0, 0.1, 10),
+        "pointwise": 1e-8,
+        "sup_beta": 1e-8,
+        "z4": 1e-5,
+        "g_end": 1e-4,
+        "monotone": 1e-8,
+        "affine": 1e-6,
+        "stability": 0.05,
+        "regular_variation": 0.05,
+    }
+    assert set(cli.BOUNDS) <= {name for _, name in cli.CHECKS}
+    assert len(cli.CHECKS) == 21
