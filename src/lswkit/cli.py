@@ -253,9 +253,11 @@ def _picard(run, opts) -> CheckResult:
                        f"max iterations {iters}, max ratio {max(ratios, default=0.0):.3g}")
 
 
-def _monotonicity_violation(run) -> float:
+def _monotonicity(run, opts) -> CheckResult | None:
     """Worst failure of beta(., t) to rise and of g(., t) to be >= 0 and fall."""
     res = run.result
+    if not res.snapshots:
+        return None
     worst = 0.0
     for snap in res.snapshots:
         tb, _ = beta_along_flow(snap, run.fam.profile, res.ensemble.beta0)
@@ -264,7 +266,8 @@ def _monotonicity_violation(run) -> float:
         gx, gv = g_profile(snap)
         worst = max(worst, float(np.max(-gv, initial=0.0)))
         worst = max(worst, float(np.max(np.diff(gv[gx < 0.9 * gx[-1]]), initial=0.0)))
-    return worst
+    bound = BOUNDS["monotonicity"]
+    return CheckResult(worst <= bound, worst, bound, f"worst violation {worst:.3g}")
 
 
 def _stationarity(run, opts) -> CheckResult | None:
@@ -355,8 +358,7 @@ CHECKS = {
     ("lsw", "upper_bound"): _upper_bound,
     ("lsw", "identity"): _identity,
     ("lsw", "picard"): _picard,
-    ("lsw", "monotonicity"): _at_most("monotonicity", _monotonicity_violation,
-                                      "worst violation {:.3g}"),
+    ("lsw", "monotonicity"): _monotonicity,
     ("lsw", "stationarity"): _stationarity,
     ("lsw", "dyadic"): _dyadic,
     ("linear", "conservation"): _conservation,

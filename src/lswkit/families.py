@@ -31,10 +31,13 @@ class AnalyticFamily:
 
 def quantile_grid(quantile, n: int = 2048, deep: int = 45, support_end: float | None = None,
                   per_halving: int = 8):
-    """Nodes at survival levels 2^(-k/m) down to 2^(-deep), plus uniform fill."""
+    """Nodes at survival levels 2^(-k/m) down to 2^(-deep), plus uniform fill.
+
+    ``quantile`` maps an array of levels to the array of their positions.
+    """
     m = per_halving
-    ks = np.arange(1, m * deep + 1)
-    xq = np.array([quantile(2.0 ** (-k / m)) for k in ks])
+    levels = np.array([2.0 ** (-k / m) for k in range(1, m * deep + 1)])
+    xq = quantile(levels)
     # uniform fill covers the bulk (down to the 2^-10 level); the far tail is
     # left to the geometric quantile nodes
     bulk_end = xq[min(10 * m - 1, len(xq) - 1)]
@@ -149,11 +152,14 @@ def oscillating_exponential(eps: float, n: int = 2048) -> AnalyticFamily:
 
     w0 = 1.0 + eps
 
-    def quantile(q):
+    def root(q):
         # w/w(0) = q; bracket via the envelope e^(-x)(1 +/- 2|eps|)
         target = q * w0
         hi = -np.log(target / (1.0 + 2.0 * abs(eps))) + 1.0
         return optimize.brentq(lambda x: w(x) - target, 0.0, hi, xtol=1e-14)
+
+    def quantile(qs):
+        return np.array([root(q) for q in qs])
 
     grid = quantile_grid(quantile, n=n, deep=45)
     # exact tail mass beyond the last node: int e^-x (1 + eps cos x) = h(x);
@@ -198,9 +204,12 @@ def oscillating_compact(p: float, eps: float, n: int = 4096) -> AnalyticFamily:
 
     w0 = float(w(0.0))
 
-    def quantile(q):
+    def root(q):
         target = q * w0
         return optimize.brentq(lambda x: w(x) - target, 0.0, 1.0 - 1e-15, xtol=1e-15)
+
+    def quantile(qs):
+        return np.array([root(q) for q in qs])
 
     grid = quantile_grid(quantile, n=n, deep=45, support_end=1.0)
     vals = w(grid)

@@ -164,7 +164,7 @@ def tail_and_conditional_bounds(profile: SurvivalProfile, n_points: int = 24) ->
     b0 = beta.inf
     mean = profile.mean
     qs = 2.0 ** (-np.arange(1, n_points + 1) / 3.0)
-    xs = np.array([profile.quantile(q) for q in qs])
+    xs = profile.quantile(qs)
     worst = -np.inf
     details: dict = {"b0": b0, "mean": mean}
     for x in xs:

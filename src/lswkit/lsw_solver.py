@@ -249,9 +249,9 @@ def _phi_u2_primitive(u):
     return np.sum(u ** (k + 3) / (k * (k + 3)), axis=0)
 
 
-def _theta_cell_integrals(x, w, L):
-    """(flux, mass) integrals over the cells of x, with w linear in the
-    frozen-L time-to-origin on each cell.
+def _theta_cells(x, w, L):
+    """(u, theta, slope) of the cells of x, with w linear in the frozen-L
+    time-to-origin theta on each cell.
 
     The label map has a cube-root cusp at the origin that a linear-in-x cell
     model cannot follow; in the time-to-origin parameter the transported
@@ -262,13 +262,24 @@ def _theta_cell_integrals(x, w, L):
     theta = 3.0 * L * _phi_of_u(u)
     dtheta = np.diff(theta)
     slope = np.where(dtheta > 0, np.diff(w) / np.where(dtheta > 0, dtheta, 1.0), 0.0)
+    return u, theta, slope
+
+
+def _theta_cell_integrals(x, w, L) -> float:
+    """Flux integral, int x^(-2/3) w dx over the cells of x, in the
+    time-to-origin model."""
+    u, theta, slope = _theta_cells(x, w, L)
     d13 = 3.0 * np.diff(np.cbrt(x))
     dphi = np.diff(_phi_primitive(u))
-    flux = np.sum(w[:-1] * d13 + slope * (9.0 * L ** (4.0 / 3.0) * dphi - theta[:-1] * d13))
+    return float(np.sum(w[:-1] * d13 + slope * (9.0 * L ** (4.0 / 3.0) * dphi - theta[:-1] * d13)))
+
+
+def _theta_cell_mass(x, w, L) -> float:
+    """Mass integral, int w dx over the cells of x, in the time-to-origin model."""
+    u, theta, slope = _theta_cells(x, w, L)
     dx = np.diff(x)
     dpsi = np.diff(_phi_u2_primitive(u))
-    mass = np.sum(w[:-1] * dx + slope * (9.0 * L * L * dpsi - theta[:-1] * dx))
-    return float(flux), float(mass)
+    return float(np.sum(w[:-1] * dx + slope * (9.0 * L * L * dpsi - theta[:-1] * dx)))
 
 
 def _origin_split(x, L):
@@ -296,7 +307,7 @@ def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None,
     x, w = _augmented_state(ens, w0b)
     if L_guess is not None and L_guess > 0 and x[1] < 0.125 * L_guess:
         k = _origin_split(x, L_guess)
-        near, _ = _theta_cell_integrals(x[:k + 1], w[:k + 1], L_guess)
+        near = _theta_cell_integrals(x[:k + 1], w[:k + 1], L_guess)
     else:
         k = 1
         near = cellquad.power_total(x[:2], w[:2], -2.0 / 3.0)
@@ -430,7 +441,7 @@ def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: flo
     tail = ens.initial.tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
     if len(x) > 1 and x[1] < 0.125 * L:
         k = _origin_split(x, L)
-        _, near = _theta_cell_integrals(x[:k + 1], w[:k + 1], L)
+        near = _theta_cell_mass(x[:k + 1], w[:k + 1], L)
         mass = near + float(np.trapezoid(w[k:], x[k:])) + tail
     else:
         mass = float(np.trapezoid(w, x)) + tail

@@ -193,27 +193,35 @@ class SurvivalProfile:
     def survival(self, x):
         return self.w_at(x) / self.w0
 
-    def quantile(self, q: float) -> float:
-        """Largest x with w(x)/w(0) >= q (exact piecewise-linear inversion)."""
-        if not 0 < q <= 1:
+    def quantile(self, q):
+        """Largest x with w(x)/w(0) >= q (exact piecewise-linear inversion).
+
+        Elementwise over an array of levels in (0, 1]; a 0-d level gives a float.
+        """
+        q = np.asarray(q, dtype=float)
+        if not np.all((q > 0) & (q <= 1)):
             raise ValueError("quantile level must be in (0, 1]")
-        target = q * self.w0
-        if target <= self.values[-1]:
-            xm, wm = float(self.grid[-1]), float(self.values[-1])
-            if self.tail.kind == "exponential":
-                return xm + np.log(wm / target) / self.tail.param
-            if self.tail.kind == "power":
-                return xm * (wm / target) ** (1.0 / self.tail.param)
-            return xm
-        # values nonincreasing: search on the reversed array
-        rev = self.values[::-1]
-        j = len(self.values) - 1 - np.searchsorted(rev, target, side="left")
-        j = int(np.clip(j, 0, len(self.values) - 2))
+        target = np.ravel(q * self.w0)
+        out = np.empty_like(target)
+        xm, wm = float(self.grid[-1]), float(self.values[-1])
+        tail = target <= wm
+        tt = target[tail]
+        if self.tail.kind == "exponential":
+            out[tail] = xm + np.log(wm / tt) / self.tail.param
+        elif self.tail.kind == "power":
+            out[tail] = xm * (wm / tt) ** (1.0 / self.tail.param)
+        else:
+            out[tail] = xm
+        # values nonincreasing: search on the reversed array.  The cell found
+        # has w1 < target <= w0, so it is never flat: target <= w0 = values[0],
+        # and target <= values[-1] went to the tail above
+        tb = target[~tail]
+        j = len(self.values) - 1 - np.searchsorted(self.values[::-1], tb, side="left")
         w0, w1 = self.values[j], self.values[j + 1]
-        if w1 == w0:
-            return float(self.grid[j + 1])
-        frac = (w0 - target) / (w0 - w1)
-        return float(self.grid[j] + frac * (self.grid[j + 1] - self.grid[j]))
+        x0, x1 = self.grid[j], self.grid[j + 1]
+        frac = (w0 - tb) / (w0 - w1)
+        out[~tail] = x0 + frac * (x1 - x0)
+        return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
     # -- integrals ------------------------------------------------------
 

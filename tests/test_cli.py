@@ -156,6 +156,18 @@ def test_check_without_its_data_fails(tmp_path, capsys):
     assert "dyadic: unknown or not evaluated" in out
 
 
+def test_monotonicity_without_snapshots_fails(tmp_path, capsys):
+    # with no snapshots there is nothing to be monotone; that is no pass
+    cfg = tmp_path / "mono.ini"
+    cfg.write_text(
+        "[mono]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0.2\n"
+        "checks = monotonicity\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "monotonicity: unknown or not evaluated" in out
+
+
 def test_truncated_run_fails(tmp_path, capsys):
     # the 32-node indicator dies out at t = 1.55, long before t_final
     cfg = tmp_path / "short.ini"

@@ -74,6 +74,21 @@ def test_quantile_grid_properties():
     assert grid[-1] == pytest.approx(30.0 * np.log(2.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("fam, size, last_two, total", [
+    (lambda: lk.oscillating_exponential(0.3), 2047,
+     (30.977321523166392, 31.10708712403215), 11437.396949306127),
+    (lambda: lk.oscillating_compact(1.0, 0.1), 4096,
+     (0.9999999999999674, 1.0), 2213.5668943018254),
+])
+def test_oscillating_grids_unchanged(fam, size, last_two, total):
+    # the brentq quantiles answer one level at a time; the grid they build
+    # is pinned to the one of the scalar-quantile loop
+    grid = fam().profile.grid
+    assert len(grid) == size
+    np.testing.assert_allclose(grid[-2:], last_two, rtol=1e-14)
+    assert float(np.sum(grid)) == pytest.approx(total, rel=1e-14)
+
+
 def test_make_family_dispatch():
     fam = make_family("constant-beta", beta=0.5)
     assert fam.name.startswith("constant-beta")

@@ -237,7 +237,7 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     # time-to-origin cells next to the origin, linear cells beyond
     assert x[1] < 0.125 * L
     k = lsw_solver._origin_split(x, L)
-    near, _ = lsw_solver._theta_cell_integrals(x[:k + 1], w[:k + 1], L)
+    near = lsw_solver._theta_cell_integrals(x[:k + 1], w[:k + 1], L)
     split = ((near + cellquad.power_total(x[k:], w[k:], third)) / (3.0 * w0b)) ** 3
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L, far=far) == pytest.approx(split, rel=1e-13)
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)

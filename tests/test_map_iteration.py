@@ -46,6 +46,21 @@ def test_apply_map_composition():
     np.testing.assert_allclose(image.w_at(xs), fam.profile.w_at(F(xs)), rtol=2e-3)
 
 
+def test_apply_map_makes_one_quantile_call(monkeypatch):
+    fam = lk.exponential()
+    calls = []
+    quantile = lk.SurvivalProfile.quantile
+
+    def counted(self, q):
+        calls.append(np.shape(q))
+        return quantile(self, q)
+
+    monkeypatch.setattr(lk.SurvivalProfile, "quantile", counted)
+    apply_map(fam.profile, cube_root_map())
+    # the whole quantile grid of the image in one array call
+    assert calls == [(360,)]
+
+
 def test_apply_map_degenerate_image():
     fam = lk.indicator()  # support [0,1]; F(0) = 2^(1/3)-1 < 1 is fine
     F = cube_root_map()

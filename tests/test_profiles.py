@@ -49,6 +49,53 @@ def test_quantile_round_trip(expf):
         assert expf.profile.w_at(x) / expf.profile.w0 == pytest.approx(q, rel=1e-8)
 
 
+def _tailed(kind):
+    # a flat run at 0.8 and 0.5, and a positive last value the tail continues
+    grid = np.array([0.0, 0.3, 0.7, 1.0, 1.6, 2.0, 2.5, 3.1])
+    vals = np.array([1.0, 0.8, 0.8, 0.8, 0.5, 0.5, 0.3, 0.25 if kind != "compact" else 0.0])
+    tail = {"compact": lk.TailModel.compact(), "exponential": lk.TailModel.exponential(1.3),
+            "power": lk.TailModel.power(2.5)}[kind]
+    return lk.SurvivalProfile(grid, vals, tail)
+
+
+@pytest.mark.parametrize("kind", ["compact", "exponential", "power"])
+def test_quantile_array_equals_scalar_calls(kind):
+    prof = _tailed(kind)
+    # node levels (flat runs, the last value), levels between them and below
+    # the last value, where the tail model answers
+    levels = np.concatenate((prof.values[prof.values > 0] / prof.w0,
+                             [0.9, 0.65, 0.26, 0.25, 0.2, 1e-3, 2.0 ** -40]))
+    with np.errstate(all="raise"):
+        xs = prof.quantile(levels)
+        one_by_one = [prof.quantile(q) for q in levels]
+    assert all(type(x) is float for x in one_by_one)
+    assert np.array_equal(xs, np.array(one_by_one))
+    assert prof.quantile(levels[:6].reshape(2, 3)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("kind", ["compact", "exponential", "power"])
+def test_quantile_on_flat_runs_and_tail(kind):
+    prof = _tailed(kind)
+    # the largest x with w(x) >= q w(0) ends a flat run at its last node
+    np.testing.assert_array_equal(prof.quantile(np.array([1.0, 0.8, 0.5])), [0.0, 1.0, 2.0])
+    x = prof.quantile(0.28)
+    assert prof.w_at(x) == pytest.approx(0.28, rel=1e-12)
+    last = prof.values[-1] / prof.w0
+    if kind == "compact":
+        assert prof.quantile(1e-3) == pytest.approx(2.5 + 0.6 * (0.3 - 1e-3) / 0.3, rel=1e-12)
+    else:
+        # at and below the last value the tail model is inverted exactly
+        assert prof.quantile(last) == 3.1
+        for q in (0.5 * last, 1e-6):
+            assert prof.w_at(prof.quantile(q)) == pytest.approx(q * prof.w0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[0.5, 0.0, 0.3], [0.5, 1.5], [np.nan], [-0.1]])
+def test_quantile_rejects_any_bad_level(expf, bad):
+    with pytest.raises(ValueError):
+        expf.profile.quantile(np.array(bad))
+
+
 def test_beta_from_profile_exponential(expf):
     b = lk.beta_from_profile(expf.profile)
     ok = ~b.low_confidence

@@ -46,6 +46,27 @@ def test_quantile_round_trip(prof, q):
     assert prof.w_at(x) == pytest.approx(q * prof.w0, rel=1e-9)
 
 
+def with_tail(prof, kind):
+    """The profile lifted to a positive last value, continued by a ``kind`` tail."""
+    if kind == "compact":
+        return prof
+    tail = lk.TailModel.exponential(1.5) if kind == "exponential" else lk.TailModel.power(2.5)
+    return lk.SurvivalProfile(prof.grid, prof.values + 0.05, tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile_strategy, st.sampled_from(["compact", "exponential", "power"]),
+       st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=12))
+def test_quantile_array_is_elementwise(prof, kind, qs):
+    prof = with_tail(prof, kind)
+    # every node level, the last value included, plus the drawn levels
+    levels = np.concatenate((prof.values[prof.values > 0] / prof.w0, qs))
+    xs = prof.quantile(levels)
+    one_by_one = [prof.quantile(q) for q in levels]
+    assert all(type(x) is float for x in one_by_one)
+    assert np.array_equal(xs, np.array(one_by_one))
+
+
 @settings(max_examples=60, deadline=None)
 @given(profile_strategy)
 def test_dilate_scales_mass_linearly(prof):
