@@ -25,8 +25,8 @@ def power_cells(x: np.ndarray, w: np.ndarray, s: float, shift: float = 0.0) -> n
     du = u1 - u0
     m = (w1 - w0) / du
     a = w0 - m * u0  # w = a + m*u on the cell
-    p1 = (np.power(u1, s + 1.0) - np.power(u0, s + 1.0)) / (s + 1.0)
-    p2 = (np.power(u1, s + 2.0) - np.power(u0, s + 2.0)) / (s + 2.0)
+    p1 = np.diff(np.power(u, s + 1.0)) / (s + 1.0)
+    p2 = np.diff(np.power(u, s + 2.0)) / (s + 2.0)
     out = a * p1 + m * p2
     # the primitive differences cancel catastrophically on cells much
     # narrower than their distance from the singularity; a midpoint

@@ -294,14 +294,11 @@ def _dyadic(run, opts) -> CheckResult | None:
                        f"final ratios {np.array2string(finite[:10], precision=3)}")
 
 
-def _stability(run, opts) -> CheckResult:
+def _stability(run, opts) -> CheckResult | None:
     rep = stability_check(run.fam.profile, run.result)
     target = opts.get("beta_limit")
-    if not rep.applicable:
-        return CheckResult(True, rep.slope, math.nan, f"inapplicable: {rep.note}")
-    if target is None:
-        return CheckResult(True, rep.slope, math.nan,
-                           f"slope {rep.slope:.4f} (no target configured)")
+    if not rep.applicable or target is None:
+        return None
     tol = float(opts.get("stability_tol", BOUNDS["stability"]))
     dev = abs(rep.slope - float(target))
     return CheckResult(dev <= tol, dev, tol, f"slope {rep.slope:.4f} vs {float(target):.4f}")
@@ -337,14 +334,14 @@ def _bound_report(rep) -> CheckResult:
                        f"max violation {rep.max_violation:.3g}")
 
 
-def _regular_variation(run, opts) -> CheckResult:
+def _regular_variation(run, opts) -> CheckResult | None:
     est = regular_variation_exponent(run.fam.profile)
     target = opts.get("rv_target")
     if est.oscillatory:
         return CheckResult(opts.get("rv_expect", "") == "oscillatory", est.residual, math.nan,
                            f"oscillatory, residual {est.residual:.3g}")
     if target is None:
-        return CheckResult(True, est.exponent, math.nan, f"exponent {est.exponent:.4f}")
+        return None
     tol = float(opts.get("rv_tol", BOUNDS["regular_variation"]))
     dev = abs(est.exponent - float(target))
     return CheckResult(dev <= tol, dev, tol, f"exponent {est.exponent:.4f}")

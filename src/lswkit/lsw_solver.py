@@ -86,11 +86,11 @@ def _analytic_descent(x, L, ds):
     return L * un**3
 
 
-def _rk4(x, s, ds, L_of_s):
-    k1 = drift(x, L_of_s(s))
-    k2 = drift(x + 0.5 * ds * k1, L_of_s(s + 0.5 * ds))
-    k3 = drift(x + 0.5 * ds * k2, L_of_s(s + 0.5 * ds))
-    k4 = drift(x + ds * k3, L_of_s(s + ds))
+def _rk4(x, ds, L_a, L_mid, L_b):
+    k1 = drift(x, L_a)
+    k2 = drift(x + 0.5 * ds * k1, L_mid)
+    k3 = drift(x + 0.5 * ds * k2, L_mid)
+    k4 = drift(x + ds * k3, L_b)
     return x + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -152,23 +152,26 @@ def _speed(x, L):
 
 
 def _advance(ens: Ensemble, s0: float, s1: float, L_of_s, nsub: int) -> None:
-    """March survivors from absolute time s0 to s1, logging exits in place."""
-    n_steps = max(nsub, 1)
-    ss = np.linspace(s0, s1, n_steps + 1)
-    for a, b in zip(ss[:-1], ss[1:]):
-        ds = b - a
+    """March survivors from absolute time s0 to s1, logging exits in place;
+    one call of ``L_of_s`` gives L at the start, middle and end of each substep."""
+    ss = np.linspace(s0, s1, max(nsub, 1) + 1)
+    dss = np.diff(ss)
+    L_sub = L_of_s(np.column_stack((ss[:-1], ss[:-1] + 0.5 * dss, ss[:-1] + dss)))
+    for a, b, ds, (L_a, L_mid, L_b) in zip(ss[:-1], ss[1:], dss, L_sub):
         x = ens.pos
-        L_a = float(L_of_s(a))
-        tte = exit_time_frozen(x, L_a)
-        exiting = tte <= ds
-        if np.any(exiting):
+        # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
+        # can exit; the margins cover the rounding of _phi_of_u at tiny u
+        tte = exit_time_frozen(x[:np.searchsorted(x, max(2.0 * ds, 1e-18 * L_a), "right")], L_a)
+        exiting = np.flatnonzero(tte <= ds)
+        if len(exiting):
             order = np.argsort(tte[exiting])
             ens.exit_t.extend((a + tte[exiting][order]).tolist())
             ens.exit_y.extend(ens.labels[exiting][order].tolist())
             # |v| = 1 at the origin, so J there is J / |v(x)|
             ens.exit_jac.extend(
                 (ens.jac[exiting] / _speed(x[exiting], L_a))[order].tolist())
-            keep = ~exiting
+            keep = np.ones(len(x), dtype=bool)
+            keep[exiting] = False
             ens.labels = ens.labels[keep]
             ens.pos = ens.pos[keep]
             ens.w = ens.w[keep]
@@ -177,47 +180,48 @@ def _advance(ens: Ensemble, s0: float, s1: float, L_of_s, nsub: int) -> None:
         if len(x) == 0:
             ens.t = b
             continue
-        L_mid = float(L_of_s(a + 0.5 * ds))
-        low = x < 0.9 * L_mid
+        # positions increase, so x < 0.9 L_mid, the descent's share, is a prefix
+        low = int(np.searchsorted(x, 0.9 * L_mid))
         out = np.empty_like(x)
-        if np.any(low):
-            out[low] = _analytic_descent(x[low], L_mid, ds)
-        if np.any(~low):
-            out[~low] = _rk4(x[~low], a, ds, L_of_s)
+        if low:
+            out[:low] = _analytic_descent(x[:low], L_mid, ds)
+        if low < len(x):
+            out[low:] = _rk4(x[low:], ds, L_a, L_mid, L_b)
         ens.jac = ens.jac * _speed(out, L_mid) / _speed(x, L_mid)
         ens.pos = out
         ens.t = b
 
 
-def boundary_label(ens: Ensemble, L: float, t: Optional[float] = None) -> float:
+def _boundary_labels(states: list, L) -> np.ndarray:
+    """Label arriving at x = 0 in each ensemble of ``states``, by exit-time
+    interpolation between the last logged exit and the first survivor's."""
+    t, x1, y1, t0, y0 = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t[-1], s.exit_y[-1])
+                                  for s in states]).reshape(-1, 5).T
+    t1 = t + exit_time_frozen(x1, L)
+    ok = np.isfinite(t1) & (t1 > t0)
+    return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
+
+
+def boundary_label(ens: Ensemble, L: float) -> float:
     """Label currently arriving at x = 0, by exit-time interpolation."""
-    t = ens.t if t is None else t
-    t0, y0 = ens.exit_t[-1], ens.exit_y[-1]
-    if ens.n_alive == 0:
-        return y0
-    t1 = t + float(exit_time_frozen(ens.pos[0], L))
-    y1 = float(ens.labels[0])
-    if not np.isfinite(t1) or t1 <= t0:
-        return y0
-    return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+    return float(_boundary_labels([ens], L)[0]) if ens.n_alive else ens.exit_y[-1]
 
 
-def boundary_jacobian(ens: Ensemble, L: float, t: Optional[float] = None) -> float:
+def boundary_jacobian(ens: Ensemble, L: float) -> float:
     """dx/dy of the characteristic currently at the origin.
 
     Interpolated in log between the last logged exit and the projected exit
     of the first survivor; its reciprocal is the slope dF/dx of the label
     map at x = 0.
     """
-    t = ens.t if t is None else t
     t0, j0 = ens.exit_t[-1], ens.exit_jac[-1]
     if ens.n_alive == 0:
         return j0
-    t1 = t + float(exit_time_frozen(ens.pos[0], L))
+    t1 = ens.t + float(exit_time_frozen(ens.pos[0], L))
     j1 = float(ens.jac[0]) / float(_speed(ens.pos[0], L))
     if not np.isfinite(t1) or t1 <= t0 or not j0 > 0 or not j1 > 0:
         return j0
-    lj = np.log(j0) + (np.log(j1) - np.log(j0)) * (t - t0) / (t1 - t0)
+    lj = np.log(j0) + (np.log(j1) - np.log(j0)) * (ens.t - t0) / (t1 - t0)
     return float(np.exp(lj))
 
 
@@ -228,6 +232,11 @@ def _augmented_state(state, w0b: float):
     return x, w
 
 
+# the series of _phi_primitive and _phi_u2_primitive run over k = 3..60
+_PHI_K = np.arange(3, 61).reshape(-1, 1)
+_PHI_POW, _PHI_DEN = _PHI_K + 1, _PHI_K * (_PHI_K + 1)
+
+
 def _phi_primitive(u):
     # int_0^u phi(s) ds = sum_{k>=3} u^(k+1)/(k(k+1)); closed form cancels
     # below u = 0.25, so switch to the series there
@@ -235,8 +244,7 @@ def _phi_primitive(u):
     out = np.empty_like(u)
     small = u < 0.25
     us, ub = u[small], u[~small]
-    k = np.arange(3, 61).reshape(-1, 1)
-    out[small] = np.sum(us ** (k + 1) / (k * (k + 1)), axis=0)
+    out[small] = np.sum(us ** _PHI_POW / _PHI_DEN, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out[~small] = -ub**3 / 6 - ub**2 / 2 + ub + (1.0 - ub) * np.log1p(-ub)
     return out
@@ -244,9 +252,7 @@ def _phi_primitive(u):
 
 def _phi_u2_primitive(u):
     # int_0^u phi(s) s^2 ds = sum_{k>=3} u^(k+3)/(k(k+3))
-    u = np.asarray(u, float)
-    k = np.arange(3, 61).reshape(-1, 1)
-    return np.sum(u ** (k + 3) / (k * (k + 3)), axis=0)
+    return np.sum(np.asarray(u, float) ** (_PHI_K + 3) / (_PHI_K * (_PHI_K + 3)), axis=0)
 
 
 def _theta_cells(x, w, L):
@@ -265,13 +271,20 @@ def _theta_cells(x, w, L):
     return u, theta, slope
 
 
-def _theta_cell_integrals(x, w, L) -> float:
+def _theta_cell_integrals(x, w, L, sizes=None):
     """Flux integral, int x^(-2/3) w dx over the cells of x, in the
-    time-to-origin model."""
-    u, theta, slope = _theta_cells(x, w, L)
+    time-to-origin model.  With ``sizes``, x and w join the nodes of several
+    states, L has one value and the result one integral per state."""
+    Ls, n = ([L], [len(x)]) if sizes is None else (L, sizes)
+    u, theta, slope = _theta_cells(x, w, np.repeat(Ls, n))
     d13 = 3.0 * np.diff(np.cbrt(x))
     dphi = np.diff(_phi_primitive(u))
-    return float(np.sum(w[:-1] * d13 + slope * (9.0 * L ** (4.0 / 3.0) * dphi - theta[:-1] * d13)))
+    # Python's pow: numpy's array pow differs from it in the last bit
+    c = np.repeat([9.0 * float(l) ** (4.0 / 3.0) for l in Ls], n)[:-1]
+    cells = w[:-1] * d13 + slope * (c * dphi - theta[:-1] * d13)
+    # the cell joining one state's last node to the next one's origin is dropped
+    out = [float(np.sum(cells[end - m:end - 1])) for m, end in zip(n, np.cumsum(n))]
+    return out[0] if sizes is None else np.array(out)
 
 
 def _theta_cell_mass(x, w, L) -> float:
@@ -286,6 +299,26 @@ def _origin_split(x, L):
     # cells fully below L/8 get the time-parametrized model
     k = int(np.searchsorted(x, 0.125 * L))
     return max(min(k, len(x) - 1), 1)
+
+
+def _flux_L(states: list, w0b: np.ndarray, L_guess: np.ndarray, far: list) -> np.ndarray:
+    """``l_from_state`` at each ensemble of ``states``, with its w0b[i],
+    L_guess[i] and far[i]; one ``_theta_cell_integrals`` call serves them all."""
+    near, ks = np.empty(len(states)), np.ones(len(states), dtype=int)
+    cells = []       # (state, x, w) of the time-to-origin cells
+    for i, state in enumerate(states):
+        x, w = _augmented_state(state, w0b[i])
+        if L_guess[i] > 0 and x[1] < 0.125 * L_guess[i]:
+            ks[i] = k = _origin_split(x, L_guess[i])
+            cells.append((i, x[:k + 1], w[:k + 1]))
+        else:
+            near[i] = cellquad.power_total(x[:2], w[:2], -2.0 / 3.0)
+    if cells:
+        idx, xs, ws = map(list, zip(*cells))
+        near[idx] = _theta_cell_integrals(np.concatenate(xs), np.concatenate(ws),
+                                          L_guess[idx], [len(x) for x in xs])
+    return np.array([((near[i] + far[i][ks[i] - 1]) / (3.0 * w0b[i])) ** 3
+                     for i in range(len(states))])
 
 
 def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None,
@@ -304,31 +337,36 @@ def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None,
         raise ExtinctionError("no surviving characteristics")
     if far is None:
         far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
-    x, w = _augmented_state(ens, w0b)
-    if L_guess is not None and L_guess > 0 and x[1] < 0.125 * L_guess:
-        k = _origin_split(x, L_guess)
-        near = _theta_cell_integrals(x[:k + 1], w[:k + 1], L_guess)
-    else:
-        k = 1
-        near = cellquad.power_total(x[:2], w[:2], -2.0 / 3.0)
-    return float(((near + far[k - 1]) / (3.0 * w0b)) ** 3)
+    guess = np.array([np.nan if L_guess is None else L_guess])
+    return float(_flux_L([ens], np.array([w0b]), guess, [far])[0])
+
+
+def _resolve_L(states: list, L_guess, initial: SurvivalProfile):
+    """Self-consistent (L, y_b, w0b) arrays at each ensemble of ``states``, by
+    one fixed-point iteration from L_guess over all of them; each leaves it
+    once converged, so it takes the iterations and values it would alone."""
+    if any(s.n_alive == 0 for s in states):
+        raise ExtinctionError("no surviving characteristics")
+    L = np.array(L_guess, dtype=float)
+    # only the cells next to the origin and w0b change between iterations
+    far = [cellquad.power_suffix(s.pos, s.w, -2.0 / 3.0) for s in states]
+    act = np.arange(len(states))
+    for _ in range(40):
+        active = [states[i] for i in act]
+        w0b = initial.w_at(_boundary_labels(active, L[act]))
+        L_new = _flux_L(active, w0b, L[act], [far[i] for i in act])
+        done = np.abs(L_new - L[act]) < 1e-13 * np.maximum(L[act], 1.0)
+        L[act] = L_new
+        act = act[~done]
+        if len(act) == 0:
+            break
+    yb = _boundary_labels(states, L)
+    return L, yb, initial.w_at(yb)
 
 
 def _state_L(ens: Ensemble, L_guess: float) -> tuple[float, float, float]:
     """Self-consistent (L, y_b, w0b) at the ensemble's current time."""
-    # only the cells next to the origin and w0b change between iterations
-    far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
-    L = L_guess
-    for _ in range(40):
-        yb = boundary_label(ens, L)
-        w0b = float(ens.initial.w_at(yb))
-        L_new = l_from_state(ens, w0b, L_guess=L, far=far)
-        if abs(L_new - L) < 1e-13 * max(L, 1.0):
-            L = L_new
-            break
-        L = L_new
-    yb = boundary_label(ens, L)
-    return L, yb, float(ens.initial.w_at(yb))
+    return tuple(float(v[0]) for v in _resolve_L([ens], [L_guess], ens.initial))
 
 
 @dataclass
@@ -337,6 +375,24 @@ class PicardStats:
     first_correction: float
     ratios: list
     converged: bool
+    stopped_on_bound: bool = False   # converged on the error bound, not a confirming sweep
+
+
+def _transport(ens: Ensemble, nodes: np.ndarray, path, cfg: SolverConfig):
+    """A copy of ens carried along ``path`` through the panels of ``nodes``,
+    what L-resolution reads of it at each node, and the ExtinctionError of a
+    node with fewer than ``cfg.extinction_floor`` survivors, where it stops."""
+    scratch = ens.copy()
+    moments = []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        _advance(scratch, a, b, path, cfg.nsub)
+        if scratch.n_alive < cfg.extinction_floor:
+            return scratch, moments, ExtinctionError(
+                f"survivor count fell below {cfg.extinction_floor} at t={b:g}")
+        # the arrays are shared: _advance replaces them, never writes into them
+        moments.append(Ensemble(scratch.labels, scratch.pos, scratch.w, scratch.initial, scratch.beta0,
+                                scratch.jac, scratch.t, scratch.exit_t[-1:], scratch.exit_y[-1:]))
+    return scratch, moments, None
 
 
 def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
@@ -344,48 +400,43 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
     """Resolve L(s) on [t, t+dt] by fixed-point iteration from L == L0.
 
     Each sweep transports a scratch copy of the ensemble through the current
-    L path and re-evaluates L at Chebyshev nodes of the interval; the map is
-    a contraction for dt small compared to L.
+    L path and resolves L at all Chebyshev nodes of the interval at once;
+    the map is a contraction for dt small compared to L.  Once the error
+    bound d_k r/(1-r) of correction d_k and ratio r = d_k/d_(k-1) is below
+    tol * L0, a transport through iterate k's path ends the step.
     """
-    t0 = ens.t
     j = np.arange(cfg.n_cheb + 1)
-    nodes = t0 + dt * 0.5 * (1.0 - np.cos(np.pi * j / cfg.n_cheb))
+    nodes = ens.t + dt * 0.5 * (1.0 - np.cos(np.pi * j / cfg.n_cheb))
     L_vals = np.full(len(nodes), L0)
     diffs = []
     scratch = None
-    converged = False
+    converged = on_bound = False
     for _ in range(cfg.max_picard):
         path = CubicSpline(nodes, L_vals, bc_type="natural")
-        scratch = ens.copy()
-        new_vals = [L0]
-        ok = True
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            _advance(scratch, a, b, path, cfg.nsub)
-            if scratch.n_alive < cfg.extinction_floor:
-                raise ExtinctionError(
-                    f"survivor count fell below {cfg.extinction_floor} at t={b:g}"
-                )
-            L_here, _, _ = _state_L(scratch, float(path(b)))
-            new_vals.append(L_here)
-            if not np.isfinite(L_here) or L_here <= 0:
-                ok = False
-                break
-        if not ok:
+        scratch, moments, extinct = _transport(ens, nodes, path, cfg)
+        resolved = _resolve_L(moments, path(nodes[1:len(moments) + 1]), ens.initial)[0]
+        # a node whose L is not positive ends the sweep before any later panel
+        if not np.all(np.isfinite(resolved) & (resolved > 0)):
             break
-        new_vals = np.array(new_vals)
+        if extinct:
+            raise extinct
+        new_vals = np.concatenate(([L0], resolved))
         diff = float(np.max(np.abs(new_vals - L_vals)))
         diffs.append(diff)
         L_vals = new_vals
         if diff < cfg.tol * L0:
             converged = True
             break
+        r = diff / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 1.0
+        if r < 1.0 and diff * r / (1.0 - r) < cfg.tol * L0:
+            scratch, _, extinct = _transport(ens, nodes, CubicSpline(nodes, L_vals, bc_type="natural"), cfg)
+            if extinct:
+                raise extinct
+            converged = on_bound = True
+            break
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-    stats = PicardStats(
-        iterations=len(diffs),
-        first_correction=diffs[0] if diffs else 0.0,
-        ratios=ratios,
-        converged=converged,
-    )
+    stats = PicardStats(iterations=len(diffs), first_correction=diffs[0] if diffs else 0.0,
+                        ratios=ratios, converged=converged, stopped_on_bound=on_bound)
     return scratch, CubicSpline(nodes, L_vals, bc_type="natural"), stats
 
 

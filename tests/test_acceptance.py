@@ -137,7 +137,7 @@ def test_c08_picard_contraction(exp_run, exp_run_half_step):
 
 def test_c09_linear_model_stability(linear_run):
     fam, res = linear_run
-    # the CLI passes an inapplicable stability check; here it must apply
+    # the CLI fails an inapplicable stability check; here it must apply
     assert stability_check(fam.profile, res).applicable
     assert passes("linear", "stability", {"beta_limit": "0.5"}, fam=fam, result=res)
     # beta(0,t) is transported exactly through the affine label map

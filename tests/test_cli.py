@@ -168,6 +168,33 @@ def test_monotonicity_without_snapshots_fails(tmp_path, capsys):
     assert "monotonicity: unknown or not evaluated" in out
 
 
+@pytest.mark.parametrize("section", [
+    # the exponential's support is unbounded, so stability does not apply
+    "[stab]\nmodel = linear\nfamily = exponential\nt_final = 5\nchecks = stability\n",
+    # applicable, but with no beta_limit there is nothing to compare with
+    "[stab]\nmodel = linear\nfamily = constant-beta\nbeta = 0.5\nt_final = 5\n"
+    "checks = stability\n",
+], ids=["inapplicable", "no-target"])
+def test_stability_without_a_verdict_fails(tmp_path, capsys, section):
+    cfg = tmp_path / "stab.ini"
+    cfg.write_text(section)
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "stability: unknown or not evaluated" in out
+
+
+def test_regular_variation_without_target_fails(tmp_path, capsys):
+    cfg = tmp_path / "rv.ini"
+    cfg.write_text(
+        "[rv]\nmodel = analysis\nfamily = constant-beta\nbeta = 0.5\nalpha = 0.5\n"
+        "checks = regular_variation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "regular_variation: unknown or not evaluated" in out
+
+
 def test_truncated_run_fails(tmp_path, capsys):
     # the 32-node indicator dies out at t = 1.55, long before t_final
     cfg = tmp_path / "short.ini"

@@ -241,3 +241,157 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     split = ((near + cellquad.power_total(x[k:], w[k:], third)) / (3.0 * w0b)) ** 3
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L, far=far) == pytest.approx(split, rel=1e-13)
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)
+
+
+def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
+    """Chebyshev nodes of one Picard step from ens, the first sweep's path,
+    and a full copy of the transported ensemble at every node."""
+    L0 = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, ens.initial.w0))[0]
+    j = np.arange(cfg.n_cheb + 1)
+    nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / cfg.n_cheb))
+    path = lsw_solver.CubicSpline(nodes, np.full(len(nodes), L0), bc_type="natural")
+    scratch, at_nodes = ens.copy(), []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        lsw_solver._advance(scratch, a, b, path, cfg.nsub)
+        at_nodes.append(scratch.copy())
+    return nodes, path, at_nodes
+
+
+def _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch):
+    # the batch reads what the sweep's transport keeps at each node
+    nodes = path.x
+    _, moments, extinct = lsw_solver._transport(ens, nodes, path, SolverConfig(extinction_floor=1))
+    assert extinct is None and len(moments) == len(at_nodes)
+    flux = lsw_solver._flux_L
+    batch_sizes = []
+
+    def counted(states, *args):
+        batch_sizes.append(len(states))
+        return flux(states, *args)
+
+    monkeypatch.setattr(lsw_solver, "_flux_L", counted)
+    L, yb, w0b = lsw_solver._resolve_L(moments, guesses, ens.initial)
+    per_node_iters = []
+    for i, (node, guess) in enumerate(zip(at_nodes, guesses)):
+        start = len(batch_sizes)
+        ref = lsw_solver._state_L(node, float(guess))
+        per_node_iters.append(len(batch_sizes) - start)
+        assert (L[i], yb[i], w0b[i]) == ref
+    # the batch runs iteration j over exactly the nodes that alone take more than j
+    iters = np.array(per_node_iters)
+    assert batch_sizes[:iters.max()] == [int(np.sum(iters > j)) for j in range(iters.max())]
+    return iters
+
+
+@pytest.mark.parametrize("family", ["exponential", "power-tail"])
+def test_batched_resolution_matches_per_node(family, short_exp_run, monkeypatch):
+    if family == "exponential":
+        ens = short_exp_run[1].ensemble
+    else:
+        ens = make_ensemble(lk.power_tail(1.0).profile)
+    _, path, at_nodes = _first_sweep(ens)
+    guesses = path(np.array([e.t for e in at_nodes]))
+    # two nodes start from a guess so small that their first flux evaluation
+    # takes the head-cell branch
+    guesses[[2, 5]] *= 1e-6
+    assert all(at_nodes[i].pos[0] >= 0.125 * guesses[i] for i in (2, 5))
+    iters = _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch)
+    assert len(set(iters)) > 1
+
+
+def test_batched_resolution_head_cell_branch(monkeypatch):
+    # four survivors on [0, 1]: the first sits at x = 0.25 >= L/8 throughout
+    ens = make_ensemble(lk.indicator(n=4).profile)
+    _, path, at_nodes = _first_sweep(ens, SolverConfig())
+    guesses = path(np.array([e.t for e in at_nodes]))
+    assert all(e.pos[0] >= 0.125 * g for e, g in zip(at_nodes, guesses))
+    _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch)
+
+
+@pytest.mark.parametrize("ds_over_L", [1e-25, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
+def test_prefix_exit_screening_matches_full_screening(ds_over_L):
+    L, a = 1.3, 0.7
+    fam = lk.exponential()
+    pos = L * np.geomspace(1e-24, 0.99, 4000)
+    ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos.copy(), w=np.exp(-pos),
+                              initial=fam.profile, beta0=fam.beta_exact,
+                              jac=np.linspace(1.0, 2.0, len(pos)), t=a)
+    b = a + ds_over_L * L
+    lsw_solver._advance(ens, a, b, lambda s: np.full(np.shape(s), L), 1)
+    ds = b - a
+    tte = exit_time_frozen(pos, L)
+    exiting = tte <= ds
+    order = np.argsort(tte[exiting])
+    assert np.any(exiting)
+    assert ens.exit_t[1:] == (a + tte[exiting][order]).tolist()
+    assert ens.exit_y[1:] == pos[exiting][order].tolist()
+    jac = np.linspace(1.0, 2.0, len(pos))
+    assert ens.exit_jac[1:] == (jac[exiting] / lsw_solver._speed(pos[exiting], L))[order].tolist()
+    np.testing.assert_array_equal(ens.labels, pos[~exiting])
+
+
+def test_one_spline_evaluation_per_panel(short_exp_run):
+    nodes, path, _ = _first_sweep(short_exp_run[1].ensemble)
+    # a path that is not constant, as in later sweeps
+    path = lsw_solver.CubicSpline(nodes, path(nodes) * (1.0 + 0.01 * np.sin(nodes)),
+                                  bc_type="natural")
+    calls = []
+
+    def counted(s):
+        calls.append(np.shape(s))
+        return path(s)
+
+    ens = short_exp_run[1].ensemble.copy()
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        lsw_solver._advance(ens, a, b, counted, 2)
+        ss = np.linspace(a, b, 3)
+        ds = np.diff(ss)
+        points = np.column_stack((ss[:-1], ss[:-1] + 0.5 * ds, ss[:-1] + ds))
+        assert [p.tolist() for p in path(points)] == [[float(path(p)) for p in row] for row in points]
+    assert calls == [(2, 3)] * (len(nodes) - 1)
+
+
+def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
+    # a step that stops on the error bound returns what a further full sweep
+    # through the last iterate's path would, and that sweep would converge
+    ens = short_exp_run[1].ensemble
+    cfg = SolverConfig(tol=1e-6)
+    L0 = lsw_solver._state_L(ens, short_exp_run[1].trace.L[-1])[0]
+    out, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
+    assert stats.converged and stats.stopped_on_bound and stats.iterations >= 2
+    nodes = path.x
+    confirm = ens.copy()
+    moments = []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        lsw_solver._advance(confirm, a, b, path, cfg.nsub)
+        moments.append(confirm.copy())
+    resolved = lsw_solver._resolve_L(moments, path(nodes[1:]), ens.initial)[0]
+    assert np.max(np.abs(resolved - path(nodes[1:]))) < cfg.tol * L0
+    for name in ("labels", "pos", "w", "jac"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(confirm, name))
+    assert (out.t, out.exit_t, out.exit_y, out.exit_jac) == \
+        (confirm.t, confirm.exit_t, confirm.exit_y, confirm.exit_jac)
+
+
+def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):
+    # each segment gets the one-state formula bit for bit: 9 L^(4/3) in
+    # Python's pow, one np.sum over the segment's cells
+    ens = short_exp_run[1].ensemble
+    L_end = short_exp_run[1].trace.L[-1]
+    Ls = [L_end * (0.8 + 0.01 * i) for i in range(60)]
+    segments = []
+    for L in Ls:
+        x, w = lsw_solver._augmented_state(ens, float(ens.initial.w_at(lsw_solver.boundary_label(ens, L))))
+        k = lsw_solver._origin_split(x, L)
+        segments.append((x[:k + 1], w[:k + 1]))
+    assert len({len(x) for x, _ in segments}) > 1
+    got = lsw_solver._theta_cell_integrals(np.concatenate([x for x, _ in segments]),
+                                           np.concatenate([w for _, w in segments]),
+                                           np.array(Ls), [len(x) for x, _ in segments])
+    for (x, w), L, near in zip(segments, Ls, got):
+        u, theta, slope = lsw_solver._theta_cells(x, w, L)
+        d13 = 3.0 * np.diff(np.cbrt(x))
+        dphi = np.diff(lsw_solver._phi_primitive(u))
+        ref = float(np.sum(w[:-1] * d13 + slope * (9.0 * L ** (4.0 / 3.0) * dphi - theta[:-1] * d13)))
+        assert near == ref
+        assert lsw_solver._theta_cell_integrals(x, w, L) == ref
