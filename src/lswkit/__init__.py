@@ -10,7 +10,6 @@ from .errors import (
     LswkitError,
     NonIntegrableTailError,
     DegenerateProfileError,
-    InconsistentBetaError,
     UnsupportedOperationError,
     DegenerateImageError,
     ExtinctionError,
@@ -20,15 +19,10 @@ from .profiles import (
     SurvivalProfile,
     TailModel,
     BetaProfile,
-    TailMass,
-    FisherInformation,
     RegularVariationEstimate,
-    integrate_tail,
     beta_from_profile,
     beta_envelope,
-    profile_from_beta,
     regular_variation_exponent,
-    fisher_information,
 )
 from .families import (
     AnalyticFamily,
@@ -56,7 +50,6 @@ from .map_iteration import (
     MapF,
     linear_map,
     cube_root_map,
-    fixed_point_and_gamma,
     apply_map,
     beta_transform,
     normalize,
@@ -101,20 +94,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LswkitError", "NonIntegrableTailError", "DegenerateProfileError",
-    "InconsistentBetaError", "UnsupportedOperationError", "DegenerateImageError",
-    "ExtinctionError", "ConfigError",
-    "SurvivalProfile", "TailModel", "BetaProfile", "TailMass",
-    "FisherInformation", "RegularVariationEstimate", "integrate_tail",
-    "beta_from_profile", "beta_envelope", "profile_from_beta",
-    "regular_variation_exponent", "fisher_information",
+    "UnsupportedOperationError", "DegenerateImageError", "ExtinctionError",
+    "ConfigError",
+    "SurvivalProfile", "TailModel", "BetaProfile", "RegularVariationEstimate",
+    "beta_from_profile", "beta_envelope", "regular_variation_exponent",
     "AnalyticFamily", "quantile_grid", "constant_beta", "exponential",
     "indicator", "oscillating_exponential", "oscillating_compact",
     "power_tail", "make_family",
     "JensenCertificate", "BoundReport", "expectation", "truncated_mean",
     "conditional_mean", "reverse_jensen", "sharp_jensen",
     "tail_and_conditional_bounds", "quantitative_jensen_gap",
-    "MapF", "linear_map", "cube_root_map", "fixed_point_and_gamma",
-    "apply_map", "beta_transform", "normalize", "IterationHistory", "iterate",
+    "MapF", "linear_map", "cube_root_map", "apply_map", "beta_transform",
+    "normalize", "IterationHistory", "iterate",
     "SelfSimilarProfile", "GAlphaProfile", "f_alpha", "f_alpha_roots",
     "build_profile", "g_alpha_profile", "beta_star", "seed_solver",
     "SolverConfig", "Ensemble", "make_ensemble", "advance_global",

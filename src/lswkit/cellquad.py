@@ -64,24 +64,3 @@ def linear_suffix(x, w) -> np.ndarray:
     out[:-1] = np.cumsum(cells[::-1])[::-1]
     return out
 
-
-def reciprocal_linear_cumulative(x, d) -> np.ndarray:
-    """Cumulative integral of 1/dlin(x) from x[0], with dlin piecewise linear, d > 0.
-
-    Exact per cell: integral dz / (d0 + m z) = log(d1/d0) / m.  Stable when the
-    cell slope vanishes.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    dx = np.diff(x)
-    d0, d1 = d[:-1], d[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (d1 - d0) / dx
-        cell = np.where(
-            np.abs(d1 - d0) > 1e-12 * np.maximum(d0, d1),
-            np.log(d1 / d0) / slope,
-            dx * 2.0 / (d0 + d1),
-        )
-    out = np.zeros(len(x))
-    out[1:] = np.cumsum(cell)
-    return out

@@ -13,9 +13,10 @@ it, writes its outputs and returns what the checks read; each requested
 check is then looked up in ``CHECKS`` by (model, name), and every section
 gets a ``summary.json`` with all of its rows.  The exit status is nonzero
 exactly when a requested check fails or is not evaluated (an unknown name,
-or a check that needs snapshots the run did not take), or a solver run stops
-before t_final; scenario crashes are reported and counted as failures
-without aborting the batch.
+a check that needs snapshots the run did not take, or a certificate that
+does not apply), or a solver run stops before t_final; a section that sets a
+key its model does not read fails before it runs.  Scenario crashes are
+reported and counted as failures without aborting the batch.
 """
 from __future__ import annotations
 
@@ -65,11 +66,9 @@ FAMILY_DESCRIPTIONS = {
 
 def _build_family(opts: dict):
     name = opts.get("family", "exponential")
-    if name == "self-similar":
-        accepted = ("alpha", "n_bulk", "n_cluster")
-    else:
-        sig = inspect.signature(FAMILY_BUILDERS[name])
-        accepted = tuple(sig.parameters)
+    builder = FAMILY_BUILDERS.get(name)
+    # an unknown name goes on to make_family, which names the known ones
+    accepted = inspect.signature(builder).parameters if builder else ("alpha",)
     params = {}
     for key in FAMILY_PARAM_KEYS:
         if key in opts and key in accepted:
@@ -176,6 +175,17 @@ MODEL_RUNNERS = {
     "map_iteration": _run_map_iteration,
     "self_similar": _run_self_similar,
     "analysis": _run_analysis,
+}
+
+# the keys a section of each model may set, besides model, checks and output:
+# what its runner and its checks read
+_FAMILY_KEYS = ("family",) + FAMILY_PARAM_KEYS
+MODEL_KEYS = {
+    "lsw": _FAMILY_KEYS + ("delta", "tol", "t_final", "snapshots", "tau_target"),
+    "linear": _FAMILY_KEYS + ("delta", "t_final", "beta_limit", "stability_tol", "affine_tol"),
+    "map_iteration": _FAMILY_KEYS + ("map", "lam", "rho", "k_norm", "n_steps", "n_grid"),
+    "self_similar": ("alpha",),
+    "analysis": _FAMILY_KEYS + ("alpha", "rv_target", "rv_tol", "rv_expect"),
 }
 
 
@@ -321,11 +331,13 @@ def _g_end(run, opts) -> CheckResult:
 
 
 def _certificate(name: str, fmt: str) -> Callable:
-    """A Jensen certificate that holds or does not apply; its value is <X^alpha>."""
-    def check(run, opts) -> CheckResult:
+    """A Jensen certificate that holds, with value <X^alpha>; one that does
+    not apply is not evaluated."""
+    def check(run, opts) -> CheckResult | None:
         cert = run.certificates[name]
-        return CheckResult(cert.passed or not cert.applicable, cert.lhs, math.nan,
-                           fmt.format(cert) if cert.applicable else cert.note)
+        if not cert.applicable:
+            return None
+        return CheckResult(cert.passed, cert.lhs, math.nan, fmt.format(cert))
     return check
 
 
@@ -391,6 +403,9 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
     """Run one section, evaluate its requested checks and write its summary.json."""
     if model not in MODEL_RUNNERS:
         raise ConfigError(f"unknown model {model!r}")
+    unknown = [key for key in opts if key not in ("model", "checks", "output") + MODEL_KEYS[model]]
+    if unknown:
+        raise ConfigError(f"unknown key(s) for model {model!r}: {', '.join(unknown)}")
     run = MODEL_RUNNERS[model](opts, outdir)
     results = {}
     for name in _requested(opts):

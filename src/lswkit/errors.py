@@ -13,10 +13,6 @@ class DegenerateProfileError(LswkitError):
     """Profile violates an invariant needed by the requested operation."""
 
 
-class InconsistentBetaError(LswkitError):
-    """Beta data cannot be realized by any integrable survival profile."""
-
-
 class UnsupportedOperationError(LswkitError):
     """Operation requires properties the input does not have."""
 

@@ -158,12 +158,15 @@ def sharp_jensen(profile: SurvivalProfile, alpha: float) -> JensenCertificate:
     )
 
 
-def tail_and_conditional_bounds(profile: SurvivalProfile, n_points: int = 24) -> BoundReport:
+TAIL_POINTS = 24  # quantile levels 2^(-k/3), k = 1..TAIL_POINTS, of the conditional-mean bound
+
+
+def tail_and_conditional_bounds(profile: SurvivalProfile) -> BoundReport:
     """Check E[X|X>x] >= <X> + b0 x and P(X > lam <X>) <= 1/(1 + b0 lam)."""
     beta = beta_from_profile(profile)
     b0 = beta.inf
     mean = profile.mean
-    qs = 2.0 ** (-np.arange(1, n_points + 1) / 3.0)
+    qs = 2.0 ** (-np.arange(1, TAIL_POINTS + 1) / 3.0)
     xs = profile.quantile(qs)
     worst = -np.inf
     details: dict = {"b0": b0, "mean": mean}

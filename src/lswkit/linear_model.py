@@ -28,10 +28,12 @@ from .profiles import (SurvivalProfile, beta_from_profile, beta_interpolant,
 from .lsw_solver import CoarseningTrace
 
 
+SURVIVAL_FLOOR = 1e-12  # a run stops once w0(B)/w0(0) falls below this
+
+
 @dataclass
 class LinearModelConfig:
     delta: float = 0.05          # step as a fraction of the current Lambda
-    survival_floor: float = 1e-12  # stop once w0(B)/w0(0) falls below this
 
 
 @dataclass
@@ -105,7 +107,7 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
     record()
     while t < t_final - 1e-12:
         w0b = profile.w_at(state[1])
-        if w0b <= cfg.survival_floor * profile.w0:
+        if w0b <= SURVIVAL_FLOOR * profile.w0:
             terminated = "extinction"
             break
         lam = mass0 / w0b

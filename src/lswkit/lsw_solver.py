@@ -98,11 +98,13 @@ def _rk4(x, ds, L_a, L_mid, L_b):
 class SolverConfig:
     delta: float = 0.05          # step length as a fraction of the current L
     tol: float = 1e-8            # Picard tolerance relative to L
-    max_picard: int = 50
-    n_cheb: int = 8              # Chebyshev panels per Picard interval
-    nsub: int = 2                # integrator substeps per panel
-    extinction_floor: int = 16
-    max_halvings: int = 6
+
+
+MAX_PICARD = 50         # sweeps before a step counts as not converged
+N_CHEB = 8              # Chebyshev panels per Picard interval
+NSUB = 2                # integrator substeps per panel
+EXTINCTION_FLOOR = 16   # a run stops when fewer survivors are left
+MAX_HALVINGS = 6        # step halvings before a run ends as a Picard failure
 
 
 @dataclass
@@ -151,10 +153,11 @@ def _speed(x, L):
     return np.maximum(np.abs(1.0 - np.cbrt(np.asarray(x, float) / L)), 1e-12)
 
 
-def _advance(ens: Ensemble, s0: float, s1: float, L_of_s, nsub: int) -> None:
-    """March survivors from absolute time s0 to s1, logging exits in place;
-    one call of ``L_of_s`` gives L at the start, middle and end of each substep."""
-    ss = np.linspace(s0, s1, max(nsub, 1) + 1)
+def _advance(ens: Ensemble, s0: float, s1: float, L_of_s) -> None:
+    """March survivors from absolute time s0 to s1 in NSUB substeps, logging
+    exits in place; one call of ``L_of_s`` gives L at the start, middle and
+    end of each substep."""
+    ss = np.linspace(s0, s1, NSUB + 1)
     dss = np.diff(ss)
     L_sub = L_of_s(np.column_stack((ss[:-1], ss[:-1] + 0.5 * dss, ss[:-1] + dss)))
     for a, b, ds, (L_a, L_mid, L_b) in zip(ss[:-1], ss[1:], dss, L_sub):
@@ -202,11 +205,6 @@ def _boundary_labels(states: list, L) -> np.ndarray:
     return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
 
 
-def boundary_label(ens: Ensemble, L: float) -> float:
-    """Label currently arriving at x = 0, by exit-time interpolation."""
-    return float(_boundary_labels([ens], L)[0]) if ens.n_alive else ens.exit_y[-1]
-
-
 def boundary_jacobian(ens: Ensemble, L: float) -> float:
     """dx/dy of the characteristic currently at the origin.
 
@@ -225,10 +223,11 @@ def boundary_jacobian(ens: Ensemble, L: float) -> float:
     return float(np.exp(lj))
 
 
-def _augmented_state(state, w0b: float):
-    """(x, w) of an Ensemble or Snapshot behind the origin node (0, w0b), w clipped at w0b."""
-    x = np.concatenate(([0.0], state.pos))
-    w = np.concatenate(([w0b], np.minimum(state.w, w0b)))
+def _augmented_state(state, w0b: float, n: Optional[int] = None):
+    """(x, w) of an Ensemble or Snapshot, or of its first n survivors, behind
+    the origin node (0, w0b), w clipped at w0b."""
+    x = np.concatenate(([0.0], state.pos[:n]))
+    w = np.concatenate(([w0b], np.minimum(state.w[:n], w0b)))
     return x, w
 
 
@@ -271,11 +270,10 @@ def _theta_cells(x, w, L):
     return u, theta, slope
 
 
-def _theta_cell_integrals(x, w, L, sizes=None):
-    """Flux integral, int x^(-2/3) w dx over the cells of x, in the
-    time-to-origin model.  With ``sizes``, x and w join the nodes of several
-    states, L has one value and the result one integral per state."""
-    Ls, n = ([L], [len(x)]) if sizes is None else (L, sizes)
+def _theta_cell_integrals(x, w, Ls, n):
+    """Flux integral, int x^(-2/3) w dx over the cells of each of several
+    states, in the time-to-origin model: x and w join the states' nodes, n
+    counts them and Ls holds one L per state."""
     u, theta, slope = _theta_cells(x, w, np.repeat(Ls, n))
     d13 = 3.0 * np.diff(np.cbrt(x))
     dphi = np.diff(_phi_primitive(u))
@@ -283,8 +281,7 @@ def _theta_cell_integrals(x, w, L, sizes=None):
     c = np.repeat([9.0 * float(l) ** (4.0 / 3.0) for l in Ls], n)[:-1]
     cells = w[:-1] * d13 + slope * (c * dphi - theta[:-1] * d13)
     # the cell joining one state's last node to the next one's origin is dropped
-    out = [float(np.sum(cells[end - m:end - 1])) for m, end in zip(n, np.cumsum(n))]
-    return out[0] if sizes is None else np.array(out)
+    return np.array([float(np.sum(cells[end - m:end - 1])) for m, end in zip(n, np.cumsum(n))])
 
 
 def _theta_cell_mass(x, w, L) -> float:
@@ -295,10 +292,10 @@ def _theta_cell_mass(x, w, L) -> float:
     return float(np.sum(w[:-1] * dx + slope * (9.0 * L * L * dpsi - theta[:-1] * dx)))
 
 
-def _origin_split(x, L):
-    # cells fully below L/8 get the time-parametrized model
-    k = int(np.searchsorted(x, 0.125 * L))
-    return max(min(k, len(x) - 1), 1)
+def _origin_split(pos, L):
+    # survivors of the cells that get the time-parametrized model: those
+    # below L/8 and the first one at or above it
+    return max(min(int(np.searchsorted(pos, 0.125 * L)) + 1, len(pos)), 1)
 
 
 def _flux_L(states: list, w0b: np.ndarray, L_guess: np.ndarray, far: list) -> np.ndarray:
@@ -307,12 +304,11 @@ def _flux_L(states: list, w0b: np.ndarray, L_guess: np.ndarray, far: list) -> np
     near, ks = np.empty(len(states)), np.ones(len(states), dtype=int)
     cells = []       # (state, x, w) of the time-to-origin cells
     for i, state in enumerate(states):
-        x, w = _augmented_state(state, w0b[i])
-        if L_guess[i] > 0 and x[1] < 0.125 * L_guess[i]:
-            ks[i] = k = _origin_split(x, L_guess[i])
-            cells.append((i, x[:k + 1], w[:k + 1]))
+        if L_guess[i] > 0 and state.pos[0] < 0.125 * L_guess[i]:
+            ks[i] = k = _origin_split(state.pos, L_guess[i])
+            cells.append((i, *_augmented_state(state, w0b[i], k)))
         else:
-            near[i] = cellquad.power_total(x[:2], w[:2], -2.0 / 3.0)
+            near[i] = cellquad.power_total(*_augmented_state(state, w0b[i], 1), -2.0 / 3.0)
     if cells:
         idx, xs, ws = map(list, zip(*cells))
         near[idx] = _theta_cell_integrals(np.concatenate(xs), np.concatenate(ws),
@@ -378,17 +374,17 @@ class PicardStats:
     stopped_on_bound: bool = False   # converged on the error bound, not a confirming sweep
 
 
-def _transport(ens: Ensemble, nodes: np.ndarray, path, cfg: SolverConfig):
+def _transport(ens: Ensemble, nodes: np.ndarray, path):
     """A copy of ens carried along ``path`` through the panels of ``nodes``,
     what L-resolution reads of it at each node, and the ExtinctionError of a
-    node with fewer than ``cfg.extinction_floor`` survivors, where it stops."""
+    node with fewer than ``EXTINCTION_FLOOR`` survivors, where it stops."""
     scratch = ens.copy()
     moments = []
     for a, b in zip(nodes[:-1], nodes[1:]):
-        _advance(scratch, a, b, path, cfg.nsub)
-        if scratch.n_alive < cfg.extinction_floor:
+        _advance(scratch, a, b, path)
+        if scratch.n_alive < EXTINCTION_FLOOR:
             return scratch, moments, ExtinctionError(
-                f"survivor count fell below {cfg.extinction_floor} at t={b:g}")
+                f"survivor count fell below {EXTINCTION_FLOOR} at t={b:g}")
         # the arrays are shared: _advance replaces them, never writes into them
         moments.append(Ensemble(scratch.labels, scratch.pos, scratch.w, scratch.initial, scratch.beta0,
                                 scratch.jac, scratch.t, scratch.exit_t[-1:], scratch.exit_y[-1:]))
@@ -405,15 +401,15 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
     bound d_k r/(1-r) of correction d_k and ratio r = d_k/d_(k-1) is below
     tol * L0, a transport through iterate k's path ends the step.
     """
-    j = np.arange(cfg.n_cheb + 1)
-    nodes = ens.t + dt * 0.5 * (1.0 - np.cos(np.pi * j / cfg.n_cheb))
+    j = np.arange(N_CHEB + 1)
+    nodes = ens.t + dt * 0.5 * (1.0 - np.cos(np.pi * j / N_CHEB))
     L_vals = np.full(len(nodes), L0)
     diffs = []
     scratch = None
     converged = on_bound = False
-    for _ in range(cfg.max_picard):
+    for _ in range(MAX_PICARD):
         path = CubicSpline(nodes, L_vals, bc_type="natural")
-        scratch, moments, extinct = _transport(ens, nodes, path, cfg)
+        scratch, moments, extinct = _transport(ens, nodes, path)
         resolved = _resolve_L(moments, path(nodes[1:len(moments) + 1]), ens.initial)[0]
         # a node whose L is not positive ends the sweep before any later panel
         if not np.all(np.isfinite(resolved) & (resolved > 0)):
@@ -429,7 +425,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
             break
         r = diff / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 1.0
         if r < 1.0 and diff * r / (1.0 - r) < cfg.tol * L0:
-            scratch, _, extinct = _transport(ens, nodes, CubicSpline(nodes, L_vals, bc_type="natural"), cfg)
+            scratch, _, extinct = _transport(ens, nodes, CubicSpline(nodes, L_vals, bc_type="natural"))
             if extinct:
                 raise extinct
             converged = on_bound = True
@@ -490,8 +486,8 @@ def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: flo
     x, w = _augmented_state(ens, w0b)
     # the tail beyond the last survivor stretches with the label-map Jacobian
     tail = ens.initial.tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
-    if len(x) > 1 and x[1] < 0.125 * L:
-        k = _origin_split(x, L)
+    if ens.n_alive and ens.pos[0] < 0.125 * L:
+        k = _origin_split(ens.pos, L)
         near = _theta_cell_mass(x[:k + 1], w[:k + 1], L)
         mass = near + float(np.trapezoid(w[k:], x[k:])) + tail
     else:
@@ -547,7 +543,7 @@ def advance_global(profile: SurvivalProfile, t_final: float,
     while ens.t < t_final - 1e-12:
         dt = min(cfg.delta * L, t_final - ens.t)
         stats = None
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             try:
                 advanced, _, stats = picard_solve_interval(ens, dt, L, cfg)
             except ExtinctionError:
@@ -579,12 +575,15 @@ def mass_drift(trace: CoarseningTrace) -> float:
     return float(np.max(np.abs(m - m[0])) / m[0])
 
 
-def coarsening_identity_check(trace: CoarseningTrace, floor: float = 1e-8) -> dict:
+IDENTITY_FLOOR = 1e-8   # least |beta(0,t)| an identity error is taken relative to
+
+
+def coarsening_identity_check(trace: CoarseningTrace) -> dict:
     """Centered-difference d(Lambda)/dt against the recorded beta(0,t).
 
     Serves the full solver and the affine model, which record the same trace.
-    The denominator floor keeps the relative error meaningful for stationary
-    data where both sides vanish identically.
+    The denominator floor ``IDENTITY_FLOOR`` keeps the relative error
+    meaningful for stationary data where both sides vanish identically.
     """
     a = trace.as_arrays()
     t, lam, b = a["t"], a["Lambda"], a["beta0"]
@@ -592,7 +591,7 @@ def coarsening_identity_check(trace: CoarseningTrace, floor: float = 1e-8) -> di
         raise ValueError("trace too short")
     dl = (lam[2:] - lam[:-2]) / (t[2:] - t[:-2])
     bmid = b[1:-1]
-    rel = np.abs(dl - bmid) / np.maximum(np.abs(bmid), floor)
+    rel = np.abs(dl - bmid) / np.maximum(np.abs(bmid), IDENTITY_FLOOR)
     return {
         "max_rel_error": float(np.max(rel)),
         "frac_within_2pct": float(np.mean(rel <= 0.02)),

@@ -13,14 +13,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigError, DegenerateImageError
 from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
                        write_csv)
 from .families import quantile_grid
-
-X_MAX_FACTOR = 1e6  # search cap for gamma_F in units of the fixed point
 
 
 @dataclass(frozen=True)
@@ -79,31 +76,6 @@ def cube_root_map() -> MapF:
         f=lambda x: 2.0 ** (1.0 / 3.0) + np.asarray(x, float) - np.cbrt(1.0 + np.asarray(x, float)),
         fprime=lambda x: 1.0 - (1.0 / 3.0) * np.power(1.0 + np.asarray(x, float), -2.0 / 3.0),
     )
-
-
-def fixed_point_and_gamma(F: MapF) -> tuple[float, float]:
-    """(a_F, gamma_F): the fixed point and sup{x : x F'(x) <= F(x)}.
-
-    gamma_F is +inf when x F'(x) stays below F(x) on the whole search range
-    (always the case for affine F).
-    """
-    hi = 1.0
-    while F(hi) > hi:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConfigError(f"map {F.name!r}: no fixed point below 1e12")
-    a = float(optimize.brentq(lambda x: F(x) - x, 0.0, hi, xtol=1e-14))
-    cap = X_MAX_FACTOR * max(a, 1.0)
-
-    def excess(x):
-        return x * F.fprime(x) - F(x)
-
-    if excess(cap) <= 0:
-        return a, np.inf
-    lo = 0.0
-    g_hi = cap
-    gamma = float(optimize.brentq(excess, lo, g_hi, xtol=1e-12))
-    return a, gamma
 
 
 def apply_map(profile: SurvivalProfile, F: MapF, n_grid: int = 2048) -> SurvivalProfile:

@@ -24,12 +24,7 @@ import numpy as np
 from scipy import special
 
 from . import cellquad
-from .errors import (
-    DegenerateProfileError,
-    InconsistentBetaError,
-    NonIntegrableTailError,
-    UnsupportedOperationError,
-)
+from .errors import DegenerateProfileError, NonIntegrableTailError, UnsupportedOperationError
 
 
 def write_csv(path: str | Path, header: str, columns) -> None:
@@ -190,9 +185,6 @@ class SurvivalProfile:
         out = np.where(x > xm, tail, body + self.tail_mass)
         return float(out) if out.ndim == 0 else out
 
-    def survival(self, x):
-        return self.w_at(x) / self.w0
-
     def quantile(self, q):
         """Largest x with w(x)/w(0) >= q (exact piecewise-linear inversion).
 
@@ -276,18 +268,6 @@ class SurvivalProfile:
 
 
 @dataclass(frozen=True)
-class TailMass:
-    """Sampled tail mass h of a profile, h(x) = integral of w beyond x."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    profile: SurvivalProfile
-
-    def h_at(self, x):
-        return self.profile.h_at(x)
-
-
-@dataclass(frozen=True)
 class BetaProfile:
     """Sampled beta function on [0, ||X||_inf)."""
 
@@ -319,25 +299,8 @@ class RegularVariationEstimate:
     n_nodes: int
 
 
-@dataclass(frozen=True)
-class FisherInformation:
-    direct: float          # integral of (h')^2 / h
-    beta_form: float       # integral of (h'^2/h)(1-beta) plus boundary term
-    boundary_term: float   # -h'(0) = w(0), our convention for profiles on [0, inf)
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.direct - self.beta_form) / max(abs(self.direct), 1e-300)
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-
-def integrate_tail(profile: SurvivalProfile) -> TailMass:
-    """Tail mass h on the profile grid; exact for the piecewise-linear body."""
-    h = profile.h_at(profile.grid)
-    return TailMass(grid=profile.grid, values=h, profile=profile)
 
 
 def derivative_nonuniform(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -427,62 +390,18 @@ def beta_envelope(profile: SurvivalProfile, beta: Optional[BetaProfile] = None,
     return lo, hi
 
 
-def profile_from_beta(beta: BetaProfile, mean: float) -> SurvivalProfile:
-    """Reconstruct w from its beta function and mean.
-
-    Uses the explicit survival formula: with D(x) = mean - x + int_0^x beta,
-    w(x)/w(0) = mean / D(x) * exp(-int_0^x dz / D(z)).  The reciprocal integral
-    is exact for piecewise-linear D, which keeps the reconstruction stable as
-    D -> 0 at a compact support end.
-    """
-    if not mean > 0:
-        raise ValueError("mean must be positive")
-    x = np.asarray(beta.grid, dtype=float)
-    b = np.asarray(beta.values, dtype=float)
-    if np.any(b < -1e-12):
-        raise InconsistentBetaError("beta must be nonnegative")
-    bint = np.concatenate(([0.0], np.cumsum(0.5 * (b[:-1] + b[1:]) * np.diff(x))))
-    d = mean - x + bint
-    if d[0] <= 0 or np.any(d[:-1] <= 0):
-        k = int(np.nonzero(d <= 0)[0][0])
-        raise InconsistentBetaError(
-            f"denominator <X> - x + int(beta) vanishes at grid node {k} (x={x[k]:g}) "
-            "before the declared support end"
-        )
-    grid = x
-    if d[-1] <= 0:
-        grid = x.copy()
-        grid[-1] = x[-2] + (x[-1] - x[-2]) * d[-2] / (d[-2] - d[-1]) * (1 - 1e-12)
-        d = d.copy()
-        d[-1] = mean - grid[-1] + bint[-2] + 0.5 * (b[-2] + b[-1]) * (grid[-1] - x[-2])
-    q = cellquad.reciprocal_linear_cumulative(grid, d)
-    w = mean / d * np.exp(-q)
-    b_end = b[-1]
-    if np.isfinite(beta.support_end) or d[-1] < 1e-9 * mean:
-        tail = TailModel.compact()
-        if w[-1] > 1e-9 * w[0]:
-            # extrapolate the support end where D would vanish
-            x_end = grid[-1] + d[-1] / max(1.0 - b_end, 1e-9)
-            grid = np.append(grid, x_end)
-            w = np.append(w, 0.0)
-    elif b_end > 1.05:
-        tail = TailModel.power(b_end / (b_end - 1.0))
-    else:
-        tail = TailModel.exponential(1.0 / d[-1])
-    return SurvivalProfile(grid, w, tail)
+RV_DECADES = 3.0                 # decades of xi in the regression window
+RV_MIN_NODES = 30                # fewer nodes in the window: regress over all
+RV_OSCILLATION_THRESHOLD = 0.05  # residual above which the tail is oscillatory
 
 
-def regular_variation_exponent(
-    profile: SurvivalProfile,
-    decades: float = 3.0,
-    min_nodes: int = 30,
-    oscillation_threshold: float = 0.05,
-) -> RegularVariationEstimate:
+def regular_variation_exponent(profile: SurvivalProfile) -> RegularVariationEstimate:
     """Estimate the regular-variation exponent of w at its compact support end.
 
     Regresses k(xi) = -log P(X > x) against xi = -log(||X||_inf - x) over the
-    last few decades of xi; the residual is the RMS deviation of local slopes
-    from the fitted slope, which flags oscillatory (non-convergent) tails.
+    last ``RV_DECADES`` decades of xi; the residual is the RMS deviation of
+    local slopes from the fitted slope, which flags oscillatory
+    (non-convergent) tails.
     """
     if not np.isfinite(profile.sup_x):
         raise UnsupportedOperationError("regular variation requires compact support")
@@ -494,9 +413,9 @@ def regular_variation_exponent(
     k = -np.log(s)
     order = np.argsort(xi)
     xi, k = xi[order], k[order]
-    lo = xi[-1] - decades * np.log(10.0)
+    lo = xi[-1] - RV_DECADES * np.log(10.0)
     win = xi >= lo
-    if np.count_nonzero(win) < min_nodes:
+    if np.count_nonzero(win) < RV_MIN_NODES:
         win = np.ones(len(xi), dtype=bool)
     xi, k = xi[win], k[win]
     if len(xi) < 3:
@@ -507,49 +426,6 @@ def regular_variation_exponent(
     return RegularVariationEstimate(
         exponent=float(max(slope, 0.0)),
         residual=residual,
-        oscillatory=residual > oscillation_threshold,
+        oscillatory=residual > RV_OSCILLATION_THRESHOLD,
         n_nodes=len(xi),
-    )
-
-
-def fisher_information(tail: TailMass) -> FisherInformation:
-    """Fisher information of h in both scalar forms.
-
-    Direct form: J = int (h')^2 / h.  Alternative form: J = int (h'^2/h)(1-beta)
-    plus the boundary term -h'(0) = w(0) (our convention for profiles supported
-    on [0, inf): the integral of h'' telescopes to -h'(0) when h' -> 0 at the
-    support end).
-    """
-    prof = tail.profile
-    w = prof.values
-    h = tail.values
-    pos = h > 0
-    if not pos[0]:
-        raise DegenerateProfileError("h must be positive at 0")
-    x = prof.grid[pos]
-    f = w[pos] ** 2 / h[pos]
-    if np.count_nonzero(~pos) and len(x) >= 2:
-        # extrapolate the 0/0 endpoint of w^2/h from the last two interior nodes
-        x = np.append(x, prof.grid[~pos][0])
-        f = np.append(f, max(f[-1] + (f[-1] - f[-2]), 0.0))
-    body = float(np.trapezoid(f, x))
-    xm, wm = float(prof.grid[-1]), float(prof.values[-1])
-    tail_direct = 0.0
-    tail_beta = 0.0
-    if prof.tail.kind == "exponential" and wm > 0:
-        tail_direct = wm  # int lam*wm*exp(-lam(x-xm)) dx
-        # beta = 1 on an exponential tail: no contribution to the beta form
-    elif prof.tail.kind == "power" and wm > 0:
-        p = prof.tail.param
-        tail_direct = wm * (p - 1.0) / p
-        tail_beta = -wm / p  # beta = p/(p-1) on the tail
-    direct = body + tail_direct
-    beta = beta_from_profile(prof)
-    fb = np.interp(beta.grid, x, f) * (1.0 - beta.values)
-    body_beta = float(np.trapezoid(fb, beta.grid))
-    boundary = prof.w0
-    return FisherInformation(
-        direct=direct,
-        beta_form=body_beta + tail_beta + boundary,
-        boundary_term=boundary,
     )

@@ -24,6 +24,10 @@ from .errors import ConfigError
 from .profiles import BetaProfile, SurvivalProfile, TailModel, write_csv
 
 ALPHA_MAX = 4.0 / 27.0
+ALPHA_MARGIN = 1e-3     # build_profile takes alpha below ALPHA_MAX - ALPHA_MARGIN
+N_BULK = 4000           # uniform nodes on [0, 0.9 a]
+N_CLUSTER = 3000        # geometric nodes toward the support end
+CLUSTER_DEPTH = 12.0    # the last node sits 10^(-CLUSTER_DEPTH) a from the end
 
 
 def f_alpha(alpha: float, z):
@@ -63,12 +67,6 @@ class SelfSimilarProfile:
     pole_coeff: float      # residue factor 3 a^(2/3) / (1 - 3 alpha a^(2/3))
     z4_residual: float     # | int z^(-2/3) w dz - 3 |
 
-    def w_star(self, y):
-        """Normalized profile w*(y) = w-tilde(gamma y)."""
-        zq = self.gamma * np.asarray(y, float)
-        out = np.interp(zq, self.z, self.w, right=0.0)
-        return np.where(zq >= self.a_alpha, 0.0, out)
-
     def save(self, csv_path: str | Path, g=None) -> None:
         g = np.full_like(self.z, np.nan) if g is None else g
         write_csv(csv_path, "z,Gamma,w_star,g_alpha", (self.z, self.Gamma, self.w, g))
@@ -77,23 +75,22 @@ class SelfSimilarProfile:
         Path(csv_path).with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def build_profile(alpha: float, n_bulk: int = 4000, n_cluster: int = 3000,
-                  cluster_depth: float = 12.0, margin: float = 1e-3) -> SelfSimilarProfile:
+def build_profile(alpha: float) -> SelfSimilarProfile:
     """Sample Gamma_alpha and the stationary profile on a graded grid.
 
     The grid is uniform on [0, 0.9 a] and geometrically refined toward the
-    support end, down to a distance 10^(-cluster_depth) a.
+    support end, down to a distance 10^(-CLUSTER_DEPTH) a.
     """
-    if not 0 < alpha < ALPHA_MAX - margin:
+    if not 0 < alpha < ALPHA_MAX - ALPHA_MARGIN:
         raise ConfigError(
-            f"alpha must be below 4/27 - {margin:g}; near the degenerate value "
+            f"alpha must be below 4/27 - {ALPHA_MARGIN:g}; near the degenerate value "
             "the two roots of the drift coalesce and the profile is ill-conditioned"
         )
     a = f_alpha_roots(alpha)
     cp = 3.0 * a ** (2.0 / 3.0) / (1.0 - 3.0 * alpha * a ** (2.0 / 3.0))
     # the grid lives in u = a - z: exact near the root where z itself rounds
-    u_bulk = a - np.linspace(0.0, 0.9 * a, n_bulk, endpoint=False)
-    s = np.linspace(1.0, cluster_depth, n_cluster)
+    u_bulk = a - np.linspace(0.0, 0.9 * a, N_BULK, endpoint=False)
+    s = np.linspace(1.0, CLUSTER_DEPTH, N_CLUSTER)
     u = np.concatenate((u_bulk, a * 10.0 ** (-s)))
     u = u[np.concatenate(([True], np.diff(u) < -1e-14 * a))]
     z = a - u
@@ -133,9 +130,6 @@ class GAlphaProfile:
     g_end_exact: float      # 3 alpha a^(2/3)
     ode_residual: float     # max defect in d/dz[f_alpha g] = alpha (g - 1)
     identity_residuals: tuple  # flux identity checked at z = 0 and z = a/2
-
-    def at(self, z):
-        return np.interp(z, self.z, self.values)
 
 
 def g_alpha_profile(profile: SelfSimilarProfile) -> GAlphaProfile:

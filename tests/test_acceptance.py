@@ -182,6 +182,11 @@ def test_c13_jensen_suite():
                             for name in ("reverse_jensen", "sharp_jensen")}
             names = list(certificates) + (["tail_bounds", "gap"] if alpha == 0.5 else [])
             for name in names:
+                if fam.name == "indicator" and name == "sharp_jensen":
+                    # inf beta = 0 leaves no strict gap to certify: not evaluated
+                    run = SimpleNamespace(certificates=certificates)
+                    assert CHECKS[("analysis", name)](run, {}) is None, alpha
+                    continue
                 assert passes("analysis", name, fam=fam, alpha=alpha,
                               certificates=certificates), (fam.name, alpha, name)
     assert passes("analysis", "regular_variation", {"rv_target": "1.0"},

@@ -57,18 +57,3 @@ def test_linear_suffix_trapezoid():
     suf = cellquad.linear_suffix(x, w)
     np.testing.assert_allclose(suf, [0.75 + 0.5, 0.5, 0.0])
 
-
-def test_reciprocal_linear_cumulative():
-    # d(x) = 1 + x: int_0^x dz/(1+z) = log(1+x)
-    x = np.linspace(0.0, 2.0, 11)
-    d = 1.0 + x
-    got = cellquad.reciprocal_linear_cumulative(x, d)
-    np.testing.assert_allclose(got, np.log1p(x), rtol=1e-13)
-
-
-def test_reciprocal_linear_cumulative_flat_cell():
-    x = np.array([0.0, 1.0, 2.0])
-    d = np.array([2.0, 2.0, 4.0])
-    got = cellquad.reciprocal_linear_cumulative(x, d)
-    assert got[1] == pytest.approx(0.5)
-    assert got[2] == pytest.approx(0.5 + np.log(2.0) / 2.0)

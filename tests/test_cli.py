@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import lswkit
 from lswkit import cli
 from lswkit.cli import main
 
@@ -193,6 +194,34 @@ def test_regular_variation_without_target_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "regular_variation: unknown or not evaluated" in out
+
+
+def test_unknown_key_fails_the_section(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(
+        "[typo]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0.2\ntol = 1e-6\n"
+        "tolx = 3\nchecks = conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "typo  FAIL  ConfigError: unknown key(s) for model 'lsw': tolx" in out
+    # the section fails before its model runs
+    assert not (tmp_path / "out" / "typo" / "trace.csv").exists()
+
+
+def test_inapplicable_certificate_is_not_evaluated(tmp_path, capsys):
+    # inf beta of the indicator is 0, so the sharp certificate does not apply
+    cfg = tmp_path / "j.ini"
+    cfg.write_text("[j]\nmodel = analysis\nfamily = indicator\nalpha = 0.5\nchecks = sharp_jensen\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "sharp_jensen: unknown or not evaluated" in out
+
+
+def test_public_names_resolve():
+    for name in lswkit.__all__:
+        assert hasattr(lswkit, name), name
 
 
 def test_truncated_run_fails(tmp_path, capsys):

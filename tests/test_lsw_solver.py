@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,6 +18,10 @@ def short_exp_run():
     fam = lk.exponential()
     return fam, advance_global(fam.profile, 2.0, SolverConfig(tol=1e-6),
                                beta0=fam.beta_exact, snapshot_times=(2.0,))
+
+
+def test_solver_config_holds_what_a_section_sets():
+    assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == ("delta", "tol")
 
 
 def test_drift_sign_and_zero():
@@ -225,7 +230,7 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     _, res = short_exp_run
     ens = res.ensemble
     L = res.trace.L[-1]
-    w0b = float(ens.initial.w_at(lsw_solver.boundary_label(ens, L)))
+    w0b = float(ens.initial.w_at(lsw_solver._boundary_labels([ens], L)[0]))
     # the clip of w at w0b in the augmented state never binds
     assert np.all(ens.w <= w0b)
     far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
@@ -236,8 +241,8 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     assert lsw_solver.l_from_state(ens, w0b, far=far) == pytest.approx(full, rel=1e-13)
     # time-to-origin cells next to the origin, linear cells beyond
     assert x[1] < 0.125 * L
-    k = lsw_solver._origin_split(x, L)
-    near = lsw_solver._theta_cell_integrals(x[:k + 1], w[:k + 1], L)
+    k = lsw_solver._origin_split(ens.pos, L)
+    near = lsw_solver._theta_cell_integrals(x[:k + 1], w[:k + 1], [L], [k + 1])[0]
     split = ((near + cellquad.power_total(x[k:], w[k:], third)) / (3.0 * w0b)) ** 3
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L, far=far) == pytest.approx(split, rel=1e-13)
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)
@@ -247,12 +252,12 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     """Chebyshev nodes of one Picard step from ens, the first sweep's path,
     and a full copy of the transported ensemble at every node."""
     L0 = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, ens.initial.w0))[0]
-    j = np.arange(cfg.n_cheb + 1)
-    nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / cfg.n_cheb))
+    j = np.arange(lsw_solver.N_CHEB + 1)
+    nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
     path = lsw_solver.CubicSpline(nodes, np.full(len(nodes), L0), bc_type="natural")
     scratch, at_nodes = ens.copy(), []
     for a, b in zip(nodes[:-1], nodes[1:]):
-        lsw_solver._advance(scratch, a, b, path, cfg.nsub)
+        lsw_solver._advance(scratch, a, b, path)
         at_nodes.append(scratch.copy())
     return nodes, path, at_nodes
 
@@ -260,7 +265,8 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
 def _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch):
     # the batch reads what the sweep's transport keeps at each node
     nodes = path.x
-    _, moments, extinct = lsw_solver._transport(ens, nodes, path, SolverConfig(extinction_floor=1))
+    monkeypatch.setattr(lsw_solver, "EXTINCTION_FLOOR", 1)
+    _, moments, extinct = lsw_solver._transport(ens, nodes, path)
     assert extinct is None and len(moments) == len(at_nodes)
     flux = lsw_solver._flux_L
     batch_sizes = []
@@ -309,7 +315,7 @@ def test_batched_resolution_head_cell_branch(monkeypatch):
 
 
 @pytest.mark.parametrize("ds_over_L", [1e-25, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
-def test_prefix_exit_screening_matches_full_screening(ds_over_L):
+def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
     L, a = 1.3, 0.7
     fam = lk.exponential()
     pos = L * np.geomspace(1e-24, 0.99, 4000)
@@ -317,7 +323,8 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L):
                               initial=fam.profile, beta0=fam.beta_exact,
                               jac=np.linspace(1.0, 2.0, len(pos)), t=a)
     b = a + ds_over_L * L
-    lsw_solver._advance(ens, a, b, lambda s: np.full(np.shape(s), L), 1)
+    monkeypatch.setattr(lsw_solver, "NSUB", 1)
+    lsw_solver._advance(ens, a, b, lambda s: np.full(np.shape(s), L))
     ds = b - a
     tte = exit_time_frozen(pos, L)
     exiting = tte <= ds
@@ -343,7 +350,7 @@ def test_one_spline_evaluation_per_panel(short_exp_run):
 
     ens = short_exp_run[1].ensemble.copy()
     for a, b in zip(nodes[:-1], nodes[1:]):
-        lsw_solver._advance(ens, a, b, counted, 2)
+        lsw_solver._advance(ens, a, b, counted)
         ss = np.linspace(a, b, 3)
         ds = np.diff(ss)
         points = np.column_stack((ss[:-1], ss[:-1] + 0.5 * ds, ss[:-1] + ds))
@@ -363,7 +370,7 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
     confirm = ens.copy()
     moments = []
     for a, b in zip(nodes[:-1], nodes[1:]):
-        lsw_solver._advance(confirm, a, b, path, cfg.nsub)
+        lsw_solver._advance(confirm, a, b, path)
         moments.append(confirm.copy())
     resolved = lsw_solver._resolve_L(moments, path(nodes[1:]), ens.initial)[0]
     assert np.max(np.abs(resolved - path(nodes[1:]))) < cfg.tol * L0
@@ -381,8 +388,9 @@ def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):
     Ls = [L_end * (0.8 + 0.01 * i) for i in range(60)]
     segments = []
     for L in Ls:
-        x, w = lsw_solver._augmented_state(ens, float(ens.initial.w_at(lsw_solver.boundary_label(ens, L))))
-        k = lsw_solver._origin_split(x, L)
+        w0b = float(ens.initial.w_at(lsw_solver._boundary_labels([ens], L)[0]))
+        x, w = lsw_solver._augmented_state(ens, w0b)
+        k = lsw_solver._origin_split(ens.pos, L)
         segments.append((x[:k + 1], w[:k + 1]))
     assert len({len(x) for x, _ in segments}) > 1
     got = lsw_solver._theta_cell_integrals(np.concatenate([x for x, _ in segments]),
@@ -394,4 +402,4 @@ def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):
         dphi = np.diff(lsw_solver._phi_primitive(u))
         ref = float(np.sum(w[:-1] * d13 + slope * (9.0 * L ** (4.0 / 3.0) * dphi - theta[:-1] * d13)))
         assert near == ref
-        assert lsw_solver._theta_cell_integrals(x, w, L) == ref
+        assert lsw_solver._theta_cell_integrals(x, w, [L], [len(x)])[0] == ref

@@ -3,24 +3,13 @@ import pytest
 
 import lswkit as lk
 from lswkit.map_iteration import (
-    MapF, linear_map, cube_root_map, fixed_point_and_gamma, apply_map,
-    beta_transform, normalize, iterate,
+    MapF, linear_map, cube_root_map, apply_map, beta_transform, normalize, iterate,
 )
-
-
-def test_linear_map_fixed_point():
-    F = linear_map(0.5)
-    a, gamma = fixed_point_and_gamma(F)
-    assert a == pytest.approx(1.0, abs=1e-12)
-    assert gamma == np.inf
 
 
 def test_cube_root_map_constants():
     F = cube_root_map()
     assert F(0.0) == pytest.approx(2.0 ** (1.0 / 3.0) - 1.0, abs=1e-14)
-    a, gamma = fixed_point_and_gamma(F)
-    assert a == pytest.approx(1.0, abs=1e-10)
-    assert gamma == pytest.approx(4.0980762113533159, abs=1e-8)
 
 
 def test_map_validation():

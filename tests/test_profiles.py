@@ -117,14 +117,6 @@ def test_beta_envelope_brackets_truth():
     assert lo <= np.min(bx) + 0.02
 
 
-def test_profile_from_beta_round_trip():
-    fam = lk.constant_beta(0.5)
-    b = lk.beta_from_profile(fam.profile)
-    rebuilt = lk.profile_from_beta(b, fam.profile.mean)
-    xs = np.linspace(0.0, 1.9, 200)
-    np.testing.assert_allclose(rebuilt.w_at(xs), fam.profile.w_at(xs), atol=2e-3)
-
-
 def test_dilate_preserves_beta():
     fam = lk.constant_beta(0.5)
     d = fam.profile.dilate(3.0)
@@ -176,25 +168,6 @@ def test_regular_variation_oscillatory_flag():
 def test_regular_variation_needs_compact_support(expf):
     with pytest.raises(lk.UnsupportedOperationError):
         lk.regular_variation_exponent(expf.profile)
-
-
-def test_fisher_information_closed_forms(expf):
-    # h = e^-x: J = int (h')^2/h = 1; h = (1-x/2)^2: integrand is 1 on [0,2]
-    t = lk.integrate_tail(expf.profile)
-    J = lk.fisher_information(t)
-    assert J.direct == pytest.approx(1.0, rel=1e-3)
-    assert J.discrepancy < 1e-2
-    fam = lk.constant_beta(0.5)
-    J2 = lk.fisher_information(lk.integrate_tail(fam.profile))
-    assert J2.direct == pytest.approx(2.0, rel=1e-3)
-    assert J2.discrepancy < 1e-2
-
-
-def test_integrate_tail_matches_closed_form():
-    fam = lk.power_tail(1.0)
-    t = lk.integrate_tail(fam.profile)
-    xs = fam.profile.grid[::100]
-    np.testing.assert_allclose(t.h_at(xs), 1.0 / (1.0 + xs), rtol=1e-3)
 
 
 def test_derivative_nonuniform_quadratic():
