@@ -47,7 +47,7 @@ from .linear_model import (
     LinearModelConfig, run_linear_model, stability_check, affine_exactness_check,
 )
 from .map_iteration import MapF, linear_map, cube_root_map, iterate, beta_transform
-from .profiles import beta_from_profile, regular_variation_exponent, write_csv
+from .profiles import beta_from_profile, json_number, regular_variation_exponent, write_csv
 from .self_similar import build_profile, g_alpha_profile
 
 OUTPUT_ROOT_ENV = "LSWKIT_OUTPUT_ROOT"
@@ -394,11 +394,6 @@ CHECKS = {
 }
 
 
-def _json_number(v) -> float | None:
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
 def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
     """Run one section, evaluate its requested checks and write its summary.json."""
     if model not in MODEL_RUNNERS:
@@ -421,8 +416,8 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
             f"run ended by {summary['terminated']} at t={summary['T_final']:g}")
     record = {"model": model, "scenario": section, **summary,
               "violations": [name for name, r in results.items() if not r.passed],
-              "checks": {name: {"passed": bool(r.passed), "value": _json_number(r.value),
-                                "bound": _json_number(r.bound), "detail": r.detail}
+              "checks": {name: {"passed": bool(r.passed), "value": json_number(r.value),
+                                "bound": json_number(r.bound), "detail": r.detail}
                          for name, r in results.items()}}
     (outdir / "summary.json").write_text(json.dumps(record, indent=2) + "\n")
     return results

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .profiles import SurvivalProfile, beta_from_profile
+from .profiles import SurvivalProfile, beta_from_profile, json_number
 
 # leg-8 nodes/weights on [-1, 1] for smooth integrands against cellwise
 # constant densities
@@ -35,7 +35,8 @@ class JensenCertificate:
     note: str = ""
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
+        record = {k: json_number(v) if isinstance(v, float) else v for k, v in asdict(self).items()}
+        Path(path).write_text(json.dumps(record, indent=2) + "\n")
 
 
 @dataclass(frozen=True)

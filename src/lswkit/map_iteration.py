@@ -8,6 +8,7 @@ behind the uniform Jensen constants along the iteration.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -18,6 +19,8 @@ from .errors import ConfigError, DegenerateImageError
 from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
                        write_csv)
 from .families import quantile_grid
+
+_NEWTON_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -42,21 +45,30 @@ class MapF:
         return self.f(np.asarray(x, float))
 
     def inverse(self, y):
-        """Vectorized bisection for F^{-1}; y must be >= F(0)."""
+        """F^{-1} by Newton from the convexity bound; y must be >= F(0).
+
+        Convexity gives F(x) >= F(0) + F'(0) x, so x0 = (y - F(0))/F'(0) lies
+        at or right of the root, and Newton on a convex increasing F decreases
+        from there onto the root.  An entry is done once its step (clamped at
+        0) no longer decreases it, which is its rounding floor; entries still
+        moving after the iteration cap are reported in a RuntimeWarning.
+        """
         y = np.asarray(y, dtype=float)
         f0 = float(self.f(0.0))
         if np.any(y < f0 * (1 - 1e-12)):
             raise ValueError("inverse requested below F(0)")
-        fp0 = float(self.fprime(0.0))
-        lo = np.zeros_like(y)
-        hi = np.full_like(y, (float(np.max(y)) - f0) / fp0 + 1.0)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.f(mid) < y
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out) if out.ndim == 0 else out
+        x = np.maximum((y - f0) / float(self.fprime(0.0)), 0.0)
+        for _ in range(_NEWTON_CAP):
+            new = np.maximum(x - (self.f(x) - y) / self.fprime(x), 0.0)
+            moving = new < x
+            if not moving.any():
+                break
+            x = np.where(moving, new, x)
+        else:
+            warnings.warn(f"MapF.inverse: {int(np.count_nonzero(moving))} of {moving.size} "
+                          f"entries did not converge in {_NEWTON_CAP} Newton iterations",
+                          RuntimeWarning, stacklevel=2)
+        return float(x) if x.ndim == 0 else x
 
 
 def linear_map(lam: float) -> MapF:

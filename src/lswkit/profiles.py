@@ -15,6 +15,7 @@ bound in the rest of the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -33,6 +34,12 @@ def write_csv(path: str | Path, header: str, columns) -> None:
         f.write(header + "\n")
         for row in zip(*columns):
             f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def json_number(v) -> float | None:
+    """A float for a JSON file: non-finite values become null, as strict JSON requires."""
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
 @dataclass(frozen=True)
@@ -222,13 +229,22 @@ class SurvivalProfile:
         body = cellquad.power_total(self.grid, self.values, s)
         return body + _tail_power_integral(self.tail, float(self.grid[-1]), float(self.values[-1]), s)
 
+    @cached_property
+    def _moments(self) -> dict:
+        return {}
+
     def moment(self, alpha: float) -> float:
-        """<X^alpha> for alpha in (0, 1]; singular cell at 0 in closed form."""
+        """<X^alpha> for alpha in (0, 1]; singular cell at 0 in closed form.
+
+        Memoized per exponent, like the profile's other derived values.
+        """
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         if alpha == 1.0:
             return self.mean
-        return alpha * self.power_integral(alpha - 1.0) / self.w0
+        if alpha not in self._moments:
+            self._moments[alpha] = alpha * self.power_integral(alpha - 1.0) / self.w0
+        return self._moments[alpha]
 
     def energy(self) -> float:
         """E = integral x^{2/3} c dx, via the integrated-by-parts form."""

@@ -219,6 +219,23 @@ def test_inapplicable_certificate_is_not_evaluated(tmp_path, capsys):
     assert "sharp_jensen: unknown or not evaluated" in out
 
 
+def test_certificates_are_strict_json(tmp_path, capsys):
+    # fields a certificate does not use are null, not the NaN strict parsers reject
+    cfg = tmp_path / "j.ini"
+    cfg.write_text("[j]\nmodel = analysis\nfamily = exponential\nalpha = 0.3\n"
+                   "checks = reverse_jensen, sharp_jensen\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for name in ("reverse_jensen", "sharp_jensen"):
+        data = json.loads((tmp_path / "out" / "j" / f"{name}.json").read_text(),
+                          parse_constant=reject)
+        assert data["alpha"] == 0.3
+    assert data["C_used"] is None and data["rhs_reverse"] is None
+
+
 def test_public_names_resolve():
     for name in lswkit.__all__:
         assert hasattr(lswkit, name), name
