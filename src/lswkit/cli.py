@@ -159,6 +159,9 @@ def _run_self_similar(opts: dict, outdir: Path) -> SimpleNamespace:
 
 
 def _run_analysis(opts: dict, outdir: Path) -> SimpleNamespace:
+    if opts.get("family") == "self-similar":
+        raise ConfigError("family = self-similar in an analysis section: alpha would be both "
+                          "the profile parameter and the Jensen exponent")
     fam = _build_family(opts)
     alpha = float(opts.get("alpha", 0.5))
     certificates = {}

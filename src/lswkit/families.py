@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigError
-from .profiles import SurvivalProfile, TailModel
+from .profiles import SurvivalProfile, TailModel, bracketed_root
 
 
 @dataclass(frozen=True)
@@ -152,14 +151,11 @@ def oscillating_exponential(eps: float, n: int = 2048) -> AnalyticFamily:
 
     w0 = 1.0 + eps
 
-    def root(q):
-        # w/w(0) = q; bracket via the envelope e^(-x)(1 +/- 2|eps|)
-        target = q * w0
-        hi = -np.log(target / (1.0 + 2.0 * abs(eps))) + 1.0
-        return optimize.brentq(lambda x: w(x) - target, 0.0, hi, xtol=1e-14)
-
     def quantile(qs):
-        return np.array([root(q) for q in qs])
+        # w/w(0) = q; bracket via the envelope e^(-x)(1 +/- 2|eps|)
+        target = qs * w0
+        hi = -np.log(target / (1.0 + 2.0 * abs(eps))) + 1.0
+        return bracketed_root(lambda x: w(x) - target, 0.0, hi)
 
     grid = quantile_grid(quantile, n=n, deep=45)
     # exact tail mass beyond the last node: int e^-x (1 + eps cos x) = h(x);
@@ -204,12 +200,9 @@ def oscillating_compact(p: float, eps: float, n: int = 4096) -> AnalyticFamily:
 
     w0 = float(w(0.0))
 
-    def root(q):
-        target = q * w0
-        return optimize.brentq(lambda x: w(x) - target, 0.0, 1.0 - 1e-15, xtol=1e-15)
-
     def quantile(qs):
-        return np.array([root(q) for q in qs])
+        target = qs * w0
+        return bracketed_root(lambda x: w(x) - target, 0.0, 1.0 - 1e-15)
 
     grid = quantile_grid(quantile, n=n, deep=45, support_end=1.0)
     vals = w(grid)

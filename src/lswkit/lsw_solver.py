@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import cellquad
 from .errors import ExtinctionError
@@ -391,8 +390,30 @@ def _transport(ens: Ensemble, nodes: np.ndarray, path):
     return scratch, moments, None
 
 
+class NaturalSpline:
+    """The natural cubic spline through (x, y), zero second derivative at both
+    ends; each panel is a cubic in s - x[i], evaluated by Horner's rule, and
+    the end panels' cubics extend it beyond the nodes."""
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        h, slope = np.diff(x), np.diff(y) / np.diff(x)
+        # second derivatives m: zero at the ends, tridiagonal system inside
+        system = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+        m = np.pad(np.linalg.solve(system, 6.0 * np.diff(slope)), 1)
+        # a row per panel: its left node, then its cubic's coefficients, gathered at once
+        self._panels = np.column_stack((x[:-1], np.diff(m) / (6.0 * h), 0.5 * m[:-1],
+                                        slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]))
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        p = self._panels[np.searchsorted(self.x[1:-1], s, side="right")]
+        t = s - p[..., 0]
+        return ((p[..., 1] * t + p[..., 2]) * t + p[..., 3]) * t + p[..., 4]
+
+
 def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
-                          cfg: SolverConfig) -> tuple[Ensemble, "CubicSpline", PicardStats]:
+                          cfg: SolverConfig) -> tuple[Ensemble, NaturalSpline, PicardStats]:
     """Resolve L(s) on [t, t+dt] by fixed-point iteration from L == L0.
 
     Each sweep transports a scratch copy of the ensemble through the current
@@ -408,7 +429,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
     scratch = None
     converged = on_bound = False
     for _ in range(MAX_PICARD):
-        path = CubicSpline(nodes, L_vals, bc_type="natural")
+        path = NaturalSpline(nodes, L_vals)
         scratch, moments, extinct = _transport(ens, nodes, path)
         resolved = _resolve_L(moments, path(nodes[1:len(moments) + 1]), ens.initial)[0]
         # a node whose L is not positive ends the sweep before any later panel
@@ -425,7 +446,8 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
             break
         r = diff / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 1.0
         if r < 1.0 and diff * r / (1.0 - r) < cfg.tol * L0:
-            scratch, _, extinct = _transport(ens, nodes, CubicSpline(nodes, L_vals, bc_type="natural"))
+            path = NaturalSpline(nodes, L_vals)
+            scratch, _, extinct = _transport(ens, nodes, path)
             if extinct:
                 raise extinct
             converged = on_bound = True
@@ -433,7 +455,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     stats = PicardStats(iterations=len(diffs), first_correction=diffs[0] if diffs else 0.0,
                         ratios=ratios, converged=converged, stopped_on_bound=on_bound)
-    return scratch, CubicSpline(nodes, L_vals, bc_type="natural"), stats
+    return scratch, path if on_bound else NaturalSpline(nodes, L_vals), stats
 
 
 @dataclass

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from . import cellquad
 from .errors import DegenerateProfileError, NonIntegrableTailError, UnsupportedOperationError
@@ -40,6 +39,9 @@ def json_number(v) -> float | None:
     """A float for a JSON file: non-finite values become null, as strict JSON requires."""
     v = float(v)
     return v if math.isfinite(v) else None
+
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,59 @@ class TailModel:
         return cls("power", float(p))
 
 
+def _scaled_upper_gamma(a: float, u: float) -> float:
+    """e^u Gamma(a, u) for a > 0 and u >= 0, with no factor that can overflow.
+
+    Gamma(a) less the series of gamma(a, u) below u = a + 1 when a >= 1 and
+    below u = 0.3 when a < 1, where a higher split lets the two cancel; above
+    it, Legendre's continued fraction by the modified Lentz method.
+    """
+    if u < (a + 1.0 if a >= 1.0 else 0.3):
+        term = total = 1.0 / a
+        n = 0
+        while term > _EPS * total:
+            n += 1
+            term *= u / (a + n)
+            total += term
+        return math.exp(u) * math.gamma(a) - u ** a * total
+    b = u + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        # Lentz: a denominator that vanishes is replaced by a tiny one
+        d = 1.0 / (an * d + b or 1e-300)
+        c = b + an / c or 1e-300
+        h *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    return u ** a * h
+
+
+def bracketed_root(f, lo, hi):
+    """A root of f in [lo, hi] for each entry, by bisection to adjacent floats.
+
+    ``f`` maps an array of points to its values, which differ in sign at lo
+    and hi; of the last bracket's ends, the one with the smaller |f| is
+    returned.
+    """
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    f_lo, f_hi = f(lo), f(hi)
+    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0):
+        raise ValueError("f must change sign between lo and hi")
+    while True:
+        mid = 0.5 * (lo + hi)
+        inner = (lo < mid) & (mid < hi)
+        if not inner.any():
+            return np.where(np.abs(f_hi) < np.abs(f_lo), hi, lo)
+        f_mid = f(mid)
+        left = inner & (np.sign(f_mid) == np.sign(f_lo))
+        right = inner & ~left
+        lo, f_lo = np.where(left, mid, lo), np.where(left, f_mid, f_lo)
+        hi, f_hi = np.where(right, mid, hi), np.where(right, f_mid, f_hi)
+
+
 def _tail_power_integral(tail: TailModel, xm: float, wm: float, s: float) -> float:
     """Exact integral of x^s * w(x) over (xm, infinity) for the tail model."""
     if tail.kind == "compact" or wm == 0.0:
@@ -77,9 +132,7 @@ def _tail_power_integral(tail: TailModel, xm: float, wm: float, s: float) -> flo
     if tail.kind == "exponential":
         lam = tail.param
         # wm * exp(lam*xm) * Gamma(s+1, lam*xm) / lam^{s+1}
-        u = lam * xm
-        g = special.gammaincc(s + 1.0, u) * special.gamma(s + 1.0)
-        return float(wm * np.exp(u) * g / lam ** (s + 1.0))
+        return wm * _scaled_upper_gamma(s + 1.0, lam * xm) / lam ** (s + 1.0)
     p = tail.param
     if p <= s + 1.0:
         raise NonIntegrableTailError(

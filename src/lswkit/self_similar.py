@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from . import cellquad
 from .errors import ConfigError
-from .profiles import BetaProfile, SurvivalProfile, TailModel, write_csv
+from .profiles import BetaProfile, SurvivalProfile, TailModel, bracketed_root, write_csv
 
 ALPHA_MAX = 4.0 / 27.0
 ALPHA_MARGIN = 1e-3     # build_profile takes alpha below ALPHA_MAX - ALPHA_MARGIN
@@ -40,7 +39,7 @@ def f_alpha_roots(alpha: float) -> float:
     if not 0 < alpha < ALPHA_MAX:
         raise ConfigError("alpha must lie in (0, 4/27)")
     zmin = (1.0 / (3.0 * alpha)) ** 1.5  # location of the minimum
-    return float(optimize.brentq(lambda z: f_alpha(alpha, z), 1.0, zmin, xtol=1e-15, rtol=1e-15))
+    return float(bracketed_root(lambda z: f_alpha(alpha, z), 1.0, zmin))
 
 
 def f_alpha_near_root(alpha: float, a: float, u):

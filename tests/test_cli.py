@@ -1,5 +1,7 @@
 import configparser
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,6 +236,83 @@ def test_certificates_are_strict_json(tmp_path, capsys):
                           parse_constant=reject)
         assert data["alpha"] == 0.3
     assert data["C_used"] is None and data["rhs_reverse"] is None
+
+
+def test_self_similar_analysis_is_a_config_error(tmp_path, capsys):
+    # alpha cannot be both the profile parameter and the Jensen exponent
+    cfg = tmp_path / "ssj.ini"
+    cfg.write_text("[ssj]\nmodel = analysis\nfamily = self-similar\nalpha = 0.05\n"
+                   "checks = reverse_jensen, sharp_jensen\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "ssj  FAIL  ConfigError: family = self-similar in an analysis section: alpha" in out
+    assert not (tmp_path / "out" / "ssj" / "sharp_jensen.json").exists()
+
+
+NO_SCIPY_CONFIG = """\
+[lsw]
+model = lsw
+family = indicator
+n = 32
+t_final = 0.2
+checks = conservation
+
+[linear]
+model = linear
+family = constant-beta
+beta = 0.5
+t_final = 5
+checks = conservation, affine
+
+[map]
+model = map_iteration
+family = exponential
+map = cube-root
+n_steps = 2
+n_grid = 256
+checks = pointwise
+
+[self-similar]
+model = self_similar
+alpha = 0.05
+checks = z4, g_end, monotone
+
+[analysis]
+model = analysis
+family = exponential
+alpha = 0.5
+checks = reverse_jensen, sharp_jensen, gap
+"""
+
+# any import of scipy, at module level or inside a function, raises
+NO_SCIPY_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from lswkit import cli
+sys.exit(cli.run_config(sys.argv[2], sys.argv[3]))
+"""
+
+
+def test_every_model_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "no_scipy.ini"
+    cfg.write_text(NO_SCIPY_CONFIG)
+    src = Path(lswkit.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(src), str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "all checks passed" in done.stdout
+    assert (tmp_path / "out" / "map" / "history.csv").exists()
 
 
 def test_public_names_resolve():

@@ -81,8 +81,8 @@ def test_quantile_grid_properties():
      (0.9999999999999674, 1.0), 2213.5668943018254),
 ])
 def test_oscillating_grids_unchanged(fam, size, last_two, total):
-    # the brentq quantiles answer one level at a time; the grid they build
-    # is pinned to the one of the scalar-quantile loop
+    # the grid of the vectorized bisection quantiles is pinned to the one of
+    # the scalar root-finding loop they replaced
     grid = fam().profile.grid
     assert len(grid) == size
     np.testing.assert_allclose(grid[-2:], last_two, rtol=1e-14)

@@ -254,7 +254,7 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     L0 = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, ens.initial.w0))[0]
     j = np.arange(lsw_solver.N_CHEB + 1)
     nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
-    path = lsw_solver.CubicSpline(nodes, np.full(len(nodes), L0), bc_type="natural")
+    path = lsw_solver.NaturalSpline(nodes, np.full(len(nodes), L0))
     scratch, at_nodes = ens.copy(), []
     for a, b in zip(nodes[:-1], nodes[1:]):
         lsw_solver._advance(scratch, a, b, path)
@@ -340,8 +340,7 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
 def test_one_spline_evaluation_per_panel(short_exp_run):
     nodes, path, _ = _first_sweep(short_exp_run[1].ensemble)
     # a path that is not constant, as in later sweeps
-    path = lsw_solver.CubicSpline(nodes, path(nodes) * (1.0 + 0.01 * np.sin(nodes)),
-                                  bc_type="natural")
+    path = lsw_solver.NaturalSpline(nodes, path(nodes) * (1.0 + 0.01 * np.sin(nodes)))
     calls = []
 
     def counted(s):
@@ -378,6 +377,40 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
         np.testing.assert_array_equal(getattr(out, name), getattr(confirm, name))
     assert (out.t, out.exit_t, out.exit_y, out.exit_jac) == \
         (confirm.t, confirm.exit_t, confirm.exit_y, confirm.exit_jac)
+
+
+def test_stop_on_bound_builds_each_path_once(short_exp_run, monkeypatch):
+    # one spline per sweep and one for the confirming transport, which is
+    # the one returned
+    built = []
+
+    class Counted(lsw_solver.NaturalSpline):
+        def __init__(self, x, y):
+            super().__init__(x, y)
+            built.append(self)
+
+    monkeypatch.setattr(lsw_solver, "NaturalSpline", Counted)
+    ens = short_exp_run[1].ensemble
+    cfg = SolverConfig(tol=1e-6)
+    L0 = lsw_solver._state_L(ens, short_exp_run[1].trace.L[-1])[0]
+    _, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
+    assert stats.stopped_on_bound
+    assert len(built) == stats.iterations + 1 and path is built[-1]
+
+
+def test_natural_spline_matches_scipy():
+    from scipy.interpolate import CubicSpline
+
+    j = np.arange(lsw_solver.N_CHEB + 1)
+    nodes = 2.0 + 0.05 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
+    values = 1.3 * (1.0 + 0.01 * np.sin(40.0 * nodes))
+    ours, ref = lsw_solver.NaturalSpline(nodes, values), CubicSpline(nodes, values, bc_type="natural")
+    s = np.concatenate((nodes, np.linspace(nodes[0] - 0.01, nodes[-1] + 0.01, 2001)))
+    np.testing.assert_allclose(ours(s), ref(s), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(ours(nodes), values)
+    grid = s[:2000].reshape(400, 5)
+    assert ours(grid).shape == grid.shape
+    np.testing.assert_array_equal(ours.x, nodes)
 
 
 def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):

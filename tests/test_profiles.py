@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lswkit as lk
-from lswkit.profiles import derivative_nonuniform
+from lswkit.profiles import _scaled_upper_gamma, bracketed_root, derivative_nonuniform
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,37 @@ def test_moment_and_energy_compact():
 def test_moment_power_tail():
     fam = lk.power_tail(1.0)
     assert fam.profile.moment(0.5) == pytest.approx(np.pi / 4.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.01, 0.1, 0.29, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.99,
+                               1.0, 1.5, 2.0, 2.5, 3.0])
+def test_scaled_upper_gamma_matches_scipy(a):
+    from scipy import special
+
+    # both branches: u below and above a + 1, and either side of 0.3 for a < 1
+    u = np.concatenate((np.geomspace(1e-4, 700.0, 400), [0.3, np.nextafter(0.3, 0.0), a + 1.0]))
+    assert np.any(u < a + 1.0) and np.any(u > a + 1.0)
+    ref = special.gammaincc(a, u) * special.gamma(a) * np.exp(u)
+    got = np.array([_scaled_upper_gamma(a, float(v)) for v in u])
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_bracketed_root_reaches_adjacent_floats():
+    q = np.array([0.9, 0.5, 1e-3, 1e-12])
+
+    def f(x):
+        return np.exp(-x) - q
+
+    x = bracketed_root(f, 0.0, 40.0)
+    # f is decreasing: it changes sign between x and one of its neighbours
+    below, above = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+    assert np.all(((f(below) > 0) & (f(x) <= 0)) | ((f(x) >= 0) & (f(above) < 0)))
+    np.testing.assert_allclose(x, -np.log(q), rtol=1e-14)
+    # a scalar bracket; an end that is a root already
+    assert float(bracketed_root(lambda z: z * z - 2.0, 1.0, 2.0)) == pytest.approx(np.sqrt(2.0), rel=1e-16)
+    assert float(bracketed_root(lambda z: z - 1.0, 1.0, 2.0)) == 1.0
+    with pytest.raises(ValueError):
+        bracketed_root(lambda z: z * z + 1.0, -1.0, 1.0)
 
 
 def test_w_at_h_at_between_nodes(expf):
