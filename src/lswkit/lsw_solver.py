@@ -469,7 +469,7 @@ class Snapshot:
     w0b: float
     L: float
     Lambda: float
-    jac: Optional[np.ndarray] = None   # dx/dy at the surviving nodes
+    jac: np.ndarray     # dx/dy at the surviving nodes
 
     def profile(self) -> SurvivalProfile:
         return SurvivalProfile(*_augmented_state(self, self.w0b))
@@ -631,15 +631,18 @@ def beta_along_flow(snap: Snapshot, initial: SurvivalProfile,
     """
     x, w = _augmented_state(snap, snap.w0b)
     y = np.concatenate(([snap.y_b], snap.labels))
-    fp = derivative_nonuniform(x, y)
+    # dF/dx is the reciprocal of the transported Jacobian dx/dy at the
+    # survivors; a difference quotient over their gaps, as small as ~1e-8,
+    # would read position rounding.  The origin keeps a one-sided quotient.
+    fp = np.concatenate((derivative_nonuniform(x[:3], y[:3])[:1], 1.0 / snap.jac))
     # the analytic tail beyond the last survivor is the initial tail mass
     # stretched by the local Jacobian dx/dy of the label map
-    j_end = float(snap.jac[-1]) if snap.jac is not None and len(snap.jac) else 1.0
+    j_end = float(snap.jac[-1]) if len(snap.jac) else 1.0
     h_cur = cellquad.linear_suffix(x, w) + initial.tail_mass * j_end
     h0 = initial.h_at(y)
     ok = h0 > 0
     vals = np.where(ok, beta0(y) * fp * h_cur / np.where(ok, h0, 1.0), 0.0)
-    # dF/dx is a difference quotient too, so the same nodes are unreliable
+    # masked where the direct estimate is, so the two compare on one node set
     transported = BetaProfile(grid=x, values=vals, support_end=float(x[-1]),
                               low_confidence=low_confidence_mask(x))
     direct = beta_from_profile(snap.profile())

@@ -5,6 +5,7 @@ table, ``lswkit.cli.CHECKS``, so both hold the same bound; the tests pin
 only what the CLI does not assert.  Module-scoped fixtures share the long
 solver runs between criteria.
 """
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,6 +149,19 @@ def test_c09_linear_model_stability(linear_run):
 def test_c10_monotonicity_suite(half_beta_run):
     fam, res = half_beta_run
     assert passes("lsw", "monotonicity", fam=fam, result=res)
+
+
+def test_c10_monotonicity_fails_on_a_jacobian_dip(half_beta_run):
+    # the transported beta reads dF/dx as 1/jac, so a dip of 1e-3 in the
+    # Jacobian at one survivor is a spike in beta, about twice its rise from
+    # one node to the next there, and beta falls after it
+    fam, res = half_beta_run
+    snap = res.snapshots[-1]
+    jac = snap.jac.copy()
+    jac[len(jac) // 2] *= 1.0 - 1e-3
+    doctored = SimpleNamespace(snapshots=[dataclasses.replace(snap, jac=jac)],
+                               ensemble=res.ensemble)
+    assert not passes("lsw", "monotonicity", fam=fam, result=doctored)
 
 
 def test_c11_dyadic_ratio(half_beta_run):
