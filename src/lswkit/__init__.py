@@ -14,6 +14,7 @@ from .errors import (
     DegenerateImageError,
     ExtinctionError,
     ConfigError,
+    ConvergenceWarning,
 )
 from .profiles import (
     SurvivalProfile,
@@ -95,7 +96,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LswkitError", "NonIntegrableTailError", "DegenerateProfileError",
     "UnsupportedOperationError", "DegenerateImageError", "ExtinctionError",
-    "ConfigError",
+    "ConfigError", "ConvergenceWarning",
     "SurvivalProfile", "TailModel", "BetaProfile", "RegularVariationEstimate",
     "beta_from_profile", "beta_envelope", "regular_variation_exponent",
     "AnalyticFamily", "quantile_grid", "constant_beta", "exponential",

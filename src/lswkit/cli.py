@@ -14,8 +14,9 @@ check is then looked up in ``CHECKS`` by (model, name), and every section
 gets a ``summary.json`` with all of its rows.  The exit status is nonzero
 exactly when a requested check fails or is not evaluated (an unknown name,
 a check that needs snapshots the run did not take, or a certificate that
-does not apply), or a solver run stops before t_final; a section that sets a
-key its model does not read fails before it runs.  Scenario crashes are
+does not apply), a solver run stops before t_final, or a kernel gives up at
+its iteration cap (a ``ConvergenceWarning``); a section that sets a key its
+model does not read fails before it runs.  Scenario crashes are
 reported and counted as failures without aborting the batch.
 """
 from __future__ import annotations
@@ -29,6 +30,7 @@ import os
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceWarning
 from .families import FAMILY_BUILDERS, make_family
 from . import jensen
 from .lsw_solver import (
@@ -404,19 +406,32 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
     unknown = [key for key in opts if key not in ("model", "checks", "output") + MODEL_KEYS[model]]
     if unknown:
         raise ConfigError(f"unknown key(s) for model {model!r}: {', '.join(unknown)}")
-    run = MODEL_RUNNERS[model](opts, outdir)
-    results = {}
-    for name in _requested(opts):
-        check = CHECKS.get((model, name))
-        # a name not registered for the model, or a check without the data
-        # it needs, has not passed
-        results[name] = (check(run, opts) if check else None) or NOT_EVALUATED
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        run = MODEL_RUNNERS[model](opts, outdir)
+        results = {}
+        for name in _requested(opts):
+            check = CHECKS.get((model, name))
+            # a name not registered for the model, or a check without the data
+            # it needs, has not passed
+            results[name] = (check(run, opts) if check else None) or NOT_EVALUATED
+    capped = []
+    for w in caught:
+        if issubclass(w.category, ConvergenceWarning):
+            capped.append(str(w.message))
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     summary = getattr(run, "summary", {})
     if summary.get("terminated", "t_final") != "t_final":
         # a run that stopped short of t_final must not read as passed
         results["termination"] = CheckResult(
             False, summary["T_final"], math.nan,
             f"run ended by {summary['terminated']} at t={summary['T_final']:g}")
+    if capped:
+        # nor a run whose kernel gave up at its iteration cap
+        results["convergence"] = CheckResult(
+            False, len(capped), 0,
+            f"{len(capped)} kernel call(s) hit the iteration cap, first: {capped[0]}")
     record = {"model": model, "scenario": section, **summary,
               "violations": [name for name, r in results.items() if not r.passed],
               "checks": {name: {"passed": bool(r.passed), "value": json_number(r.value),

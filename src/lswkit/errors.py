@@ -27,3 +27,7 @@ class ExtinctionError(LswkitError):
 
 class ConfigError(LswkitError):
     """Scenario configuration is malformed."""
+
+
+class ConvergenceWarning(RuntimeWarning):
+    """An iterative kernel reached its iteration cap before converging."""

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cellquad
-from .errors import ExtinctionError
+from .errors import ConvergenceWarning, ExtinctionError
 from .profiles import (
     SurvivalProfile, BetaProfile, beta_from_profile, beta_interpolant, derivative_nonuniform,
     low_confidence_mask, write_csv,
@@ -37,52 +37,57 @@ def _phi_of_u(u):
     return -0.5 * u * u - u - np.log1p(-u)
 
 
-_EPS = np.finfo(float).eps
-_NEWTON_CAP = 60
-_NEWTON_FLOOR_ULPS = 4.0
+_HALLEY_CAP = 60
+# the rounding floor of _phi_of_u(u), which cancels to ~u^3/3 from O(u) terms:
+# a few eps times u + |log1p(-u)|
+_PHI_FLOOR = 4.0 * np.finfo(float).eps
 
 
 def exit_time_frozen(x, L):
     """Time for a characteristic at x < L to reach 0 with L held fixed."""
-    x = np.asarray(x, float)
-    u = np.cbrt(np.clip(x, 0.0, None) / L)
-    with np.errstate(invalid="ignore"):
-        out = np.where(u < 1.0, 3.0 * L * _phi_of_u(np.minimum(u, 1.0 - 1e-15)), np.inf)
-    return out
+    u = np.cbrt(np.maximum(x, 0.0) / L)
+    return np.where(u < 1.0, 3.0 * L * _phi_of_u(np.minimum(u, 1.0 - 1e-15)), np.inf)
 
 
-def _analytic_descent(x, L, ds):
-    """Advance x < L by ds with L frozen, by inverting the exit-time map.
+def _analytic_descent(u, L, ds):
+    """Advance the survivors at u = (x/L)^(1/3) < 1 by ds with L frozen, by
+    inverting the exit-time map; returns their positions.
 
-    Exact for frozen L; returns positions (entries that would cross 0 must
-    have been screened out by the caller).  Each entry stops once its Newton
-    step falls to 1e-13 relative or to the rounding floor of ``_phi_of_u``;
-    entries still moving after the iteration cap are reported in a
-    RuntimeWarning.
+    Exact for frozen L (entries that would cross 0 must have been screened
+    out by the caller).  Halley steps on phi(u') = phi(u) - ds/(3L) start
+    from an upper bound of the root; each entry stops once its residual is
+    within the rounding floor of ``_phi_of_u``, and entries still moving
+    after the iteration cap are reported in a ConvergenceWarning.
     """
-    u = np.minimum(np.cbrt(x / L), 1.0 - 1e-15)
-    target = _phi_of_u(u) - ds / (3.0 * L)
-    done = target <= 0
-    # phi(u) >= u^3/3, so cbrt(3*target) bounds the root from above as u
-    # does; the map is increasing and convex, so Newton descends
-    # monotonically onto the root from there
-    un = np.where(done, 0.0, np.minimum(u, np.cbrt(3.0 * target)))
-    for _ in range(_NEWTON_CAP):
-        f = _phi_of_u(un) - target
-        fp = np.maximum(un * un / (1.0 - un), 1e-300)
-        step = np.where(done, 0.0, f / fp)
-        # _phi_of_u cancels to ~u^3/3 from O(u) terms, so f carries an
-        # absolute rounding error of a few eps*(u + |log1p(-u)|)
-        floor = _NEWTON_FLOOR_ULPS * _EPS * (un + np.abs(np.log1p(-un))) / fp
-        new = un - step
-        un = np.where(new <= 0.0, 0.5 * un, new)
-        done |= np.abs(step) <= np.maximum(1e-13 * un, floor)
-        if done.all():
-            return L * un**3
-    warnings.warn(f"_analytic_descent: {int(np.count_nonzero(~done))} of {len(un)} "
-                  f"entries did not converge in {_NEWTON_CAP} Newton iterations",
-                  RuntimeWarning, stacklevel=2)
-    return L * un**3
+    c = ds / (3.0 * L)
+    target = _phi_of_u(u) - c
+    # phi' = u^2/(1-u) and phi'' = u(2-u)/(1-u)^2.  The second-order Taylor
+    # estimate of the inverse map, u - n (1 + n phi''/(2 phi')) with the
+    # Newton step n = c/phi', bounds the root from above because the inverse
+    # has a positive third derivative; so does cbrt(3*target), as phi(u) >= u^3/3
+    u2 = u * u
+    n = c * (1.0 - u) / u2
+    start = np.minimum(u - n * (1.0 + (0.5 * c) * (2.0 - u) / (u2 * u)), np.cbrt(3.0 * target))
+    moving = target > 0
+    # an entry with target <= 0 would exit within ds and ends at the origin;
+    # 0.5 only keeps its arithmetic finite
+    un = np.where(moving, start, 0.5)
+    for _ in range(_HALLEY_CAP):
+        phi = _phi_of_u(un)
+        f = phi - target
+        half = 0.5 * un
+        # Halley's step f / (phi' - f phi''/(2 phi')), both sides times u(1-u)
+        step = f * un * (1.0 - un) / (un * un * un - f * (1.0 - half))
+        # |log1p(-u)| = phi + u + u^2/2
+        moving &= np.abs(f) > _PHI_FLOOR * (phi + un * (2.0 + half))
+        if not moving.any():
+            break
+        np.subtract(un, step, out=un, where=moving)
+    else:
+        warnings.warn(f"_analytic_descent: {int(np.count_nonzero(moving))} of {len(un)} "
+                      f"entries did not converge in {_HALLEY_CAP} Halley iterations",
+                      ConvergenceWarning, stacklevel=2)
+    return L * np.where(target > 0, un, 0.0) ** 3
 
 
 def _rk4(x, ds, L_a, L_mid, L_b):
@@ -149,49 +154,67 @@ def make_ensemble(profile: SurvivalProfile, beta0: Optional[Callable] = None) ->
 def _speed(x, L):
     # magnitude of the drift; the Jacobian dx/dy along a characteristic is
     # proportional to it while L is frozen, since d(ln J)/ds = v'(x) = d(ln|v|)/ds
-    return np.maximum(np.abs(1.0 - np.cbrt(np.asarray(x, float) / L)), 1e-12)
+    return _speed_at_root(np.cbrt(np.asarray(x, float) / L))
+
+
+def _speed_at_root(r):
+    # the drift magnitude at r = (x/L)^(1/3)
+    return np.maximum(np.abs(1.0 - r), 1e-12)
+
+
+def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> None:
+    """Log and drop the survivors that reach x = 0 within ds of time a at frozen L."""
+    x = ens.pos
+    # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
+    # can exit; the margins cover the rounding of _phi_of_u at tiny u
+    k = int(np.searchsorted(x, max(2.0 * ds, 1e-18 * L), "right"))
+    if not k:
+        return
+    tte = exit_time_frozen(x[:k], L)
+    exiting = np.flatnonzero(tte <= ds)
+    if not len(exiting):
+        return
+    exiting = exiting[np.argsort(tte[exiting])]
+    ens.exit_t.extend((a + tte[exiting]).tolist())
+    ens.exit_y.extend(ens.labels[exiting].tolist())
+    # |v| = 1 at the origin, so J there is J / |v(x)|
+    ens.exit_jac.extend((ens.jac[exiting] / _speed(x[exiting], L)).tolist())
+    # a prefix exits, unless rounding reorders the tiniest exit times
+    if exiting.max() == len(exiting) - 1:
+        keep = slice(len(exiting), None)
+    else:
+        keep = np.ones(len(x), dtype=bool)
+        keep[exiting] = False
+    ens.labels, ens.pos, ens.w, ens.jac = ens.labels[keep], x[keep], ens.w[keep], ens.jac[keep]
 
 
 def _advance(ens: Ensemble, s0: float, s1: float, L_of_s) -> None:
     """March survivors from absolute time s0 to s1 in NSUB substeps, logging
     exits in place; one call of ``L_of_s`` gives L at the start, middle and
     end of each substep."""
-    ss = np.linspace(s0, s1, NSUB + 1)
-    dss = np.diff(ss)
-    L_sub = L_of_s(np.column_stack((ss[:-1], ss[:-1] + 0.5 * dss, ss[:-1] + dss)))
-    for a, b, ds, (L_a, L_mid, L_b) in zip(ss[:-1], ss[1:], dss, L_sub):
+    s0, s1 = float(s0), float(s1)
+    # the substep ends of np.linspace(s0, s1, NSUB + 1)
+    h = (s1 - s0) / NSUB
+    ss = [s0 + k * h for k in range(NSUB)] + [s1]
+    L_sub = L_of_s(np.array([[a, a + 0.5 * (b - a), a + (b - a)] for a, b in zip(ss, ss[1:])]))
+    for a, b, (L_a, L_mid, L_b) in zip(ss, ss[1:], L_sub.tolist()):
+        ds = b - a
+        _log_exits(ens, a, ds, L_a)
+        ens.t = b
         x = ens.pos
-        # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
-        # can exit; the margins cover the rounding of _phi_of_u at tiny u
-        tte = exit_time_frozen(x[:np.searchsorted(x, max(2.0 * ds, 1e-18 * L_a), "right")], L_a)
-        exiting = np.flatnonzero(tte <= ds)
-        if len(exiting):
-            order = np.argsort(tte[exiting])
-            ens.exit_t.extend((a + tte[exiting][order]).tolist())
-            ens.exit_y.extend(ens.labels[exiting][order].tolist())
-            # |v| = 1 at the origin, so J there is J / |v(x)|
-            ens.exit_jac.extend(
-                (ens.jac[exiting] / _speed(x[exiting], L_a))[order].tolist())
-            keep = np.ones(len(x), dtype=bool)
-            keep[exiting] = False
-            ens.labels = ens.labels[keep]
-            ens.pos = ens.pos[keep]
-            ens.w = ens.w[keep]
-            ens.jac = ens.jac[keep]
-            x = ens.pos
         if len(x) == 0:
-            ens.t = b
             continue
+        # one cube root per survivor serves the descent's u and the old speed
+        r = np.cbrt(x / L_mid)
         # positions increase, so x < 0.9 L_mid, the descent's share, is a prefix
         low = int(np.searchsorted(x, 0.9 * L_mid))
         out = np.empty_like(x)
         if low:
-            out[:low] = _analytic_descent(x[:low], L_mid, ds)
+            out[:low] = _analytic_descent(r[:low], L_mid, ds)
         if low < len(x):
             out[low:] = _rk4(x[low:], ds, L_a, L_mid, L_b)
-        ens.jac = ens.jac * _speed(out, L_mid) / _speed(x, L_mid)
+        ens.jac = ens.jac * _speed(out, L_mid) / _speed_at_root(r)
         ens.pos = out
-        ens.t = b
 
 
 def _boundary_labels(states: list, L) -> np.ndarray:

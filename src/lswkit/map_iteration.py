@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateImageError
+from .errors import ConfigError, ConvergenceWarning, DegenerateImageError
 from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
                        write_csv)
 from .families import quantile_grid
@@ -51,7 +51,7 @@ class MapF:
         at or right of the root, and Newton on a convex increasing F decreases
         from there onto the root.  An entry is done once its step (clamped at
         0) no longer decreases it, which is its rounding floor; entries still
-        moving after the iteration cap are reported in a RuntimeWarning.
+        moving after the iteration cap are reported in a ConvergenceWarning.
         """
         y = np.asarray(y, dtype=float)
         f0 = float(self.f(0.0))
@@ -67,7 +67,7 @@ class MapF:
         else:
             warnings.warn(f"MapF.inverse: {int(np.count_nonzero(moving))} of {moving.size} "
                           f"entries did not converge in {_NEWTON_CAP} Newton iterations",
-                          RuntimeWarning, stacklevel=2)
+                          ConvergenceWarning, stacklevel=2)
         return float(x) if x.ndim == 0 else x
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lswkit
-from lswkit import cli
+from lswkit import cli, lsw_solver
 from lswkit.cli import main
 
 
@@ -333,6 +333,31 @@ def test_truncated_run_fails(tmp_path, capsys):
     data = json.loads((tmp_path / "out" / "short" / "summary.json").read_text())
     assert data["terminated"] == "extinction"
     assert data["violations"] == ["termination"]
+
+
+def test_iteration_cap_fails_the_section(tmp_path, capsys, monkeypatch):
+    # a map whose value flips by a relative 1e-8 between calls keeps every
+    # frozen-L descent from converging, as in the solver's own cap test
+    clean = lsw_solver._phi_of_u
+    flips = [1.0]
+
+    def noisy(u):
+        flips[0] = -flips[0]
+        return clean(u) * (1.0 + 1e-8 * flips[0])
+
+    monkeypatch.setattr(lsw_solver, "_phi_of_u", noisy)
+    cfg = tmp_path / "cap.ini"
+    cfg.write_text(
+        "[cap]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0.2\n"
+        "checks = conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "convergence: " in out and "did not converge in 60 Halley iterations" in out
+    data = json.loads((tmp_path / "out" / "cap" / "summary.json").read_text())
+    assert data["terminated"] == "t_final"
+    assert data["violations"] == ["convergence"]
+    assert data["checks"]["convergence"]["value"] > 0
 
 
 def test_check_without_its_data_is_a_violation(tmp_path, capsys):

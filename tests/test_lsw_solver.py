@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,8 +196,8 @@ def test_descent_warns_when_newton_cannot_converge(monkeypatch):
 
     monkeypatch.setattr(lsw_solver, "_phi_of_u", noisy)
     x = np.linspace(0.1, 0.8, 50)
-    with pytest.warns(RuntimeWarning, match="50 of 50 entries did not converge"):
-        lsw_solver._analytic_descent(x, 1.0, 1e-3)
+    with pytest.warns(lk.ConvergenceWarning, match="50 of 50 entries did not converge"):
+        lsw_solver._analytic_descent(np.cbrt(x), 1.0, 1e-3)
 
 
 @pytest.mark.parametrize("ds", [1e-9, 1e-5, 1e-3, 0.05, 0.5])
@@ -214,7 +216,7 @@ def test_descent_inverts_exit_time(monkeypatch, ds):
     monkeypatch.setattr(lsw_solver, "_phi_of_u", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = lsw_solver._analytic_descent(x, L, ds)
+        out = lsw_solver._analytic_descent(np.cbrt(x / L), L, ds)
     # one call for the target, one per Newton iteration
     assert calls[0] - 1 <= 8
     monkeypatch.setattr(lsw_solver, "_phi_of_u", clean)
@@ -436,3 +438,52 @@ def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):
         ref = float(np.sum(w[:-1] * d13 + slope * (9.0 * L ** (4.0 / 3.0) * dphi - theta[:-1] * d13)))
         assert near == ref
         assert lsw_solver._theta_cell_integrals(x, w, [L], [len(x)])[0] == ref
+
+
+def _perfbench_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_probes_of_the_transport_layer_resolve():
+    # perfbench times transport by wrapping these attributes; a rename here
+    # would silently turn its lsw_solver.transport.* metrics into None
+    tracer = _perfbench_tracer()
+    layer = {"transport", "exit_screen", "descent", "rk4"}
+    spans = sorted(attr for label, owner, attr in tracer.SPAN_PROBES
+                   if owner is lsw_solver and label in layer)
+    assert spans == ["_advance", "_analytic_descent", "_rk4", "exit_time_frozen"]
+    counted = [attr for _, parent, owner, attr in tracer.COUNT_PROBES
+               if owner is lsw_solver and parent == "descent"]
+    assert counted == ["_phi_of_u"]
+    for attr in spans + counted:
+        assert vars(lsw_solver).get(attr) is not None, attr
+
+
+def test_traced_descent_iterations_are_the_loop_count(monkeypatch):
+    # the tracer reads iterations per descent as its _phi_of_u calls less one
+    # for the target; the loop must then converge within that many passes
+    # and not within one fewer
+    L, a, b = 1.3, 0.4, 0.4 + 3e-3
+    fam = lk.exponential()
+    pos = L * np.geomspace(1e-6, 0.85, 300)
+    ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos.copy(), w=np.exp(-pos),
+                              initial=fam.profile, beta0=fam.beta_exact, t=a)
+    monkeypatch.setattr(lsw_solver, "NSUB", 1)
+    tracer = _perfbench_tracer()
+    with tracer.Tracer() as t:
+        lsw_solver._advance(ens, a, b, lambda s: np.full(np.shape(s), L))
+    metrics = t.metrics(1)
+    assert metrics["lsw_solver.transport.descent_calls"] == 1
+    iters = metrics["lsw_solver.transport.newton_iters_per_call"]
+    assert iters == int(iters) >= 2
+    survivors = pos[exit_time_frozen(pos, L) > b - a]
+    u = np.cbrt(survivors / L)
+    monkeypatch.setattr(lsw_solver, "_HALLEY_CAP", int(iters))
+    np.testing.assert_array_equal(lsw_solver._analytic_descent(u, L, b - a), ens.pos)
+    monkeypatch.setattr(lsw_solver, "_HALLEY_CAP", int(iters) - 1)
+    with pytest.warns(lk.ConvergenceWarning):
+        lsw_solver._analytic_descent(u, L, b - a)

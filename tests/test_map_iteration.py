@@ -97,7 +97,7 @@ def test_inverse_warns_when_out_of_sweeps():
         return drift[0] * F.f(x)
 
     G = MapF(name="drifting", f=drifting, fprime=F.fprime)
-    with pytest.warns(RuntimeWarning, match=r"MapF.inverse: 3 of 3 entries did not converge"):
+    with pytest.warns(lk.ConvergenceWarning, match=r"MapF.inverse: 3 of 3 entries did not converge"):
         G.inverse(np.array([1.0, 2.0, 5.0]))
 
 

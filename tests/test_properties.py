@@ -1,9 +1,13 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import lswkit as lk
-from lswkit import cellquad, jensen
+from lswkit import cellquad, jensen, lsw_solver
+from lswkit.lsw_solver import exit_time_frozen
 
 
 def random_profile(draw_floats, n):
@@ -145,3 +149,52 @@ def test_beta_envelope_brackets_values(prof):
     lo, hi = lk.beta_envelope(prof)
     assert lo <= float(np.min(b.values[ok])) + 1e-9
     assert hi >= float(np.max(b.values[ok])) - 1e-9
+
+
+# the frozen-L descent: positions x/L in [1e-9, 0.9), the range it serves
+# in the solver, and L over six decades
+x_over_L = st.floats(min_value=1e-9, max_value=0.9, exclude_max=True)
+lengths = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x_over_L, lengths, st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_descent_inverts_exit_time(r, L, frac):
+    x = np.array([r * L])
+    tte = exit_time_frozen(x, L)
+    ds = frac * float(tte[0])
+    assume(ds < tte[0])
+    out = lsw_solver._analytic_descent(np.cbrt(x / L), L, ds)
+    # the floor of test_lsw_solver.py::test_descent_inverts_exit_time: the
+    # rounding of exit_time_frozen, which cancels for small x/L
+    u = np.cbrt(x / L)
+    floor = 4.0 * 3.0 * L * np.finfo(float).eps * (u + np.abs(np.log1p(-u)))
+    ref = tte - ds
+    assert np.all(np.abs(exit_time_frozen(out, L) - ref) <= 1e-12 * ref + floor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(x_over_L, min_size=1, max_size=40), lengths,
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_descent_is_elementwise(rs, L, frac):
+    # each entry freezes once it converges, so it ends where it would alone
+    u = np.cbrt(np.array(rs))
+    ds = frac * float(np.min(exit_time_frozen(L * u**3, L)))
+    batch = lsw_solver._analytic_descent(u, L, ds)
+    alone = [lsw_solver._analytic_descent(u[i:i + 1], L, ds)[0] for i in range(len(u))]
+    assert np.array_equal(batch, np.array(alone))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(x_over_L, min_size=1, max_size=40), lengths,
+       st.floats(min_value=0.0, max_value=5e-3))
+def test_descent_needs_at_most_three_iterations(rs, L, ds_over_L):
+    # ds/L <= 5e-3 covers the widest substep at delta = 0.05; with a cap of
+    # 3 Halley iterations, needing a fourth raises the cap warning
+    x = L * np.array(rs)
+    ds = ds_over_L * L
+    x = x[exit_time_frozen(x, L) > ds]
+    assume(len(x))
+    with mock.patch.object(lsw_solver, "_HALLEY_CAP", 3), warnings.catch_warnings():
+        warnings.simplefilter("error", lk.ConvergenceWarning)
+        lsw_solver._analytic_descent(np.cbrt(x / L), L, ds)
