@@ -420,6 +420,7 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
         if issubclass(w.category, ConvergenceWarning):
             capped.append(str(w.message))
         else:
+            # recording caught every warning; the others show as they would have
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     summary = getattr(run, "summary", {})
     if summary.get("terminated", "t_final") != "t_final":

@@ -2,7 +2,9 @@ import configparser
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -358,6 +360,24 @@ def test_iteration_cap_fails_the_section(tmp_path, capsys, monkeypatch):
     assert data["terminated"] == "t_final"
     assert data["violations"] == ["convergence"]
     assert data["checks"]["convergence"]["value"] > 0
+
+
+def test_cap_warning_is_recorded_and_other_warnings_still_show(tmp_path, capsys, monkeypatch):
+    def warning_runner(opts, outdir):
+        warnings.warn("unrelated", UserWarning)
+        warnings.warn("capped", lswkit.ConvergenceWarning)
+        return SimpleNamespace()
+
+    monkeypatch.setitem(cli.MODEL_RUNNERS, "self_similar", warning_runner)
+    cfg = tmp_path / "warn.ini"
+    cfg.write_text("[warn]\nmodel = self_similar\n")
+    with pytest.warns(UserWarning, match="unrelated") as shown:
+        rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert [str(w.message) for w in shown] == ["unrelated"]
+    data = json.loads((tmp_path / "out" / "warn" / "summary.json").read_text())
+    assert data["violations"] == ["convergence"]
+    assert data["checks"]["convergence"]["detail"].endswith("first: capped")
 
 
 def test_check_without_its_data_is_a_violation(tmp_path, capsys):

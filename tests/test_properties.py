@@ -159,15 +159,15 @@ lengths = st.floats(min_value=1e-3, max_value=1e3)
 
 @settings(max_examples=300, deadline=None)
 @given(x_over_L, lengths, st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-def test_descent_inverts_exit_time(r, L, frac):
+def test_descent_inverts_exit_time_for_any_substep(r, L, frac):
     x = np.array([r * L])
     tte = exit_time_frozen(x, L)
     ds = frac * float(tte[0])
     assume(ds < tte[0])
-    out = lsw_solver._analytic_descent(np.cbrt(x / L), L, ds)
+    u = np.cbrt(x / L)
+    out = lsw_solver._analytic_descent(u, L, ds)
     # the floor of test_lsw_solver.py::test_descent_inverts_exit_time: the
     # rounding of exit_time_frozen, which cancels for small x/L
-    u = np.cbrt(x / L)
     floor = 4.0 * 3.0 * L * np.finfo(float).eps * (u + np.abs(np.log1p(-u)))
     ref = tte - ds
     assert np.all(np.abs(exit_time_frozen(out, L) - ref) <= 1e-12 * ref + floor)
