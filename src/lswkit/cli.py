@@ -406,8 +406,19 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
     unknown = [key for key in opts if key not in ("model", "checks", "output") + MODEL_KEYS[model]]
     if unknown:
         raise ConfigError(f"unknown key(s) for model {model!r}: {', '.join(unknown)}")
-    with warnings.catch_warnings(record=True) as caught:
+    capped = []
+    show = warnings.showwarning
+
+    def intercept(message, category, filename, lineno, file=None, line=None):
+        # cap warnings are counted; every other warning shows as it happens
+        if issubclass(category, ConvergenceWarning):
+            capped.append(str(message))
+        else:
+            show(message, category, filename, lineno, file, line)
+
+    with warnings.catch_warnings():
         warnings.simplefilter("always", ConvergenceWarning)
+        warnings.showwarning = intercept
         run = MODEL_RUNNERS[model](opts, outdir)
         results = {}
         for name in _requested(opts):
@@ -415,13 +426,6 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
             # a name not registered for the model, or a check without the data
             # it needs, has not passed
             results[name] = (check(run, opts) if check else None) or NOT_EVALUATED
-    capped = []
-    for w in caught:
-        if issubclass(w.category, ConvergenceWarning):
-            capped.append(str(w.message))
-        else:
-            # recording caught every warning; the others show as they would have
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     summary = getattr(run, "summary", {})
     if summary.get("terminated", "t_final") != "t_final":
         # a run that stopped short of t_final must not read as passed

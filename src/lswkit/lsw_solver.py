@@ -179,12 +179,8 @@ def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> None:
     ens.exit_y.extend(ens.labels[exiting].tolist())
     # |v| = 1 at the origin, so J there is J / |v(x)|
     ens.exit_jac.extend((ens.jac[exiting] / _speed(x[exiting], L)).tolist())
-    # a prefix exits, unless rounding reorders the tiniest exit times
-    if exiting.max() == len(exiting) - 1:
-        keep = slice(len(exiting), None)
-    else:
-        keep = np.ones(len(x), dtype=bool)
-        keep[exiting] = False
+    keep = np.ones(len(x), dtype=bool)
+    keep[exiting] = False
     ens.labels, ens.pos, ens.w, ens.jac = ens.labels[keep], x[keep], ens.w[keep], ens.jac[keep]
 
 
@@ -192,13 +188,11 @@ def _advance(ens: Ensemble, s0: float, s1: float, L_of_s) -> None:
     """March survivors from absolute time s0 to s1 in NSUB substeps, logging
     exits in place; one call of ``L_of_s`` gives L at the start, middle and
     end of each substep."""
-    s0, s1 = float(s0), float(s1)
-    # the substep ends of np.linspace(s0, s1, NSUB + 1)
-    h = (s1 - s0) / NSUB
-    ss = [s0 + k * h for k in range(NSUB)] + [s1]
-    L_sub = L_of_s(np.array([[a, a + 0.5 * (b - a), a + (b - a)] for a, b in zip(ss, ss[1:])]))
-    for a, b, (L_a, L_mid, L_b) in zip(ss, ss[1:], L_sub.tolist()):
-        ds = b - a
+    ss = np.linspace(s0, s1, NSUB + 1)
+    dss = np.diff(ss)
+    L_sub = L_of_s(np.column_stack((ss[:-1], ss[:-1] + 0.5 * dss, ss[:-1] + dss)))
+    for a, b, ds, (L_a, L_mid, L_b) in zip(ss[:-1].tolist(), ss[1:].tolist(), dss.tolist(),
+                                           L_sub.tolist()):
         _log_exits(ens, a, ds, L_a)
         ens.t = b
         x = ens.pos

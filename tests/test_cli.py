@@ -380,6 +380,22 @@ def test_cap_warning_is_recorded_and_other_warnings_still_show(tmp_path, capsys,
     assert data["checks"]["convergence"]["detail"].endswith("first: capped")
 
 
+def test_warning_before_a_crash_still_shows(tmp_path, capsys, monkeypatch):
+    # a warning that leads up to a crash helps diagnose it, so it shows as
+    # it happens rather than after the runner returns
+    def warn_then_crash(opts, outdir):
+        warnings.warn("overflow before the crash", RuntimeWarning)
+        raise RuntimeError("runner blew up")
+
+    monkeypatch.setitem(cli.MODEL_RUNNERS, "self_similar", warn_then_crash)
+    cfg = tmp_path / "crash.ini"
+    cfg.write_text("[crashing]\nmodel = self_similar\n")
+    with pytest.warns(RuntimeWarning, match="overflow before the crash"):
+        rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert "crashing  FAIL  RuntimeError: runner blew up" in capsys.readouterr().out
+
+
 def test_check_without_its_data_is_a_violation(tmp_path, capsys):
     cfg = tmp_path / "nosnap.ini"
     cfg.write_text(
