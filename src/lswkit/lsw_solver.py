@@ -76,12 +76,12 @@ def _analytic_descent(u, L, ds):
         phi = _phi_of_u(un)
         f = phi - target
         half = 0.5 * un
-        # Halley's step f / (phi' - f phi''/(2 phi')), both sides times u(1-u)
-        step = f * un * (1.0 - un) / (un * un * un - f * (1.0 - half))
         # |log1p(-u)| = phi + u + u^2/2
         moving &= np.abs(f) > _PHI_FLOOR * (phi + un * (2.0 + half))
         if not moving.any():
             break
+        # Halley's step f / (phi' - f phi''/(2 phi')), both sides times u(1-u)
+        step = f * un * (1.0 - un) / (un * un * un - f * (1.0 - half))
         np.subtract(un, step, out=un, where=moving)
     else:
         warnings.warn(f"_analytic_descent: {int(np.count_nonzero(moving))} of {len(un)} "
