@@ -16,14 +16,14 @@ exactly when a requested check fails or is not evaluated (an unknown name,
 a check that needs snapshots the run did not take, or a certificate that
 does not apply), a solver run stops before t_final, or a kernel gives up at
 its iteration cap (a ``ConvergenceWarning``); a section that sets a key its
-model does not read fails before it runs.  Scenario crashes are
-reported and counted as failures without aborting the batch.
+model does not read, or a parameter its family does not take, fails before
+it runs.  Scenario crashes are reported and counted as failures without
+aborting the batch.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import inspect
 import json
 import math
 import os
@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ConvergenceWarning
-from .families import FAMILY_BUILDERS, make_family
+from .families import make_family
 from . import jensen
 from .lsw_solver import (
     SolverConfig, advance_global, coarsening_identity_check, mass_drift, beta_along_flow,
@@ -67,15 +67,10 @@ FAMILY_DESCRIPTIONS = {
 
 
 def _build_family(opts: dict):
-    name = opts.get("family", "exponential")
-    builder = FAMILY_BUILDERS.get(name)
-    # an unknown name goes on to make_family, which names the known ones
-    accepted = inspect.signature(builder).parameters if builder else ("alpha",)
-    params = {}
-    for key in FAMILY_PARAM_KEYS:
-        if key in opts and key in accepted:
-            params[key] = int(opts[key]) if key == "n" else float(opts[key])
-    return make_family(name, **params)
+    # make_family fails on a parameter the family does not take
+    params = {key: int(opts[key]) if key == "n" else float(opts[key])
+              for key in FAMILY_PARAM_KEYS if key in opts}
+    return make_family(opts.get("family", "exponential"), **params)
 
 
 def _requested(opts: dict) -> list:
@@ -164,7 +159,8 @@ def _run_analysis(opts: dict, outdir: Path) -> SimpleNamespace:
     if opts.get("family") == "self-similar":
         raise ConfigError("family = self-similar in an analysis section: alpha would be both "
                           "the profile parameter and the Jensen exponent")
-    fam = _build_family(opts)
+    # alpha is the Jensen exponent here, not a family parameter
+    fam = _build_family({key: value for key, value in opts.items() if key != "alpha"})
     alpha = float(opts.get("alpha", 0.5))
     certificates = {}
     for name in ("reverse_jensen", "sharp_jensen"):
@@ -253,7 +249,8 @@ def _upper_bound(run, opts) -> CheckResult:
     a = run.result.trace.as_arrays()
     lam = a["Lambda"]
     slack = float(np.max(lam - (lam[0] + beta_from_profile(run.fam.profile).sup * a["t"])))
-    e_slack = float(np.max(a["E"] - lam ** (-1.0 / 3.0)))
+    # Jensen: E = w(0) <X^(2/3)> <= w(0) Lambda^(2/3) = mass Lambda^(-1/3)
+    e_slack = float(np.max(a["E"] - a["mass"] * lam ** (-1.0 / 3.0)))
     ok = slack <= bound * lam[0] and e_slack <= bound
     return CheckResult(bool(ok), max(slack / lam[0], e_slack), bound,
                        f"Lambda slack {slack:.3g}, E slack {e_slack:.3g}")

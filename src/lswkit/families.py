@@ -9,6 +9,7 @@ resolved.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .profiles import SurvivalProfile, TailModel, bracketed_root
+from .self_similar import beta_star, build_profile, seed_solver
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,13 @@ def power_tail(eps: float, n: int = 2048) -> AnalyticFamily:
     )
 
 
+def self_similar(alpha: float) -> AnalyticFamily:
+    """The stationary profile w* of the normalized flow, as unit-mass initial data."""
+    ss = build_profile(alpha)
+    return AnalyticFamily(name=f"self-similar({alpha:g})", profile=seed_solver(ss),
+                          beta_exact=beta_star(ss).at)
+
+
 FAMILY_BUILDERS = {
     "constant-beta": constant_beta,
     "exponential": exponential,
@@ -255,27 +264,17 @@ FAMILY_BUILDERS = {
     "oscillating-exponential": oscillating_exponential,
     "oscillating-compact": oscillating_compact,
     "power-tail": power_tail,
+    "self-similar": self_similar,
 }
 
 
 def make_family(name: str, **params) -> AnalyticFamily:
-    if name == "self-similar":
-        from .self_similar import build_profile, seed_solver, beta_star
-
-        alpha = float(params.pop("alpha"))
-        ss = build_profile(alpha, **params)
-        bs = beta_star(ss)
-        return AnalyticFamily(
-            name=f"self-similar({alpha:g})",
-            profile=seed_solver(ss),
-            beta_exact=bs.at,
-            mean_exact=None,
-        )
     try:
         builder = FAMILY_BUILDERS[name]
     except KeyError:
-        raise ConfigError(
-            f"unknown family {name!r}; available: "
-            + ", ".join(sorted(FAMILY_BUILDERS) + ["self-similar"])
-        ) from None
+        raise ConfigError(f"unknown family {name!r}; available: "
+                          + ", ".join(sorted(FAMILY_BUILDERS))) from None
+    unknown = [key for key in params if key not in inspect.signature(builder).parameters]
+    if unknown:
+        raise ConfigError(f"family {name!r} takes no parameter(s) {', '.join(unknown)}")
     return builder(**params)

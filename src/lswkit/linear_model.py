@@ -41,15 +41,17 @@ class LinearRunResult:
     trace: CoarseningTrace
     tau: float
     B: float
-    taus: list = field(default_factory=list)   # tau at each trace time
     Bs: list = field(default_factory=list)     # B at each trace time
     terminated: str = "t_final"
 
-    def label_map(self):
-        """F(x, t_final) = e^(-tau) x + B."""
-        a = np.exp(-self.tau)
-        b = self.B
-        return lambda x: a * np.asarray(x, float) + b
+
+def _rk4(f, y, s, h):
+    """One classical RK4 step of dy/ds = f(y, s) from s, of length h."""
+    k1 = f(y, s)
+    k2 = f(y + 0.5 * h * k1, s + 0.5 * h)
+    k3 = f(y + 0.5 * h * k2, s + 0.5 * h)
+    k4 = f(y + h * k3, s + h)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rhs(state: np.ndarray, profile: SurvivalProfile, mass0: float) -> np.ndarray:
@@ -85,7 +87,6 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
     state = np.array([0.0, 0.0])
     t = 0.0
     trace = CoarseningTrace()
-    taus: list = []
     Bs: list = []
     terminated = "t_final"
 
@@ -101,7 +102,6 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
         trace.beta0.append(float(beta0(B)))
         trace.mass.append(float(np.exp(tau) * profile.h_at(B)))
         trace.gamma.append(1.0)
-        taus.append(float(tau))
         Bs.append(float(B))
 
     record()
@@ -112,11 +112,7 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
             break
         lam = mass0 / w0b
         dt = min(cfg.delta * lam, t_final - t)
-        k1 = _rhs(state, profile, mass0)
-        k2 = _rhs(state + 0.5 * dt * k1, profile, mass0)
-        k3 = _rhs(state + 0.5 * dt * k2, profile, mass0)
-        k4 = _rhs(state + dt * k3, profile, mass0)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state = _rk4(lambda y, s: _rhs(y, profile, mass0), state, t, dt)
         t += dt
         if profile.w_at(state[1]) <= 0.0:
             terminated = "extinction"
@@ -131,13 +127,12 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
         if terminated == "t_final":
             terminated = "extinction"
     return LinearRunResult(trace=trace, tau=float(state[0]), B=float(state[1]),
-                           taus=taus, Bs=Bs, terminated=terminated)
+                           Bs=Bs, terminated=terminated)
 
 
 @dataclass
 class StabilityReport:
     slope: float                 # fitted Lambda(t)/t over the final window
-    beta_end: float              # beta0 at the end of the run
     rv_exponent: Optional[float]
     oscillatory: bool
     applicable: bool
@@ -151,7 +146,7 @@ def stability_check(profile: SurvivalProfile, result: LinearRunResult) -> Stabil
     boundary beta converges); flagged inapplicable for oscillatory tails.
     """
     a = result.trace.as_arrays()
-    t, lam, b = a["t"], a["Lambda"], a["beta0"]
+    t, lam = a["t"], a["Lambda"]
     win = t >= (2.0 / 3.0) * t[-1]
     slope = float(np.polyfit(t[win], lam[win], 1)[0])
     rv_exp = None
@@ -180,40 +175,31 @@ def stability_check(profile: SurvivalProfile, result: LinearRunResult) -> Stabil
         if oscillatory:
             applicable = False
             note = "boundary beta oscillates; no growth-rate limit is claimed"
-    return StabilityReport(slope=slope, beta_end=float(b[-1]), rv_exponent=rv_exp,
+    return StabilityReport(slope=slope, rv_exponent=rv_exp,
                            oscillatory=oscillatory, applicable=applicable, note=note)
 
 
-def affine_exactness_check(result: LinearRunResult, labels=None) -> float:
+def affine_exactness_check(result: LinearRunResult) -> float:
     """Max deviation between directly integrated characteristics and the
     affine reconstruction x(t) = (y - B(t)) e^tau(t).
 
     Integrates dx/dt = -(1 - x/Lambda(t)) with RK4 along the recorded
-    Lambda(t) path for a few sample labels; the agreement certifies that the
-    reduced two-variable system reproduces the full characteristic flow.
+    Lambda(t) path for a few sample labels beyond the final boundary value,
+    which never exit; the agreement certifies that the reduced two-variable
+    system reproduces the full characteristic flow.
     """
     t = np.array(result.trace.t)
     lam = np.array(result.trace.Lambda)
-    taus = np.array(result.taus)
-    Bs = np.array(result.Bs)
-    if labels is None:
-        # labels beyond the final boundary value, so the samples never exit
-        labels = Bs[-1] + np.array([0.5, 1.0, 2.0])
+    B_end = result.Bs[-1]
 
-    def lam_at(s):
-        return np.interp(s, t, lam)
+    def f(x, s):
+        return -(1.0 - x / np.interp(s, t, lam))
 
     worst = 0.0
-    for y in np.atleast_1d(labels):
+    for y in B_end + np.array([0.5, 1.0, 2.0]):
         x = float(y)
         for a, b in zip(t[:-1], t[1:]):
-            dt = b - a
-            f = lambda xx, ss: -(1.0 - xx / lam_at(ss))
-            k1 = f(x, a)
-            k2 = f(x + 0.5 * dt * k1, a + 0.5 * dt)
-            k3 = f(x + 0.5 * dt * k2, a + 0.5 * dt)
-            k4 = f(x + dt * k3, b)
-            x += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        recon = (y - Bs[-1]) * np.exp(taus[-1])
+            x = _rk4(f, x, a, b - a)
+        recon = (y - B_end) * np.exp(result.trace.tau[-1])
         worst = max(worst, abs(x - recon) / max(abs(recon), 1.0))
     return worst

@@ -7,12 +7,14 @@ ride the characteristics unchanged, so the state is a label/position pair
 per characteristic; L over each short interval is resolved by fixed-point
 iteration on the path L(s), which is a contraction for small enough steps.
 
-Characteristics reaching x = 0 are dissolving clusters; their labels and
-exit times are logged, and the label currently arriving at the origin
-reconstructs w(0,t) and hence the mean cluster volume Lambda = mass/w(0,t).
+Characteristics reaching x = 0 are dissolving clusters; the last exit is
+kept, and the label currently arriving at the origin reconstructs w(0,t) and
+hence the mean cluster volume Lambda = mass/w(0,t).  Solver code rebinds
+ensemble arrays and never writes into them, so shallow copies are safe.
 """
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,7 +115,7 @@ MAX_HALVINGS = 6        # step halvings before a run ends as a Picard failure
 
 @dataclass
 class Ensemble:
-    """Surviving characteristics plus exit history."""
+    """Surviving characteristics plus the last exit; arrays are rebound, never written into."""
 
     labels: np.ndarray           # initial positions y_i (immutable)
     pos: np.ndarray              # current positions x_i(t), increasing
@@ -122,20 +124,13 @@ class Ensemble:
     beta0: Callable              # beta function of the initial data
     jac: np.ndarray = None       # dx/dy along each characteristic
     t: float = 0.0
-    exit_t: list = field(default_factory=lambda: [0.0])
-    exit_y: list = field(default_factory=lambda: [0.0])
-    exit_jac: list = field(default_factory=lambda: [1.0])
+    exit_t: float = 0.0
+    exit_y: float = 0.0
+    exit_jac: float = 1.0
 
     def __post_init__(self):
         if self.jac is None:
             self.jac = np.ones_like(self.pos)
-
-    def copy(self) -> "Ensemble":
-        return Ensemble(labels=self.labels, pos=self.pos.copy(), w=self.w,
-                        initial=self.initial, beta0=self.beta0,
-                        jac=self.jac.copy(), t=self.t,
-                        exit_t=list(self.exit_t), exit_y=list(self.exit_y),
-                        exit_jac=list(self.exit_jac))
 
     @property
     def n_alive(self) -> int:
@@ -163,7 +158,7 @@ def _speed_at_root(r):
 
 
 def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> None:
-    """Log and drop the survivors that reach x = 0 within ds of time a at frozen L."""
+    """Drop the survivors that reach x = 0 within ds of time a at frozen L; keep the last exit."""
     x = ens.pos
     # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
     # can exit; the margins cover the rounding of _phi_of_u at tiny u
@@ -174,19 +169,18 @@ def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> None:
     exiting = np.flatnonzero(tte <= ds)
     if not len(exiting):
         return
-    exiting = exiting[np.argsort(tte[exiting])]
-    ens.exit_t.extend((a + tte[exiting]).tolist())
-    ens.exit_y.extend(ens.labels[exiting].tolist())
+    last = exiting[np.argsort(tte[exiting])[-1]]
+    ens.exit_t, ens.exit_y = a + float(tte[last]), float(ens.labels[last])
     # |v| = 1 at the origin, so J there is J / |v(x)|
-    ens.exit_jac.extend((ens.jac[exiting] / _speed(x[exiting], L)).tolist())
+    ens.exit_jac = float(ens.jac[last] / _speed(x[last], L))
     keep = np.ones(len(x), dtype=bool)
     keep[exiting] = False
     ens.labels, ens.pos, ens.w, ens.jac = ens.labels[keep], x[keep], ens.w[keep], ens.jac[keep]
 
 
 def _advance(ens: Ensemble, s0: float, s1: float, L_of_s) -> None:
-    """March survivors from absolute time s0 to s1 in NSUB substeps, logging
-    exits in place; one call of ``L_of_s`` gives L at the start, middle and
+    """March survivors from absolute time s0 to s1 in NSUB substeps, dropping
+    exits; one call of ``L_of_s`` gives L at the start, middle and
     end of each substep."""
     ss = np.linspace(s0, s1, NSUB + 1)
     dss = np.diff(ss)
@@ -213,8 +207,8 @@ def _advance(ens: Ensemble, s0: float, s1: float, L_of_s) -> None:
 
 def _boundary_labels(states: list, L) -> np.ndarray:
     """Label arriving at x = 0 in each ensemble of ``states``, by exit-time
-    interpolation between the last logged exit and the first survivor's."""
-    t, x1, y1, t0, y0 = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t[-1], s.exit_y[-1])
+    interpolation between the last exit and the first survivor's."""
+    t, x1, y1, t0, y0 = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
                                   for s in states]).reshape(-1, 5).T
     t1 = t + exit_time_frozen(x1, L)
     ok = np.isfinite(t1) & (t1 > t0)
@@ -224,11 +218,11 @@ def _boundary_labels(states: list, L) -> np.ndarray:
 def boundary_jacobian(ens: Ensemble, L: float) -> float:
     """dx/dy of the characteristic currently at the origin.
 
-    Interpolated in log between the last logged exit and the projected exit
-    of the first survivor; its reciprocal is the slope dF/dx of the label
-    map at x = 0.
+    Interpolated in log between the last exit and the projected exit of the
+    first survivor; its reciprocal is the slope dF/dx of the label map at
+    x = 0.
     """
-    t0, j0 = ens.exit_t[-1], ens.exit_jac[-1]
+    t0, j0 = ens.exit_t, ens.exit_jac
     if ens.n_alive == 0:
         return j0
     t1 = ens.t + float(exit_time_frozen(ens.pos[0], L))
@@ -394,16 +388,14 @@ def _transport(ens: Ensemble, nodes: np.ndarray, path):
     """A copy of ens carried along ``path`` through the panels of ``nodes``,
     what L-resolution reads of it at each node, and the ExtinctionError of a
     node with fewer than ``EXTINCTION_FLOOR`` survivors, where it stops."""
-    scratch = ens.copy()
+    scratch = copy.copy(ens)
     moments = []
     for a, b in zip(nodes[:-1], nodes[1:]):
         _advance(scratch, a, b, path)
         if scratch.n_alive < EXTINCTION_FLOOR:
             return scratch, moments, ExtinctionError(
                 f"survivor count fell below {EXTINCTION_FLOOR} at t={b:g}")
-        # the arrays are shared: _advance replaces them, never writes into them
-        moments.append(Ensemble(scratch.labels, scratch.pos, scratch.w, scratch.initial, scratch.beta0,
-                                scratch.jac, scratch.t, scratch.exit_t[-1:], scratch.exit_y[-1:]))
+        moments.append(copy.copy(scratch))
     return scratch, moments, None
 
 
@@ -581,19 +573,17 @@ def advance_global(profile: SurvivalProfile, t_final: float,
     maybe_snapshot()
     while ens.t < t_final - 1e-12:
         dt = min(cfg.delta * L, t_final - ens.t)
-        stats = None
-        for _ in range(MAX_HALVINGS + 1):
-            try:
+        try:
+            for _ in range(MAX_HALVINGS + 1):
                 advanced, _, stats = picard_solve_interval(ens, dt, L, cfg)
-            except ExtinctionError:
-                terminated = "extinction"
-                break
-            if stats.converged:
-                break
-            dt *= 0.5
-        if terminated == "extinction" or stats is None or not stats.converged:
-            if terminated != "extinction":
+                if stats.converged:
+                    break
+                dt *= 0.5
+            else:
                 terminated = "picard_failure"
+                break
+        except ExtinctionError:
+            terminated = "extinction"
             break
         ens = advanced
         picard_log.append(stats)
@@ -702,12 +692,12 @@ def dyadic_intervals(y: np.ndarray, w_star: np.ndarray, n_levels: int = 14) -> n
     return out
 
 
-def dyadic_report(snaps: list, n_levels: int = 14) -> dict:
+def dyadic_report(snaps: list) -> dict:
     """Interval lengths and adjacent ratios per snapshot, in rescaled time."""
     rows = []
     for snap in snaps:
         y, ws = normalized_view(snap)
-        lens = dyadic_intervals(y, ws, n_levels)
+        lens = dyadic_intervals(y, ws)
         rows.append({"tau": snap.tau, "lengths": lens,
                      "ratios": lens[:-1] / lens[1:]})
     return {"snapshots": rows}

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -356,16 +356,12 @@ class BetaProfile:
     def at(self, x):
         return np.interp(x, self.grid, self.values)
 
-    def save(self, csv_path: str | Path) -> None:
-        write_csv(csv_path, "x,beta", (self.grid, self.values))
-
 
 @dataclass(frozen=True)
 class RegularVariationEstimate:
     exponent: float
     residual: float
     oscillatory: bool
-    n_nodes: int
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +432,20 @@ def beta_interpolant(profile: SurvivalProfile) -> Callable:
     return lambda x: np.interp(x, bx, bv)
 
 
-def beta_envelope(profile: SurvivalProfile, beta: Optional[BetaProfile] = None,
-                  level: float = 2.0**-8) -> tuple[float, float]:
+ENVELOPE_LEVEL = 2.0**-8  # beta_envelope reads grid nodes where w >= this times w(0)
+
+
+def beta_envelope(profile: SurvivalProfile) -> tuple[float, float]:
     """(inf, sup) of beta over the whole support, tail included.
 
-    Grid nodes below ``level * w(0)`` are dropped: the finite-difference
+    Grid nodes below ``ENVELOPE_LEVEL * w(0)`` are dropped: the finite-difference
     estimate there is dominated by grid-transition noise.  The analytic tail
     carries a known constant beta (1 for exponential decay, p/(p-1) for a
     power tail), which is where the supremum typically lives.
     """
-    if beta is None:
-        beta = beta_from_profile(profile)
+    beta = beta_from_profile(profile)
     nb = len(beta.grid)
-    resolved = (profile.values[:nb] >= profile.w0 * level) & ~beta.low_confidence
+    resolved = (profile.values[:nb] >= profile.w0 * ENVELOPE_LEVEL) & ~beta.low_confidence
     vals = beta.values[resolved]
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if profile.tail.kind == "exponential" and profile.values[-1] > 0:
@@ -496,5 +493,4 @@ def regular_variation_exponent(profile: SurvivalProfile) -> RegularVariationEsti
         exponent=float(max(slope, 0.0)),
         residual=residual,
         oscillatory=residual > RV_OSCILLATION_THRESHOLD,
-        n_nodes=len(xi),
     )

@@ -11,6 +11,8 @@ import pytest
 import lswkit
 from lswkit import cli, lsw_solver
 from lswkit.cli import main
+from lswkit.families import make_family
+from lswkit.lsw_solver import CoarseningTrace
 
 
 FAST_CONFIG = """\
@@ -90,6 +92,32 @@ def test_bad_family_parameter_is_isolated(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_family_parameter_the_family_does_not_take_fails(tmp_path, capsys):
+    cfg = tmp_path / "eps.ini"
+    cfg.write_text("[w]\nmodel = lsw\nfamily = exponential\neps = 0.3\nt_final = 0.2\n"
+                   "checks = conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "w  FAIL  ConfigError: family 'exponential' takes no parameter(s) eps" in out
+    assert not (tmp_path / "out" / "w" / "trace.csv").exists()
+
+
+def test_energy_bound_carries_the_mass():
+    # E <= mass Lambda^(-1/3): a trace of mass 0.5 whose E lies between
+    # 0.5 Lambda^(-1/3) and Lambda^(-1/3) violates it
+    lam = [1.0, 1.2, 1.4]
+    trace = CoarseningTrace(t=[0.0, 1.0, 2.0], Lambda=lam, mass=[0.5] * 3,
+                            E=[0.75 * v ** (-1.0 / 3.0) for v in lam])
+    run = SimpleNamespace(fam=lswkit.exponential(), result=SimpleNamespace(trace=trace))
+    r = cli.CHECKS[("lsw", "upper_bound")](run, {})
+    assert not r.passed
+    assert r.value == pytest.approx(0.25, rel=1e-12)
+    assert "Lambda slack 0," in r.detail
+    trace.mass = [1.0] * 3
+    assert cli.CHECKS[("lsw", "upper_bound")](run, {}).passed
 
 
 def test_run_is_deterministic(config_path, tmp_path):
@@ -454,6 +482,33 @@ def test_standard_scenarios_request_registered_checks():
         assert model in cli.MODEL_RUNNERS, section
         for name in (c.strip() for c in opts["checks"].split(",") if c.strip()):
             assert (model, name) in cli.CHECKS, (section, name)
+
+
+def test_standard_scenarios_pass_the_key_and_family_checks(tmp_path, monkeypatch):
+    # each section gets through the key check and builds its family through
+    # make_family; the runners stop there, before any solver
+    class Built(Exception):
+        pass
+
+    built = []
+
+    def build(name, **params):
+        built.append(make_family(name, **params).name)
+        raise Built
+
+    def stop(opts, outdir):
+        raise Built
+
+    monkeypatch.setattr(cli, "make_family", build)
+    monkeypatch.setitem(cli.MODEL_RUNNERS, "self_similar", stop)
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "scenarios" / "standard.ini")
+    for section in parser.sections():
+        opts = dict(parser.items(section))
+        with pytest.raises(Built):
+            cli._run_section(section, opts.get("model", "lsw"), opts, tmp_path)
+    assert len(built) == sum(parser.get(s, "model", fallback="lsw") != "self_similar"
+                             for s in parser.sections())
 
 
 def test_default_bounds_are_pinned():

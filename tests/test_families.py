@@ -94,6 +94,8 @@ def test_make_family_dispatch():
     assert fam.name.startswith("constant-beta")
     with pytest.raises(lk.ConfigError):
         make_family("no-such-family")
+    with pytest.raises(lk.ConfigError, match="'exponential' takes no parameter.*eps"):
+        make_family("exponential", eps=0.3)
 
 
 def test_parameter_validation():

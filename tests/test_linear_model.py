@@ -39,16 +39,6 @@ def test_affine_reconstruction(half_run):
     assert affine_exactness_check(res) < 1e-5
 
 
-def test_label_map_is_affine(half_run):
-    _, res = half_run
-    F = res.label_map()
-    xs = np.array([0.0, 1.0, 2.0])
-    vals = F(xs)
-    # second difference of an affine map vanishes
-    assert vals[2] - 2.0 * vals[1] + vals[0] == pytest.approx(0.0, abs=1e-12)
-    assert vals[0] == pytest.approx(res.B)
-
-
 def test_oscillatory_boundary_flagged_inapplicable():
     fam = lk.oscillating_compact(1.0, 0.2)
     res = run_linear_model(fam.profile, 5.0)

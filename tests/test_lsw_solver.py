@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import warnings
@@ -257,10 +258,10 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     j = np.arange(lsw_solver.N_CHEB + 1)
     nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
     path = lsw_solver.NaturalSpline(nodes, np.full(len(nodes), L0))
-    scratch, at_nodes = ens.copy(), []
+    scratch, at_nodes = copy.copy(ens), []
     for a, b in zip(nodes[:-1], nodes[1:]):
         lsw_solver._advance(scratch, a, b, path)
-        at_nodes.append(scratch.copy())
+        at_nodes.append(copy.copy(scratch))
     return nodes, path, at_nodes
 
 
@@ -330,12 +331,12 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
     ds = b - a
     tte = exit_time_frozen(pos, L)
     exiting = tte <= ds
-    order = np.argsort(tte[exiting])
     assert np.any(exiting)
-    assert ens.exit_t[1:] == (a + tte[exiting][order]).tolist()
-    assert ens.exit_y[1:] == pos[exiting][order].tolist()
+    # the ensemble keeps the exit that sorts last by exit time
+    last = np.flatnonzero(exiting)[np.argsort(tte[exiting])[-1]]
     jac = np.linspace(1.0, 2.0, len(pos))
-    assert ens.exit_jac[1:] == (jac[exiting] / lsw_solver._speed(pos[exiting], L))[order].tolist()
+    assert (ens.exit_t, ens.exit_y, ens.exit_jac) == \
+        (a + tte[last], pos[last], jac[last] / lsw_solver._speed(pos[last], L))
     np.testing.assert_array_equal(ens.labels, pos[~exiting])
 
 
@@ -349,7 +350,7 @@ def test_one_spline_evaluation_per_panel(short_exp_run):
         calls.append(np.shape(s))
         return path(s)
 
-    ens = short_exp_run[1].ensemble.copy()
+    ens = copy.copy(short_exp_run[1].ensemble)
     for a, b in zip(nodes[:-1], nodes[1:]):
         lsw_solver._advance(ens, a, b, counted)
         ss = np.linspace(a, b, 3)
@@ -368,11 +369,11 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
     out, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
     assert stats.converged and stats.stopped_on_bound and stats.iterations >= 2
     nodes = path.x
-    confirm = ens.copy()
+    confirm = copy.copy(ens)
     moments = []
     for a, b in zip(nodes[:-1], nodes[1:]):
         lsw_solver._advance(confirm, a, b, path)
-        moments.append(confirm.copy())
+        moments.append(copy.copy(confirm))
     resolved = lsw_solver._resolve_L(moments, path(nodes[1:]), ens.initial)[0]
     assert np.max(np.abs(resolved - path(nodes[1:]))) < cfg.tol * L0
     for name in ("labels", "pos", "w", "jac"):
@@ -398,6 +399,30 @@ def test_stop_on_bound_builds_each_path_once(short_exp_run, monkeypatch):
     _, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
     assert stats.stopped_on_bound
     assert len(built) == stats.iterations + 1 and path is built[-1]
+
+
+def test_solver_never_writes_into_ensemble_arrays(short_exp_run, monkeypatch):
+    # shallow copies of an ensemble are independent only while the solver
+    # rebinds its arrays; a write into a read-only array raises
+    frozen = copy.copy(short_exp_run[1].ensemble)
+    arrays = {name: getattr(frozen, name).copy() for name in ("labels", "pos", "w", "jac")}
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        setattr(frozen, name, array)
+    last_exit = (frozen.t, frozen.exit_t, frozen.exit_y, frozen.exit_jac)
+    assert frozen.exit_t > 0
+    cfg = SolverConfig(tol=1e-6)
+    L0 = lsw_solver._state_L(frozen, short_exp_run[1].trace.L[-1])[0]
+    out, _, stats = lsw_solver.picard_solve_interval(frozen, cfg.delta * L0, L0, cfg)
+    assert stats.converged and out.t > frozen.t
+    # advance_global from the frozen ensemble, for three steps
+    monkeypatch.setattr(lsw_solver, "make_ensemble", lambda profile, beta0: frozen)
+    res = advance_global(frozen.initial, frozen.t + 3.0 * cfg.delta * L0, cfg,
+                         beta0=frozen.beta0)
+    assert res.terminated == "t_final" and len(res.picard) >= 3
+    assert res.ensemble.exit_t > frozen.exit_t
+    assert all(getattr(frozen, name) is array for name, array in arrays.items())
+    assert (frozen.t, frozen.exit_t, frozen.exit_y, frozen.exit_jac) == last_exit
 
 
 def test_natural_spline_matches_scipy():
