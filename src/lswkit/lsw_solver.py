@@ -378,10 +378,11 @@ def _state_L(ens: Ensemble, L_guess: float) -> tuple[float, float, float]:
 @dataclass
 class PicardStats:
     iterations: int
-    first_correction: float
+    first_correction: float      # the first sweep's correction of the starting path
     ratios: list
     converged: bool
     stopped_on_bound: bool = False   # converged on the error bound, not a confirming sweep
+    end_state: Optional[tuple] = None   # (L, y_b, w0b) the last sweep resolved at the end node
 
 
 def _transport(ens: Ensemble, nodes: np.ndarray, path):
@@ -421,26 +422,39 @@ class NaturalSpline:
         return ((p[..., 1] * t + p[..., 2]) * t + p[..., 3]) * t + p[..., 4]
 
 
-def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
-                          cfg: SolverConfig) -> tuple[Ensemble, NaturalSpline, PicardStats]:
-    """Resolve L(s) on [t, t+dt] by fixed-point iteration from L == L0.
+def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig,
+                          prior: Optional[NaturalSpline] = None
+                          ) -> tuple[Ensemble, NaturalSpline, PicardStats]:
+    """Resolve L(s) on [t, t+dt] by fixed-point iteration.
 
-    Each sweep transports a scratch copy of the ensemble through the current
-    L path and resolves L at all Chebyshev nodes of the interval at once;
-    the map is a contraction for dt small compared to L.  Once the error
-    bound d_k r/(1-r) of correction d_k and ratio r = d_k/d_(k-1) is below
-    tol * L0, a transport through iterate k's path ends the step.
+    The iteration starts from L == L0, or, given the accepted path ``prior``
+    of the step that ended at t, from the quadratic through its values at
+    the start and middle of that step and L0 at t; the first correction is
+    measured from this starting path.  Each sweep transports a scratch copy
+    of the ensemble through the current L path and resolves L at all
+    Chebyshev nodes of the interval at once; the map is a contraction for dt
+    small compared to L.  Once the error bound d_k r/(1-r) of correction d_k
+    and ratio r = d_k/d_(k-1) is below tol * L0, a transport through iterate
+    k's path ends the step.
     """
     j = np.arange(N_CHEB + 1)
     nodes = ens.t + dt * 0.5 * (1.0 - np.cos(np.pi * j / N_CHEB))
     L_vals = np.full(len(nodes), L0)
+    if prior is not None:
+        # three-point Lagrange form in z = 2(s - t)/h, with the prior's values at z = -2, -1
+        h = ens.t - prior.x[0]
+        a, b = prior(np.array([prior.x[0], ens.t - 0.5 * h]))
+        z = 2.0 * (nodes[1:] - ens.t) / h
+        warm = 0.5 * a * z * (z + 1.0) - b * z * (z + 2.0) + 0.5 * L0 * (z + 1.0) * (z + 2.0)
+        if np.all(np.isfinite(warm) & (warm > 0)):
+            L_vals[1:] = warm
     diffs = []
-    scratch = None
+    scratch = end = None
     converged = on_bound = False
     for _ in range(MAX_PICARD):
         path = NaturalSpline(nodes, L_vals)
         scratch, moments, extinct = _transport(ens, nodes, path)
-        resolved = _resolve_L(moments, path(nodes[1:len(moments) + 1]), ens.initial)[0]
+        resolved, yb, w0b = _resolve_L(moments, path(nodes[1:len(moments) + 1]), ens.initial)
         # a node whose L is not positive ends the sweep before any later panel
         if not np.all(np.isfinite(resolved) & (resolved > 0)):
             break
@@ -452,6 +466,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
         L_vals = new_vals
         if diff < cfg.tol * L0:
             converged = True
+            end = (float(resolved[-1]), float(yb[-1]), float(w0b[-1]))
             break
         r = diff / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 1.0
         if r < 1.0 and diff * r / (1.0 - r) < cfg.tol * L0:
@@ -463,7 +478,8 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float,
             break
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     stats = PicardStats(iterations=len(diffs), first_correction=diffs[0] if diffs else 0.0,
-                        ratios=ratios, converged=converged, stopped_on_bound=on_bound)
+                        ratios=ratios, converged=converged, stopped_on_bound=on_bound,
+                        end_state=end)
     return scratch, path if on_bound else NaturalSpline(nodes, L_vals), stats
 
 
@@ -571,11 +587,12 @@ def advance_global(profile: SurvivalProfile, t_final: float,
             pending = pending[1:]
 
     maybe_snapshot()
+    prior = None
     while ens.t < t_final - 1e-12:
         dt = min(cfg.delta * L, t_final - ens.t)
         try:
             for _ in range(MAX_HALVINGS + 1):
-                advanced, _, stats = picard_solve_interval(ens, dt, L, cfg)
+                advanced, path, stats = picard_solve_interval(ens, dt, L, cfg, prior)
                 if stats.converged:
                     break
                 dt *= 0.5
@@ -585,9 +602,10 @@ def advance_global(profile: SurvivalProfile, t_final: float,
         except ExtinctionError:
             terminated = "extinction"
             break
-        ens = advanced
+        ens, prior = advanced, path
         picard_log.append(stats)
-        L, yb, w0b = _state_L(ens, L)
+        # a step that stopped on the bound returns a transport nothing has resolved
+        L, yb, w0b = _state_L(ens, L) if stats.stopped_on_bound else stats.end_state
         _record(trace, ens, L, yb, w0b)
         maybe_snapshot()
     return RunResult(trace=trace, snapshots=snapshots, ensemble=ens,

@@ -436,6 +436,27 @@ def test_check_without_its_data_is_a_violation(tmp_path, capsys):
     assert data["checks"]["conservation"]["passed"] is True
 
 
+def test_lsw_summary_counts_steps_stopped_on_the_bound(tmp_path, capsys, monkeypatch):
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(lsw_solver.advance_global(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "advance_global", recorded)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[exp]\nmodel = lsw\nfamily = exponential\nt_final = 1\ntol = 1e-6\n"
+                   "checks = conservation\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "out" / "exp" / "summary.json").read_text())
+    picard = results[0].picard
+    assert data["steps"] == len(picard)
+    assert data["picard_iters_total"] == sum(p.iterations for p in picard)
+    assert data["picard_on_bound"] == sum(p.stopped_on_bound for p in picard)
+    assert 0 < data["picard_on_bound"] < data["steps"]
+
+
 def test_crash_is_isolated(tmp_path, capsys, monkeypatch):
     def crash(opts, outdir):
         raise RuntimeError("runner blew up")

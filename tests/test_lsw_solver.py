@@ -425,6 +425,97 @@ def test_solver_never_writes_into_ensemble_arrays(short_exp_run, monkeypatch):
     assert (frozen.t, frozen.exit_t, frozen.exit_y, frozen.exit_jac) == last_exit
 
 
+def _final_step(res):
+    # the ensemble at the end of a run, its resolved L, the next step's length and the run's config
+    cfg = SolverConfig(tol=1e-6)
+    L0 = lsw_solver._state_L(res.ensemble, res.trace.L[-1])[0]
+    return res.ensemble, L0, cfg.delta * L0, cfg
+
+
+def test_warm_start_falls_back_to_cold_on_a_nonpositive_extrapolation(short_exp_run):
+    ens, L0, dt, cfg = _final_step(short_exp_run[1])
+    # a prior path whose midpoint sits far above both ends: the quadratic
+    # through it, in z = 2(s - t)/dt, falls below 0 at the step's last nodes
+    prior = lsw_solver.NaturalSpline(ens.t + dt * np.array([-1.0, -0.5, 0.0]),
+                                     L0 * np.array([1.0, 100.0, 1.0]))
+    z = 1.0 - np.cos(np.pi * np.arange(lsw_solver.N_CHEB + 1) / lsw_solver.N_CHEB)
+    assert np.min(0.5 * z * (z + 1) - 100.0 * z * (z + 2) + 0.5 * (z + 1) * (z + 2)) < 0
+    cold_ens, cold_path, cold = lsw_solver.picard_solve_interval(ens, dt, L0, cfg)
+    warm_ens, warm_path, warm = lsw_solver.picard_solve_interval(ens, dt, L0, cfg, prior)
+    assert warm.converged and warm == cold
+    np.testing.assert_array_equal(warm_path(warm_path.x), cold_path(cold_path.x))
+    np.testing.assert_array_equal(warm_ens.pos, cold_ens.pos)
+
+
+def test_warm_and_cold_steps_agree(short_exp_run):
+    ens, L0, dt, cfg = _final_step(short_exp_run[1])
+    # one real accepted step, whose path warm-starts the next
+    first, prior, stats = lsw_solver.picard_solve_interval(ens, dt, L0, cfg)
+    L1 = lsw_solver._state_L(first, L0)[0] if stats.stopped_on_bound else stats.end_state[0]
+    _, cold_path, cold = lsw_solver.picard_solve_interval(first, cfg.delta * L1, L1, cfg)
+    _, warm_path, warm = lsw_solver.picard_solve_interval(first, cfg.delta * L1, L1, cfg, prior)
+    assert cold.converged and warm.converged
+    nodes = cold_path.x
+    np.testing.assert_array_equal(warm_path.x, nodes)
+    assert np.max(np.abs(warm_path(nodes) - cold_path(nodes))) <= 2.0 * cfg.tol * L1
+    assert warm.first_correction < 0.01 * cold.first_correction
+    # on this step both take two sweeps, and only the cold start stops on
+    # the bound and pays a confirming transport
+    assert warm.iterations <= cold.iterations
+    assert warm.iterations + warm.stopped_on_bound < cold.iterations + cold.stopped_on_bound
+
+
+def test_end_node_resolution_is_reused_exactly(monkeypatch):
+    # a step that converged on a small correction records the L its last
+    # sweep resolved at the end node; only the initial state and steps that
+    # stopped on the bound go through _state_L
+    picard, state_L = lsw_solver.picard_solve_interval, lsw_solver._state_L
+    steps, resolved_at = [], []
+
+    def recorded(*args):
+        out = picard(*args)
+        steps.append(out)
+        return out
+
+    def counted(ens, L_guess):
+        resolved_at.append(ens.t)
+        return state_L(ens, L_guess)
+
+    monkeypatch.setattr(lsw_solver, "picard_solve_interval", recorded)
+    monkeypatch.setattr(lsw_solver, "_state_L", counted)
+    fam = lk.exponential()
+    res = advance_global(fam.profile, 2.0, SolverConfig(tol=1e-6), beta0=fam.beta_exact)
+    accepted = [out for out in steps if out[2].converged]
+    assert [stats for _, _, stats in accepted] == res.picard
+    on_bound = [out[0].t for out in accepted if out[2].stopped_on_bound]
+    assert 0 < len(on_bound) < len(accepted)
+    assert resolved_at == [0.0] + on_bound
+    for (out, _, stats), L_prev, L in zip(accepted, res.trace.L, res.trace.L[1:]):
+        if not stats.stopped_on_bound:
+            assert stats.end_state[0] == L
+            ref = state_L(out, L_prev)
+            np.testing.assert_allclose(stats.end_state, ref, rtol=1e-12, atol=0)
+
+
+def test_warm_starts_cut_the_sweeps(short_exp_run):
+    # with every step after the first warm-started, the t = 2 run takes 74
+    # sweeps over 37 steps; cold starts take 103
+    iters = [p.iterations for p in short_exp_run[1].picard[1:]]
+    assert sum(iters) <= 2.25 * len(iters)
+
+
+def test_first_step_is_a_cold_start(short_exp_run):
+    # the first step has no prior path: its first correction is measured
+    # from the constant L0, and it is the largest of the run
+    fam, res = short_exp_run
+    ens = make_ensemble(fam.profile, fam.beta_exact)
+    L0 = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, fam.profile.w0))[0]
+    cfg = SolverConfig(tol=1e-6)
+    assert res.trace.L[0] == L0
+    assert res.picard[0] == lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)[2]
+    assert res.picard[0].first_correction == max(p.first_correction for p in res.picard)
+
+
 def test_natural_spline_matches_scipy():
     from scipy.interpolate import CubicSpline
 
