@@ -11,14 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def power_cells(x: np.ndarray, w: np.ndarray, s: float, shift: float = 0.0) -> np.ndarray:
+def power_cells(x: np.ndarray, w: np.ndarray, s, shift: float = 0.0) -> np.ndarray:
     """Exact integral of (x - shift)^s * wlin(x) over each grid cell.
 
     ``wlin`` is the piecewise-linear interpolant of (x, w).  Requires
-    s > -1 and x >= shift on the grid.
+    s > -1 and x >= shift on the grid.  An array of exponents gives one row
+    of cells per exponent, so several moments take one pass over the grid.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
+    if np.ndim(s):
+        s = np.asarray(s, dtype=float)[:, None]
     u = x - shift
     u0, u1 = u[:-1], u[1:]
     w0, w1 = w[:-1], w[1:]
@@ -31,15 +34,15 @@ def power_cells(x: np.ndarray, w: np.ndarray, s: float, shift: float = 0.0) -> n
     # the primitive differences cancel catastrophically on cells much
     # narrower than their distance from the singularity; a midpoint
     # expansion with the leading curvature terms is then accurate to
-    # O((du/u)^4) relative and free of cancellation
-    narrow = du < 1e-4 * u0
-    if np.any(narrow):
-        um = 0.5 * (u0 + u1)
-        wm = 0.5 * (w0 + w1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = s * du**2 / (12.0 * um) * (m + wm * (s - 1.0) / (2.0 * um))
-            mid = np.power(um, s) * du * (wm + corr)
-        out = np.where(narrow, mid, out)
+    # O((du/u)^4) relative and free of cancellation.  Narrow cells have
+    # u0 > 0, so the expansion is finite on each of them
+    narrow = np.nonzero(du < 1e-4 * u0)[0]
+    if len(narrow):
+        du, m = du[narrow], m[narrow]
+        um = 0.5 * (u0[narrow] + u1[narrow])
+        wm = 0.5 * (w0[narrow] + w1[narrow])
+        corr = s * du**2 / (12.0 * um) * (m + wm * (s - 1.0) / (2.0 * um))
+        out[..., narrow] = np.power(um, s) * du * (wm + corr)
     return out
 
 

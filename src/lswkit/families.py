@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +31,15 @@ class AnalyticFamily:
     mean_exact: Optional[float] = None
 
 
+@lru_cache(maxsize=8)
+def _quantile_levels(per_halving: int, deep: int) -> np.ndarray:
+    """The levels 2^(-k/m) for k = 1 .. m*deep, built once and shared read-only."""
+    m = per_halving
+    levels = np.array([2.0 ** (-k / m) for k in range(1, m * deep + 1)])
+    levels.setflags(write=False)
+    return levels
+
+
 def quantile_grid(quantile, n: int = 2048, deep: int = 45, support_end: float | None = None,
                   per_halving: int = 8):
     """Nodes at survival levels 2^(-k/m) down to 2^(-deep), plus uniform fill.
@@ -37,8 +47,7 @@ def quantile_grid(quantile, n: int = 2048, deep: int = 45, support_end: float | 
     ``quantile`` maps an array of levels to the array of their positions.
     """
     m = per_halving
-    levels = np.array([2.0 ** (-k / m) for k in range(1, m * deep + 1)])
-    xq = quantile(levels)
+    xq = quantile(_quantile_levels(m, deep))
     # uniform fill covers the bulk (down to the 2^-10 level); the far tail is
     # left to the geometric quantile nodes
     bulk_end = xq[min(10 * m - 1, len(xq) - 1)]

@@ -186,21 +186,24 @@ def iterate(profile0: SurvivalProfile, F: MapF, rho: float, K: float,
     """Run (normalize then map) n_steps times, recording the beta envelope.
 
     The recorded moment ratios <X^a>/<X>^a for a in {1/3, 1/2, 2/3} are the
-    quantities the uniform Jensen bounds control along the iteration.
+    quantities the uniform Jensen bounds control along the iteration.  Each
+    recorded state takes its three moments in one pass over its cells, and
+    memoizes them, so ``normalize`` with rho among them reads the memo.
     """
     hist = IterationHistory()
-    prof = profile0
+    prof, lam = profile0, 1.0
     for n in range(n_steps + 1):
         lo, hi = beta_envelope(prof)
         mean = prof.mean
+        third, half, two_thirds = prof.moments((1.0 / 3.0, 0.5, 2.0 / 3.0))
         hist.n.append(n)
-        hist.lam.append(1.0 if n == 0 else lam)  # noqa: F821  (set on prior pass)
+        hist.lam.append(lam)
         hist.mean.append(mean)
         hist.sup_beta.append(hi)
         hist.inf_beta.append(lo)
-        hist.ratio_third.append(prof.moment(1.0 / 3.0) / mean ** (1.0 / 3.0))
-        hist.ratio_half.append(prof.moment(0.5) / np.sqrt(mean))
-        hist.ratio_two_thirds.append(prof.moment(2.0 / 3.0) / mean ** (2.0 / 3.0))
+        hist.ratio_third.append(third / mean ** (1.0 / 3.0))
+        hist.ratio_half.append(half / np.sqrt(mean))
+        hist.ratio_two_thirds.append(two_thirds / mean ** (2.0 / 3.0))
         if n == n_steps:
             break
         lam, dilated = normalize(prof, rho, K)

@@ -27,12 +27,18 @@ from . import cellquad
 from .errors import DegenerateProfileError, NonIntegrableTailError, UnsupportedOperationError
 
 
+CSV_BLOCK_ROWS = 256  # rows formatted by one % operation; bounds the text held at once
+
+
 def write_csv(path: str | Path, header: str, columns) -> None:
     """Equal-length columns as comma-separated rows, every value as %.17g."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with Path(path).open("w") as f:
         f.write(header + "\n")
-        for row in zip(*columns):
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def json_number(v) -> float | None:
@@ -277,27 +283,41 @@ class SurvivalProfile:
 
     # -- integrals ------------------------------------------------------
 
-    def power_integral(self, s: float) -> float:
-        """Exact integral of x^s * w(x) dx over (0, infinity), s > -1."""
-        body = cellquad.power_total(self.grid, self.values, s)
-        return body + _tail_power_integral(self.tail, float(self.grid[-1]), float(self.values[-1]), s)
+    def power_integral(self, s):
+        """Exact integral of x^s * w(x) dx over (0, infinity), s > -1.
+
+        An array of exponents gives an array of integrals, all from one pass
+        over the cells.
+        """
+        s = np.asarray(s, dtype=float)
+        body = np.sum(cellquad.power_cells(self.grid, self.values, s), axis=-1)
+        xm, wm = float(self.grid[-1]), float(self.values[-1])
+        tail = np.reshape([_tail_power_integral(self.tail, xm, wm, si)
+                           for si in s.ravel().tolist()], s.shape)
+        return float(body + tail) if s.ndim == 0 else body + tail
 
     @cached_property
     def _moments(self) -> dict:
         return {}
 
-    def moment(self, alpha: float) -> float:
-        """<X^alpha> for alpha in (0, 1]; singular cell at 0 in closed form.
+    def moments(self, alphas) -> list[float]:
+        """<X^a> for each a in (0, 1]; singular cell at 0 in closed form.
 
-        Memoized per exponent, like the profile's other derived values.
+        Memoized per exponent, like the profile's other derived values; the
+        exponents not yet memoized share one pass over the cells.
         """
-        if not 0 < alpha <= 1:
+        alphas = [float(a) for a in alphas]
+        if not all(0 < a <= 1 for a in alphas):
             raise ValueError("alpha must be in (0, 1]")
-        if alpha == 1.0:
-            return self.mean
-        if alpha not in self._moments:
-            self._moments[alpha] = alpha * self.power_integral(alpha - 1.0) / self.w0
-        return self._moments[alpha]
+        todo = [a for a in dict.fromkeys(alphas) if a != 1.0 and a not in self._moments]
+        if todo:
+            a = np.array(todo)
+            self._moments.update(zip(todo, (a * self.power_integral(a - 1.0) / self.w0).tolist()))
+        return [self.mean if a == 1.0 else self._moments[a] for a in alphas]
+
+    def moment(self, alpha: float) -> float:
+        """<X^alpha> for alpha in (0, 1]: :meth:`moments` of one exponent."""
+        return self.moments([alpha])[0]
 
     def energy(self) -> float:
         """E = integral x^{2/3} c dx, via the integrated-by-parts form."""
@@ -404,7 +424,7 @@ def beta_from_profile(profile: SurvivalProfile) -> BetaProfile:
         raise DegenerateProfileError("w vanishes inside its support")
     x = profile.grid[: last + 1]
     wv = w[: last + 1]
-    h = profile.h_at(x)
+    h = profile._suffix_mass[: last + 1]  # h at the grid nodes
     c = -derivative_nonuniform(x, wv)  # h'' = c, the cluster density
     beta = c * h / wv**2
     return BetaProfile(grid=x, values=beta, support_end=profile.sup_x,

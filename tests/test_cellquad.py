@@ -40,6 +40,47 @@ def test_power_cells_narrow_cells_no_cancellation():
     assert np.max(np.abs(cells - ref) / ref) < 1e-6
 
 
+def _narrow_and_wide_grid():
+    # uniform cells near the origin, then a run of cells 1e-7 wide at
+    # distance ~2 (narrow: du < 1e-4 u) between wide ones
+    x = np.concatenate((np.linspace(0.0, 2.0, 40), 2.0 + np.arange(1, 30) * 1e-7,
+                        np.linspace(2.5, 6.0, 20)))
+    return x, np.exp(-x) * (1.0 + 0.3 * np.cos(7.0 * x))
+
+
+def test_power_cells_exponent_array_matches_scalar_calls():
+    x, w = _narrow_and_wide_grid()
+    s = np.array([-2.0 / 3.0, -0.5, -1.0 / 3.0, 0.0, 0.25])
+    rows = cellquad.power_cells(x, w, s)
+    assert rows.shape == (len(s), len(x) - 1)
+    for si, row in zip(s, rows):
+        # for a lone exponent of 1/2, 1 or 2 numpy may take sqrt, a copy or
+        # a square where a row of a batch takes pow; the primitive
+        # differences magnify that last ulp by up to u/du < 1e4
+        np.testing.assert_allclose(row, cellquad.power_cells(x, w, si), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("s", [-2.0 / 3.0, -1.0 / 3.0, np.array([-2.0 / 3.0, -0.5, 0.0])])
+def test_power_cells_expands_only_the_narrow_cells(s):
+    x, w = _narrow_and_wide_grid()
+    # reference: both formulas on every cell, the expansion picked on narrow ones
+    s_col = np.asarray(s, dtype=float)[..., None]
+    u0, u1, w0, w1 = x[:-1], x[1:], w[:-1], w[1:]
+    du = u1 - u0
+    m = (w1 - w0) / du
+    a = w0 - m * u0
+    p1 = np.diff(np.power(x, s_col + 1.0)) / (s_col + 1.0)
+    p2 = np.diff(np.power(x, s_col + 2.0)) / (s_col + 2.0)
+    full = a * p1 + m * p2
+    um, wm = 0.5 * (u0 + u1), 0.5 * (w0 + w1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = s_col * du**2 / (12.0 * um) * (m + wm * (s_col - 1.0) / (2.0 * um))
+        mid = np.power(um, s_col) * du * (wm + corr)
+    narrow = du < 1e-4 * u0
+    assert 0 < np.count_nonzero(narrow) < len(du)
+    np.testing.assert_array_equal(cellquad.power_cells(x, w, s), np.where(narrow, mid, full))
+
+
 def test_power_suffix_matches_total_and_is_monotone():
     rng = np.random.default_rng(7)
     x = np.sort(rng.uniform(0.0, 5.0, 60))

@@ -74,6 +74,27 @@ def test_quantile_grid_properties():
     assert grid[-1] == pytest.approx(30.0 * np.log(2.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("per_halving, deep", [(8, 45), (16, 45), (8, 30)])
+def test_quantile_grid_levels_built_once_and_read_only(per_halving, deep):
+    seen = []
+
+    def quantile(q):
+        seen.append(q)
+        return -np.log(q)
+
+    grids = [lk.quantile_grid(quantile, n=512, deep=deep, per_halving=per_halving)
+             for _ in range(2)]
+    assert seen[0] is seen[1] and not seen[0].flags.writeable
+    # the reference: the levels built afresh on every call
+    m = per_halving
+    levels = np.array([2.0 ** (-k / m) for k in range(1, m * deep + 1)])
+    np.testing.assert_array_equal(seen[0], levels)
+    for grid in grids:
+        np.testing.assert_array_equal(
+            grid, lk.quantile_grid(lambda q: -np.log(levels), n=512, deep=deep,
+                                   per_halving=per_halving))
+
+
 @pytest.mark.parametrize("fam, size, last_two, total", [
     (lambda: lk.oscillating_exponential(0.3), 2047,
      (30.977321523166392, 31.10708712403215), 11437.396949306127),

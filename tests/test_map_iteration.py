@@ -180,8 +180,8 @@ def test_iterate_history_save(tmp_path):
 
 
 def test_iterate_takes_one_moment_per_exponent(monkeypatch):
-    # each recorded state takes <X^a> for a in {1/3, 1/2, 2/3}; normalize
-    # reuses the memoized <X^(1/2)>
+    # each recorded state takes <X^a> for a in {1/3, 1/2, 2/3} in one cell
+    # pass; normalize reuses the memoized <X^(1/2)>
     calls = []
     power_cells = cellquad.power_cells
 
@@ -192,7 +192,9 @@ def test_iterate_takes_one_moment_per_exponent(monkeypatch):
     monkeypatch.setattr(cellquad, "power_cells", counted)
     n_steps = 2
     iterate(lk.exponential().profile, cube_root_map(), 0.5, 1.0, n_steps, n_grid=512)
-    assert len(calls) == 3 * (n_steps + 1)
+    assert len(calls) == n_steps + 1
+    for s in calls:
+        np.testing.assert_array_equal(s, np.array([1.0 / 3.0, 0.5, 2.0 / 3.0]) - 1.0)
 
 
 def test_benchmark_probes_of_this_layer_resolve():

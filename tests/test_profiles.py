@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lswkit as lk
-from lswkit.profiles import _scaled_upper_gamma, bracketed_root, derivative_nonuniform
+from lswkit.profiles import _scaled_upper_gamma, bracketed_root, derivative_nonuniform, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,37 @@ def test_moment_and_energy_compact():
 def test_moment_power_tail():
     fam = lk.power_tail(1.0)
     assert fam.profile.moment(0.5) == pytest.approx(np.pi / 4.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("make", [lk.exponential, lambda: lk.constant_beta(0.5),
+                                  lambda: lk.power_tail(1.0)])
+def test_batched_moments_equal_one_at_a_time(make):
+    alphas = (1.0 / 3.0, 0.5, 2.0 / 3.0)
+    single = [make().profile.moment(a) for a in alphas]  # a fresh memo for each
+    prof = make().profile
+    batched = prof.moments(alphas)
+    np.testing.assert_allclose(batched, single, rtol=1e-14)
+    # the memo now holds the batched values, and moment() reads them back
+    assert [prof.moment(a) for a in alphas] == batched
+    assert prof.moments((1.0, 0.5)) == [prof.mean, batched[1]]
+
+
+def test_write_csv_pins_its_bytes(tmp_path):
+    # an int column, floats that need all 17 significant digits, a subnormal,
+    # a negative zero and integral floats, from lists and from an array
+    path = tmp_path / "pinned.csv"
+    write_csv(path, "n,v,w", ([0, 7, 12], [0.1, 1.0 / 3.0, 2.0**-1074],
+                              np.array([1e22, -0.0, 123456789.0])))
+    assert path.read_bytes() == (b"n,v,w\n0,0.10000000000000001,1e+22\n"
+                                 b"7,0.33333333333333331,-0\n"
+                                 b"12,4.9406564584124654e-324,123456789\n")
+    # across several blocks of rows: the same text as formatting value by value
+    rng = np.random.default_rng(5)
+    n = 2 * lk.profiles.CSV_BLOCK_ROWS + 3
+    columns = (list(range(n)), rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+    write_csv(path, "n,v", columns)
+    rows = "".join(f"{i:.17g},{v:.17g}\n" for i, v in zip(*columns))
+    assert path.read_text() == "n,v\n" + rows
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.01, 0.1, 0.29, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.99,
