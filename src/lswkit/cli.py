@@ -124,6 +124,7 @@ def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
     summary = {"T_final": result.trace.t[-1] if result.trace.t else 0.0,
                "steps": len(result.picard),
                "picard_iters_total": int(sum(p.iterations for p in result.picard)),
+               "flux_evals": int(sum(p.flux_evals for p in result.picard)),
                "picard_on_bound": int(sum(p.stopped_on_bound for p in result.picard)),
                "terminated": result.terminated}
     return SimpleNamespace(fam=fam, result=result, dyadic=dyadic, summary=summary)

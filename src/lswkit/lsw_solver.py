@@ -31,7 +31,7 @@ from .profiles import (
 
 
 def drift(x, L):
-    return -(1.0 - np.cbrt(np.asarray(x, float) / L))
+    return np.cbrt(np.asarray(x, float) / L) - 1.0
 
 
 def _phi_of_u(u):
@@ -53,13 +53,14 @@ def exit_time_frozen(x, L):
 
 def _analytic_descent(u, L, ds):
     """Advance the survivors at u = (x/L)^(1/3) < 1 by ds with L frozen, by
-    inverting the exit-time map; returns their positions.
+    inverting the exit-time map; returns their new roots u', positions L u'^3.
 
     Exact for frozen L (entries that would cross 0 must have been screened
     out by the caller).  Halley steps on phi(u') = phi(u) - ds/(3L) start
-    from an upper bound of the root; each entry stops once its residual is
-    within the rounding floor of ``_phi_of_u``, and entries still moving
-    after the iteration cap are reported in a ConvergenceWarning.
+    from an upper bound of the root; the first is taken without a test, and
+    each entry stops once its residual is within the rounding floor of
+    ``_phi_of_u``.  Entries still moving after the iteration cap are reported
+    in a ConvergenceWarning.
     """
     c = ds / (3.0 * L)
     target = _phi_of_u(u) - c
@@ -74,14 +75,15 @@ def _analytic_descent(u, L, ds):
     # an entry with target <= 0 would exit within ds and ends at the origin;
     # 0.5 only keeps its arithmetic finite
     un = np.where(moving, start, 0.5)
-    for _ in range(_HALLEY_CAP):
+    for i in range(_HALLEY_CAP):
         phi = _phi_of_u(un)
         f = phi - target
         half = 0.5 * un
-        # |log1p(-u)| = phi + u + u^2/2
-        moving &= np.abs(f) > _PHI_FLOOR * (phi + un * (2.0 + half))
-        if not moving.any():
-            break
+        if i:
+            # |log1p(-u)| = phi + u + u^2/2
+            moving &= np.abs(f) > _PHI_FLOOR * (phi + un * (2.0 + half))
+            if not moving.any():
+                break
         # Halley's step f / (phi' - f phi''/(2 phi')), both sides times u(1-u)
         step = f * un * (1.0 - un) / (un * un * un - f * (1.0 - half))
         np.subtract(un, step, out=un, where=moving)
@@ -89,15 +91,19 @@ def _analytic_descent(u, L, ds):
         warnings.warn(f"_analytic_descent: {int(np.count_nonzero(moving))} of {len(un)} "
                       f"entries did not converge in {_HALLEY_CAP} Halley iterations",
                       ConvergenceWarning, stacklevel=2)
-    return L * np.where(target > 0, un, 0.0) ** 3
+    return np.where(target > 0, un, 0.0)
 
 
-def _rk4(x, ds, L_a, L_mid, L_b):
-    k1 = drift(x, L_a)
+def _rk4(x, r, ds, L_a, L_mid, L_b):
+    """One RK4 step of length ds from x, whose root (x/L_mid)^(1/3) is r;
+    returns the new positions and their roots at L_mid."""
+    # the first stage's root at L_a is r rescaled
+    k1 = r * (L_mid / L_a) ** (1.0 / 3.0) - 1.0
     k2 = drift(x + 0.5 * ds * k1, L_mid)
     k3 = drift(x + 0.5 * ds * k2, L_mid)
     k4 = drift(x + ds * k3, L_b)
-    return x + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = x + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out, np.cbrt(out / L_mid)
 
 
 @dataclass
@@ -157,18 +163,20 @@ def _speed_at_root(r):
     return np.maximum(np.abs(1.0 - r), 1e-12)
 
 
-def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> None:
-    """Drop the survivors that reach x = 0 within ds of time a at frozen L; keep the last exit."""
+def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> Optional[np.ndarray]:
+    """Drop the survivors that reach x = 0 within ds of time a at frozen L;
+    keep the last exit.  Returns the mask of the survivors kept, or None if
+    none exits."""
     x = ens.pos
     # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
     # can exit; the margins cover the rounding of _phi_of_u at tiny u
     k = int(np.searchsorted(x, max(2.0 * ds, 1e-18 * L), "right"))
     if not k:
-        return
+        return None
     tte = exit_time_frozen(x[:k], L)
     exiting = np.flatnonzero(tte <= ds)
     if not len(exiting):
-        return
+        return None
     last = exiting[np.argsort(tte[exiting])[-1]]
     ens.exit_t, ens.exit_y = a + float(tte[last]), float(ens.labels[last])
     # |v| = 1 at the origin, so J there is J / |v(x)|
@@ -176,33 +184,54 @@ def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> None:
     keep = np.ones(len(x), dtype=bool)
     keep[exiting] = False
     ens.labels, ens.pos, ens.w, ens.jac = ens.labels[keep], x[keep], ens.w[keep], ens.jac[keep]
+    return keep
 
 
-def _advance(ens: Ensemble, s0: float, s1: float, L_of_s) -> None:
-    """March survivors from absolute time s0 to s1 in NSUB substeps, dropping
-    exits; one call of ``L_of_s`` gives L at the start, middle and
-    end of each substep."""
-    ss = np.linspace(s0, s1, NSUB + 1)
-    dss = np.diff(ss)
-    L_sub = L_of_s(np.column_stack((ss[:-1], ss[:-1] + 0.5 * dss, ss[:-1] + dss)))
-    for a, b, ds, (L_a, L_mid, L_b) in zip(ss[:-1].tolist(), ss[1:].tolist(), dss.tolist(),
-                                           L_sub.tolist()):
-        _log_exits(ens, a, ds, L_a)
+def _panel_times(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Substep times of the panels between ``nodes``: row i holds the NSUB + 1
+    ends of panel i's substeps, bit for bit as np.linspace(nodes[i],
+    nodes[i + 1], NSUB + 1) gives them, and the (start, middle, end) times
+    of each of its substeps."""
+    ss = nodes[:-1, None] + np.arange(NSUB + 1) * (np.diff(nodes) / NSUB)[:, None]
+    ss[:, -1] = nodes[1:]
+    ds = np.diff(ss, axis=1)
+    start = ss[:, :-1]
+    return ss, np.stack((start, start + 0.5 * ds, start + ds), axis=-1)
+
+
+def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None) -> tuple:
+    """March survivors through the substeps between the times ``ss`` of one
+    panel, dropping exits; ``L_sub`` holds (L_a, L_mid, L_b), L at the
+    start, middle and end of each substep.
+
+    ``root`` is the pair (r, L) with r = (pos/L)^(1/3), carried from the
+    panel before; it is computed afresh when None.  Returns the pair at the
+    panel's end, so each substep rescales the root by a scalar instead of
+    taking a cube root of every survivor."""
+    for a, b, (L_a, L_mid, L_b) in zip(ss[:-1], ss[1:], L_sub):
+        ds = b - a
+        keep = _log_exits(ens, a, ds, L_a)
         ens.t = b
         x = ens.pos
+        if root is None:
+            r = np.cbrt(x / L_mid)
+        else:
+            r = (root[0] if keep is None else root[0][keep]) * (root[1] / L_mid) ** (1.0 / 3.0)
+        root = r, L_mid
         if len(x) == 0:
             continue
-        # one cube root per survivor serves the descent's u and the old speed
-        r = np.cbrt(x / L_mid)
         # positions increase, so x < 0.9 L_mid, the descent's share, is a prefix
         low = int(np.searchsorted(x, 0.9 * L_mid))
-        out = np.empty_like(x)
+        out, r_out = np.empty_like(x), np.empty_like(x)
         if low:
-            out[:low] = _analytic_descent(r[:low], L_mid, ds)
+            r_out[:low] = u = _analytic_descent(r[:low], L_mid, ds)
+            out[:low] = L_mid * u ** 3
         if low < len(x):
-            out[low:] = _rk4(x[low:], ds, L_a, L_mid, L_b)
-        ens.jac = ens.jac * _speed(out, L_mid) / _speed_at_root(r)
+            out[low:], r_out[low:] = _rk4(x[low:], r[low:], ds, L_a, L_mid, L_b)
+        ens.jac = ens.jac * _speed_at_root(r_out) / _speed_at_root(r)
         ens.pos = out
+        root = r_out, L_mid
+    return root
 
 
 def _boundary_labels(states: list, L) -> np.ndarray:
@@ -347,32 +376,50 @@ def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None,
     return float(_flux_L([ens], np.array([w0b]), guess, [far])[0])
 
 
+_RESOLVE_CAP = 40   # fixed-point iterations before _resolve_L reports a node as not converged
+
+
 def _resolve_L(states: list, L_guess, initial: SurvivalProfile):
     """Self-consistent (L, y_b, w0b) arrays at each ensemble of ``states``, by
-    one fixed-point iteration from L_guess over all of them; each leaves it
-    once converged, so it takes the iterations and values it would alone."""
+    one fixed-point iteration from L_guess over all of them, and the number
+    of ``_flux_L`` batches it took.
+
+    A node stops once its change d, or the error bound d r/(1-r) of d and
+    its contraction ratio r = d/d_prev, is below 1e-13 max(L, 1).  Each node
+    leaves the batch once it stops, so it takes the iterations and values it
+    would alone; nodes still moving at ``_RESOLVE_CAP`` iterations are
+    reported in a ConvergenceWarning.
+    """
     if any(s.n_alive == 0 for s in states):
         raise ExtinctionError("no surviving characteristics")
     L = np.array(L_guess, dtype=float)
     # only the cells next to the origin and w0b change between iterations
     far = [cellquad.power_suffix(s.pos, s.w, -2.0 / 3.0) for s in states]
     act = np.arange(len(states))
-    for _ in range(40):
+    change = np.full(len(states), np.nan)   # each node's last change; NaN fails every test
+    for evals in range(1, _RESOLVE_CAP + 1):
         active = [states[i] for i in act]
         w0b = initial.w_at(_boundary_labels(active, L[act]))
         L_new = _flux_L(active, w0b, L[act], [far[i] for i in act])
-        done = np.abs(L_new - L[act]) < 1e-13 * np.maximum(L[act], 1.0)
-        L[act] = L_new
+        d = np.abs(L_new - L[act])
+        r = d / change[act]
+        floor = 1e-13 * np.maximum(L[act], 1.0)
+        # the bound test d r/(1-r) < floor, false for r >= 1
+        done = (d < floor) | (d * r < floor * (1.0 - r))
+        L[act], change[act] = L_new, d
         act = act[~done]
         if len(act) == 0:
             break
+    else:
+        warnings.warn(f"_resolve_L: {len(act)} of {len(states)} nodes did not converge "
+                      f"in {_RESOLVE_CAP} iterations", ConvergenceWarning, stacklevel=2)
     yb = _boundary_labels(states, L)
-    return L, yb, initial.w_at(yb)
+    return L, yb, initial.w_at(yb), evals
 
 
 def _state_L(ens: Ensemble, L_guess: float) -> tuple[float, float, float]:
     """Self-consistent (L, y_b, w0b) at the ensemble's current time."""
-    return tuple(float(v[0]) for v in _resolve_L([ens], [L_guess], ens.initial))
+    return tuple(float(v[0]) for v in _resolve_L([ens], [L_guess], ens.initial)[:3])
 
 
 @dataclass
@@ -383,19 +430,26 @@ class PicardStats:
     converged: bool
     stopped_on_bound: bool = False   # converged on the error bound, not a confirming sweep
     end_state: Optional[tuple] = None   # (L, y_b, w0b) the last sweep resolved at the end node
+    flux_evals: int = 0          # _flux_L batches the sweeps' L-resolutions took
 
 
 def _transport(ens: Ensemble, nodes: np.ndarray, path):
     """A copy of ens carried along ``path`` through the panels of ``nodes``,
     what L-resolution reads of it at each node, and the ExtinctionError of a
-    node with fewer than ``EXTINCTION_FLOOR`` survivors, where it stops."""
+    node with fewer than ``EXTINCTION_FLOOR`` survivors, where it stops.
+
+    One call of ``path`` gives L at every substep of every panel; each panel
+    is one ``_advance``, and the survivors' cube root carries from one panel
+    to the next."""
+    ss, points = _panel_times(nodes)
     scratch = copy.copy(ens)
     moments = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        _advance(scratch, a, b, path)
+    root = None
+    for panel_ss, panel_L in zip(ss.tolist(), path(points).tolist()):
+        root = _advance(scratch, panel_ss, panel_L, root)
         if scratch.n_alive < EXTINCTION_FLOOR:
             return scratch, moments, ExtinctionError(
-                f"survivor count fell below {EXTINCTION_FLOOR} at t={b:g}")
+                f"survivor count fell below {EXTINCTION_FLOOR} at t={panel_ss[-1]:g}")
         moments.append(copy.copy(scratch))
     return scratch, moments, None
 
@@ -408,9 +462,19 @@ class NaturalSpline:
     def __init__(self, x, y):
         self.x = x = np.asarray(x, dtype=float)
         h, slope = np.diff(x), np.diff(y) / np.diff(x)
-        # second derivatives m: zero at the ends, tridiagonal system inside
-        system = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
-        m = np.pad(np.linalg.solve(system, 6.0 * np.diff(slope)), 1)
+        # second derivatives m: zero at the ends; inside, row j of the
+        # tridiagonal system is h[j], 2(h[j] + h[j+1]), h[j+1], solved by one
+        # forward and one back sweep over floats (it is diagonally dominant)
+        hs, rhs = h.tolist(), (6.0 * np.diff(slope)).tolist()
+        diag = [2.0 * (hl + hr) for hl, hr in zip(hs, hs[1:])]
+        for j in range(1, len(rhs)):
+            f = hs[j] / diag[j - 1]
+            diag[j] -= f * hs[j]
+            rhs[j] -= f * rhs[j - 1]
+        m = [0.0] * len(x)
+        for j in range(len(rhs) - 1, -1, -1):
+            m[j + 1] = (rhs[j] - hs[j + 1] * m[j + 2]) / diag[j]
+        m = np.array(m)
         # a row per panel: its left node, then its cubic's coefficients, gathered at once
         self._panels = np.column_stack((x[:-1], np.diff(m) / (6.0 * h), 0.5 * m[:-1],
                                         slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]))
@@ -451,10 +515,13 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
     diffs = []
     scratch = end = None
     converged = on_bound = False
+    flux_evals = 0
     for _ in range(MAX_PICARD):
         path = NaturalSpline(nodes, L_vals)
         scratch, moments, extinct = _transport(ens, nodes, path)
-        resolved, yb, w0b = _resolve_L(moments, path(nodes[1:len(moments) + 1]), ens.initial)
+        resolved, yb, w0b, evals = _resolve_L(moments, path(nodes[1:len(moments) + 1]),
+                                              ens.initial)
+        flux_evals += evals
         # a node whose L is not positive ends the sweep before any later panel
         if not np.all(np.isfinite(resolved) & (resolved > 0)):
             break
@@ -479,7 +546,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     stats = PicardStats(iterations=len(diffs), first_correction=diffs[0] if diffs else 0.0,
                         ratios=ratios, converged=converged, stopped_on_bound=on_bound,
-                        end_state=end)
+                        end_state=end, flux_evals=flux_evals)
     return scratch, path if on_bound else NaturalSpline(nodes, L_vals), stats
 
 

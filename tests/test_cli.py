@@ -390,6 +390,31 @@ def test_iteration_cap_fails_the_section(tmp_path, capsys, monkeypatch):
     assert data["checks"]["convergence"]["value"] > 0
 
 
+def test_resolution_cap_fails_the_section(tmp_path, capsys, monkeypatch):
+    # a flux whose value flips by a relative 1e-8 between calls keeps every
+    # L-resolution from converging, as in the solver's own cap test; the
+    # Picard tolerance sits above the flips, so the run itself reaches t_final
+    clean = lsw_solver._flux_L
+    flips = [1.0]
+
+    def noisy(*args):
+        flips[0] = -flips[0]
+        return clean(*args) * (1.0 + 1e-8 * flips[0])
+
+    monkeypatch.setattr(lsw_solver, "_flux_L", noisy)
+    cfg = tmp_path / "cap.ini"
+    cfg.write_text(
+        "[cap]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0.2\ntol = 1e-6\n"
+        "checks = conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "convergence: " in out and "did not converge in 40 iterations" in out
+    data = json.loads((tmp_path / "out" / "cap" / "summary.json").read_text())
+    assert data["terminated"] == "t_final"
+    assert data["violations"] == ["convergence"]
+
+
 def test_cap_warning_is_recorded_and_other_warnings_still_show(tmp_path, capsys, monkeypatch):
     def warning_runner(opts, outdir):
         warnings.warn("unrelated", UserWarning)
@@ -455,6 +480,36 @@ def test_lsw_summary_counts_steps_stopped_on_the_bound(tmp_path, capsys, monkeyp
     assert data["picard_iters_total"] == sum(p.iterations for p in picard)
     assert data["picard_on_bound"] == sum(p.stopped_on_bound for p in picard)
     assert 0 < data["picard_on_bound"] < data["steps"]
+
+
+def test_lsw_summary_counts_the_flux_evaluations_of_the_sweeps(tmp_path, capsys, monkeypatch):
+    # each step's flux_evals is the _flux_L batches its sweeps took; the
+    # summary sums them over the accepted steps, leaving out halved attempts
+    # and the resolutions of the recorded states
+    flux, picard = lsw_solver._flux_L, lsw_solver.picard_solve_interval
+    batches, steps = [0], []
+
+    def counted_flux(*args):
+        batches[0] += 1
+        return flux(*args)
+
+    def counted_picard(*args):
+        before = batches[0]
+        out = picard(*args)
+        steps.append((out[2], batches[0] - before))
+        return out
+
+    monkeypatch.setattr(lsw_solver, "_flux_L", counted_flux)
+    monkeypatch.setattr(lsw_solver, "picard_solve_interval", counted_picard)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[exp]\nmodel = lsw\nfamily = exponential\nt_final = 1\ntol = 1e-6\n"
+                   "checks = conservation\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "out" / "exp" / "summary.json").read_text())
+    assert all(stats.flux_evals == n for stats, n in steps)
+    assert data["flux_evals"] == sum(n for stats, n in steps if stats.converged)
+    assert data["steps"] < data["picard_iters_total"] < data["flux_evals"] < batches[0]
 
 
 def test_crash_is_isolated(tmp_path, capsys, monkeypatch):

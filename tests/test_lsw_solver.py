@@ -217,7 +217,7 @@ def test_descent_inverts_exit_time(monkeypatch, ds):
     monkeypatch.setattr(lsw_solver, "_phi_of_u", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = lsw_solver._analytic_descent(np.cbrt(x / L), L, ds)
+        out = L * lsw_solver._analytic_descent(np.cbrt(x / L), L, ds) ** 3
     # one call for the target, one per Newton iteration
     assert calls[0] - 1 <= 8
     monkeypatch.setattr(lsw_solver, "_phi_of_u", clean)
@@ -251,6 +251,18 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)
 
 
+def _advance_panels(ens, nodes, path):
+    """A copy of ens carried through the panels of ``nodes`` one ``_advance``
+    at a time, with the cube root carried between panels, and a full copy of
+    it at every node."""
+    scratch, at_nodes, root = copy.copy(ens), [], None
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        ss, points = lsw_solver._panel_times(np.array([a, b]))
+        root = lsw_solver._advance(scratch, ss[0].tolist(), path(points[0]).tolist(), root)
+        at_nodes.append(copy.copy(scratch))
+    return scratch, at_nodes
+
+
 def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     """Chebyshev nodes of one Picard step from ens, the first sweep's path,
     and a full copy of the transported ensemble at every node."""
@@ -258,11 +270,7 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     j = np.arange(lsw_solver.N_CHEB + 1)
     nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
     path = lsw_solver.NaturalSpline(nodes, np.full(len(nodes), L0))
-    scratch, at_nodes = copy.copy(ens), []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        lsw_solver._advance(scratch, a, b, path)
-        at_nodes.append(copy.copy(scratch))
-    return nodes, path, at_nodes
+    return nodes, path, _advance_panels(ens, nodes, path)[1]
 
 
 def _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch):
@@ -279,7 +287,7 @@ def _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch):
         return flux(states, *args)
 
     monkeypatch.setattr(lsw_solver, "_flux_L", counted)
-    L, yb, w0b = lsw_solver._resolve_L(moments, guesses, ens.initial)
+    L, yb, w0b, _ = lsw_solver._resolve_L(moments, guesses, ens.initial)
     per_node_iters = []
     for i, (node, guess) in enumerate(zip(at_nodes, guesses)):
         start = len(batch_sizes)
@@ -317,6 +325,52 @@ def test_batched_resolution_head_cell_branch(monkeypatch):
     _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch)
 
 
+@pytest.mark.parametrize("family", ["exponential", "power-tail"])
+def test_resolution_stops_on_its_error_bound(family, short_exp_run):
+    # the bound stop d r/(1-r) agrees with iterating each node until its
+    # change is below 1e-15, within the 1e-13 max(L, 1) floor, and takes
+    # fewer flux evaluations than stopping on the change alone
+    ens = short_exp_run[1].ensemble if family == "exponential" else \
+        make_ensemble(lk.power_tail(1.0).profile)
+    _, path, at_nodes = _first_sweep(ens)
+    guesses = path(np.array([e.t for e in at_nodes]))
+    L, _, _, evals = lsw_solver._resolve_L(at_nodes, guesses, ens.initial)
+    on_change = 0
+    for node, guess, got in zip(at_nodes, guesses, L):
+        far = [cellquad.power_suffix(node.pos, node.w, -2.0 / 3.0)]
+        prev, changes = float(guess), []
+        for _ in range(lsw_solver._RESOLVE_CAP):
+            w0b = node.initial.w_at(lsw_solver._boundary_labels([node], np.array([prev])))
+            new = float(lsw_solver._flux_L([node], w0b, np.array([prev]), far)[0])
+            changes.append(abs(new - prev))
+            prev = new
+            if changes[-1] < 1e-15 * max(prev, 1.0):
+                break
+        assert changes[-1] < 1e-15 * max(prev, 1.0)
+        assert abs(got - prev) <= 1e-13 * max(prev, 1.0)
+        on_change = max(on_change, next(i + 1 for i, d in enumerate(changes)
+                                        if d < 1e-13 * max(prev, 1.0)))
+    assert evals < on_change
+
+
+def test_resolution_warns_at_its_cap(short_exp_run, monkeypatch):
+    # a flux whose value flips by a relative 1e-8 between calls keeps every
+    # node's change, and its error bound, far above the floor
+    _, path, at_nodes = _first_sweep(short_exp_run[1].ensemble)
+    clean = lsw_solver._flux_L
+    flips = [1.0]
+
+    def noisy(*args):
+        flips[0] = -flips[0]
+        return clean(*args) * (1.0 + 1e-8 * flips[0])
+
+    monkeypatch.setattr(lsw_solver, "_flux_L", noisy)
+    guesses = path(np.array([e.t for e in at_nodes]))
+    with pytest.warns(lk.ConvergenceWarning, match="8 of 8 nodes did not converge in 40 iterations"):
+        evals = lsw_solver._resolve_L(at_nodes, guesses, at_nodes[0].initial)[3]
+    assert evals == lsw_solver._RESOLVE_CAP
+
+
 @pytest.mark.parametrize("ds_over_L", [1e-25, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
 def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
     L, a = 1.3, 0.7
@@ -327,7 +381,7 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
                               jac=np.linspace(1.0, 2.0, len(pos)), t=a)
     b = a + ds_over_L * L
     monkeypatch.setattr(lsw_solver, "NSUB", 1)
-    lsw_solver._advance(ens, a, b, lambda s: np.full(np.shape(s), L))
+    lsw_solver._advance(ens, [a, b], [[L, L, L]])
     ds = b - a
     tte = exit_time_frozen(pos, L)
     exiting = tte <= ds
@@ -340,24 +394,87 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
     np.testing.assert_array_equal(ens.labels, pos[~exiting])
 
 
-def test_one_spline_evaluation_per_panel(short_exp_run):
+def test_one_spline_evaluation_per_sweep(short_exp_run):
     nodes, path, _ = _first_sweep(short_exp_run[1].ensemble)
     # a path that is not constant, as in later sweeps
     path = lsw_solver.NaturalSpline(nodes, path(nodes) * (1.0 + 0.01 * np.sin(nodes)))
     calls = []
 
     def counted(s):
-        calls.append(np.shape(s))
+        calls.append(np.array(s))
         return path(s)
 
-    ens = copy.copy(short_exp_run[1].ensemble)
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        lsw_solver._advance(ens, a, b, counted)
-        ss = np.linspace(a, b, 3)
+    lsw_solver._transport(short_exp_run[1].ensemble, nodes, counted)
+    assert [c.shape for c in calls] == [(lsw_solver.N_CHEB, lsw_solver.NSUB, 3)]
+    # each panel's rows are the (start, middle, end) of its substeps, as
+    # np.linspace spaces them, and the path's values there are the pointwise ones
+    for a, b, rows in zip(nodes[:-1], nodes[1:], calls[0]):
+        ss = np.linspace(a, b, lsw_solver.NSUB + 1)
         ds = np.diff(ss)
         points = np.column_stack((ss[:-1], ss[:-1] + 0.5 * ds, ss[:-1] + ds))
-        assert [p.tolist() for p in path(points)] == [[float(path(p)) for p in row] for row in points]
-    assert calls == [(2, 3)] * (len(nodes) - 1)
+        np.testing.assert_array_equal(rows, points)
+        assert [p.tolist() for p in path(rows)] == [[float(path(p)) for p in row] for row in points]
+
+
+def _ulps(r, ref):
+    return np.abs(r - ref) / np.spacing(ref)
+
+
+@pytest.mark.parametrize("family", ["exponential", "indicator"])
+def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
+    # at every substep of a sweep, the root each share starts from is within
+    # 4 ulp of the cube root of the positions it belongs to
+    if family == "exponential":
+        ens = short_exp_run[1].ensemble
+    else:
+        ens = make_ensemble(lk.indicator(n=512).profile)
+    nodes, path, _ = _first_sweep(ens, SolverConfig())
+    path = lsw_solver.NaturalSpline(nodes, path(nodes) * (1.0 + 0.01 * np.sin(40.0 * nodes)))
+    log_exits, descent, rk4 = lsw_solver._log_exits, lsw_solver._analytic_descent, lsw_solver._rk4
+    seen, worst = [], []
+
+    def screened(e, *args):
+        keep = log_exits(e, *args)
+        seen.append(e.pos)
+        return keep
+
+    def checked_descent(u, L, ds):
+        worst.append(np.max(_ulps(u, np.cbrt(seen[-1][:len(u)] / L))))
+        return descent(u, L, ds)
+
+    def checked_rk4(x, r, ds, L_a, L_mid, L_b):
+        worst.append(np.max(_ulps(r, np.cbrt(x / L_mid))))
+        return rk4(x, r, ds, L_a, L_mid, L_b)
+
+    monkeypatch.setattr(lsw_solver, "_log_exits", screened)
+    monkeypatch.setattr(lsw_solver, "_analytic_descent", checked_descent)
+    monkeypatch.setattr(lsw_solver, "_rk4", checked_rk4)
+    lsw_solver._transport(ens, nodes, path)
+    # both shares run at every substep
+    assert len(seen) == lsw_solver.N_CHEB * lsw_solver.NSUB and len(worst) == 2 * len(seen)
+    assert max(worst) <= 4.0
+
+
+def test_exits_leave_the_carried_root_by_mask():
+    # at ds = 1e-25 L the rounding of the exit times at tiny x makes the
+    # exits a scattered subset of the head, not a prefix; the carried root
+    # must drop the same entries as the positions
+    L, a = 1.3, 0.7
+    fam = lk.exponential()
+    pos = L * np.geomspace(1e-24, 0.99, 4000)
+    b = a + 1e-25 * L
+    exiting = np.flatnonzero(exit_time_frozen(pos, L) <= b - a)
+    assert len(exiting) and exiting[-1] + 1 > len(exiting)
+    out = []
+    for root in (None, (np.cbrt(pos / L), L)):
+        ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos.copy(), w=np.exp(-pos),
+                                  initial=fam.profile, beta0=fam.beta_exact, t=a)
+        out.append((ens, lsw_solver._advance(ens, [a, 0.5 * (a + b), b], [[L, L, L]] * 2, root)))
+    (fresh, fresh_root), (carried, carried_root) = out
+    np.testing.assert_array_equal(carried.labels, np.delete(pos, exiting))
+    for name in ("pos", "jac"):
+        np.testing.assert_array_equal(getattr(carried, name), getattr(fresh, name))
+    np.testing.assert_array_equal(carried_root[0], fresh_root[0])
 
 
 def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
@@ -369,11 +486,7 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
     out, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
     assert stats.converged and stats.stopped_on_bound and stats.iterations >= 2
     nodes = path.x
-    confirm = copy.copy(ens)
-    moments = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        lsw_solver._advance(confirm, a, b, path)
-        moments.append(copy.copy(confirm))
+    confirm, moments = _advance_panels(ens, nodes, path)
     resolved = lsw_solver._resolve_L(moments, path(nodes[1:]), ens.initial)[0]
     assert np.max(np.abs(resolved - path(nodes[1:]))) < cfg.tol * L0
     for name in ("labels", "pos", "w", "jac"):
@@ -591,7 +704,7 @@ def test_traced_descent_iterations_are_the_loop_count(monkeypatch):
     monkeypatch.setattr(lsw_solver, "NSUB", 1)
     tracer = _perfbench_tracer()
     with tracer.Tracer() as t:
-        lsw_solver._advance(ens, a, b, lambda s: np.full(np.shape(s), L))
+        lsw_solver._advance(ens, [a, b], [[L, L, L]])
     metrics = t.metrics(1)
     assert metrics["lsw_solver.transport.descent_calls"] == 1
     iters = metrics["lsw_solver.transport.newton_iters_per_call"]
@@ -599,7 +712,32 @@ def test_traced_descent_iterations_are_the_loop_count(monkeypatch):
     survivors = pos[exit_time_frozen(pos, L) > b - a]
     u = np.cbrt(survivors / L)
     monkeypatch.setattr(lsw_solver, "_HALLEY_CAP", int(iters))
-    np.testing.assert_array_equal(lsw_solver._analytic_descent(u, L, b - a), ens.pos)
+    np.testing.assert_array_equal(L * lsw_solver._analytic_descent(u, L, b - a) ** 3, ens.pos)
     monkeypatch.setattr(lsw_solver, "_HALLEY_CAP", int(iters) - 1)
     with pytest.warns(lk.ConvergenceWarning):
         lsw_solver._analytic_descent(u, L, b - a)
+
+
+def test_traced_solver_layers_resolve(monkeypatch):
+    # perfbench reads the transport and Picard layers by wrapping solver
+    # functions by name; a restructure that stops calling them through those
+    # names would turn its per-layer metrics into None, or count other units
+    tracer = _perfbench_tracer()
+    transport, transports = lsw_solver._transport, []
+
+    def counted(*args):
+        transports.append(args)
+        return transport(*args)
+
+    monkeypatch.setattr(lsw_solver, "_transport", counted)
+    fam = lk.exponential()
+    with tracer.Tracer() as t:
+        res = advance_global(fam.profile, 0.5, SolverConfig(tol=1e-6), beta0=fam.beta_exact)
+    metrics = t.metrics(1)
+    layers = {name: value for name, value in metrics.items()
+              if name.startswith(("lsw_solver.transport.", "lsw_solver.picard."))}
+    assert len(layers) == 13 and all(v is not None for v in layers.values()), layers
+    assert metrics["lsw_solver.transport.calls"] == lsw_solver.N_CHEB * len(transports)
+    assert metrics["lsw_solver.transport.newton_iters_per_call"] >= 2
+    assert metrics["lsw_solver.picard.steps"] == len(res.picard)
+    assert metrics["lsw_solver.picard.sweeps"] == sum(p.iterations for p in res.picard)

@@ -167,7 +167,7 @@ def test_descent_inverts_exit_time_for_any_substep(r, L, frac):
     ds = frac * float(tte[0])
     assume(ds < tte[0])
     u = np.cbrt(x / L)
-    out = lsw_solver._analytic_descent(u, L, ds)
+    out = L * lsw_solver._analytic_descent(u, L, ds) ** 3
     # the floor of test_lsw_solver.py::test_descent_inverts_exit_time: the
     # rounding of exit_time_frozen, which cancels for small x/L
     floor = 4.0 * 3.0 * L * np.finfo(float).eps * (u + np.abs(np.log1p(-u)))
