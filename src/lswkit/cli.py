@@ -210,7 +210,7 @@ NOT_EVALUATED = CheckResult(False, math.nan, math.nan, "unknown or not evaluated
 # default bounds; affine, stability and regular_variation take theirs from
 # affine_tol, stability_tol and rv_tol when a section sets them
 BOUNDS = {
-    "conservation": 1e-4,       # relative mass drift
+    "conservation": 1e-4,       # relative mass drift; a step's RK4 mass defect (linear)
     "identity": (0.02, 0.95),   # relative error, least fraction of samples within it
     "upper_bound": 1e-9,        # Lambda slack relative to Lambda(0), and E slack
     "picard": (10, 1.0),        # most sweeps in a step, contraction ratio strictly below
@@ -363,18 +363,17 @@ def _regular_variation(run, opts) -> CheckResult | None:
     return CheckResult(dev <= tol, dev, tol, f"exponent {est.exponent:.4f}")
 
 
-_conservation = _at_most("conservation", lambda run: mass_drift(run.result.trace),
-                         "max relative mass drift {:.3g}")
-
 CHECKS = {
-    ("lsw", "conservation"): _conservation,
+    ("lsw", "conservation"): _at_most("conservation", lambda run: mass_drift(run.result.trace),
+                                      "max relative mass drift {:.3g}"),
     ("lsw", "upper_bound"): _upper_bound,
     ("lsw", "identity"): _identity,
     ("lsw", "picard"): _picard,
     ("lsw", "monotonicity"): _monotonicity,
     ("lsw", "stationarity"): _stationarity,
     ("lsw", "dyadic"): _dyadic,
-    ("linear", "conservation"): _conservation,
+    ("linear", "conservation"): _at_most("conservation", lambda run: run.result.mass_defect,
+                                         "max relative RK4 mass defect {:.3g}"),
     ("linear", "identity"): _identity,
     ("linear", "affine"): _at_most("affine", lambda run: affine_exactness_check(run.result),
                                    "max reconstruction deviation {:.3g}", option="affine_tol"),
@@ -510,6 +509,9 @@ def compare_traces(path_a: str, path_b: str, tol: float | None = None) -> int:
         print(f"{col:<10} max rel diff {rel:.6g}")
     if len(a) != len(b):
         print(f"row count differs: {len(a)} vs {len(b)} (compared first {n})")
+        if tol is not None:
+            print(f"FAIL: row counts differ ({len(a)} vs {len(b)})")
+            return 1
     if tol is not None and worst > tol:
         print(f"FAIL: max relative difference {worst:.6g} exceeds {tol:g}")
         return 1

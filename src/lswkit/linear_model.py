@@ -43,6 +43,7 @@ class LinearRunResult:
     B: float
     Bs: list = field(default_factory=list)     # B at each trace time
     terminated: str = "t_final"
+    mass_defect: float = 0.0    # largest |e^tau h0(B) - mass0|/mass0 of a step, before projection
 
 
 def _rk4(f, y, s, h):
@@ -89,6 +90,7 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
     trace = CoarseningTrace()
     Bs: list = []
     terminated = "t_final"
+    defect = 0.0
 
     def record():
         tau, B = state
@@ -118,8 +120,10 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
             terminated = "extinction"
             break
         # project tau back onto the conserved manifold e^tau h0(B) = mass0,
-        # which the continuous flow preserves exactly but RK4 drifts off
+        # which the continuous flow preserves exactly but RK4 drifts off;
+        # the drift of this step is what the conservation check reads
         hB = profile.h_at(state[1])
+        defect = max(defect, abs(np.exp(state[0]) * hB - mass0) / mass0)
         if hB > 0:
             state[0] = np.log(mass0 / hB)
         record()
@@ -127,7 +131,7 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
         if terminated == "t_final":
             terminated = "extinction"
     return LinearRunResult(trace=trace, tau=float(state[0]), B=float(state[1]),
-                           Bs=Bs, terminated=terminated)
+                           Bs=Bs, terminated=terminated, mass_defect=float(defect))
 
 
 @dataclass

@@ -43,6 +43,21 @@ _HALLEY_CAP = 60
 # the rounding floor of _phi_of_u(u), which cancels to ~u^3/3 from O(u) terms:
 # a few eps times u + |log1p(-u)|
 _PHI_FLOOR = 4.0 * np.finfo(float).eps
+# below this root _phi_of_u cancels, its relative rounding growing like eps/u^2,
+# so the descent does not read its start from the tabulated inverse there
+_TINY_ROOT = 1e-3
+_INVERSE_NODES = 4096
+
+
+def _inverse_table() -> tuple[np.ndarray, np.ndarray]:
+    # the inverse of s = cbrt(3 phi(u)) as pairs (s, u/s); phi(u) ~ u^3/3
+    # makes (0, 1) its value at the origin
+    u = np.linspace(_TINY_ROOT, 0.999, _INVERSE_NODES)
+    s = np.cbrt(3.0 * _phi_of_u(u))
+    return np.concatenate(([0.0], s)), np.concatenate(([1.0], u / s))
+
+
+_INVERSE_S, _INVERSE_RATIO = _inverse_table()
 
 
 def exit_time_frozen(x, L):
@@ -57,20 +72,26 @@ def _analytic_descent(u, L, ds):
 
     Exact for frozen L (entries that would cross 0 must have been screened
     out by the caller).  Halley steps on phi(u') = phi(u) - ds/(3L) start
-    from an upper bound of the root; the first is taken without a test, and
-    each entry stops once its residual is within the rounding floor of
-    ``_phi_of_u``.  Entries still moving after the iteration cap are reported
-    in a ConvergenceWarning.
+    from the tabulated inverse of s = cbrt(3 phi), read at s = cbrt(3*target),
+    which one step makes exact to rounding; the first step is taken without a
+    test, and each entry stops once its residual is within the rounding floor
+    of ``_phi_of_u``.  Entries still moving after the iteration cap are
+    reported in a ConvergenceWarning.
     """
     c = ds / (3.0 * L)
     target = _phi_of_u(u) - c
-    # phi' = u^2/(1-u) and phi'' = u(2-u)/(1-u)^2.  The second-order Taylor
-    # estimate of the inverse map, u - n (1 + n phi''/(2 phi')) with the
-    # Newton step n = c/phi', bounds the root from above because the inverse
-    # has a positive third derivative; so does cbrt(3*target), as phi(u) >= u^3/3
-    u2 = u * u
-    n = c * (1.0 - u) / u2
-    start = np.minimum(u - n * (1.0 + (0.5 * c) * (2.0 - u) / (u2 * u)), np.cbrt(3.0 * target))
+    s = np.cbrt(3.0 * target)
+    start = s * np.interp(s, _INVERSE_S, _INVERSE_RATIO)
+    tiny = u < _TINY_ROOT
+    if tiny.any():
+        # target cancels here; start from the second-order Taylor
+        # estimate of the inverse map, u - n (1 + n phi''/(2 phi')) with the
+        # Newton step n = c/phi', phi' = u^2/(1-u), phi'' = u(2-u)/(1-u)^2,
+        # capped by s, an upper bound of the root as phi(u) >= u^3/3
+        ut = u[tiny]
+        u2 = ut * ut
+        n = c * (1.0 - ut) / u2
+        start[tiny] = np.minimum(ut - n * (1.0 + (0.5 * c) * (2.0 - ut) / (u2 * ut)), s[tiny])
     moving = target > 0
     # an entry with target <= 0 would exit within ds and ends at the origin;
     # 0.5 only keeps its arithmetic finite

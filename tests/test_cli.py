@@ -150,6 +150,20 @@ def test_compare_detects_difference(config_path, tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("keep, rc", [(None, 0), (-1, 1)])
+def test_compare_with_tol_fails_a_truncated_trace(config_path, tmp_path, capsys, keep, rc):
+    # rows that agree as far as both go do not make traces of different
+    # lengths the same
+    main(["run", str(config_path), "--output", str(tmp_path / "out")])
+    trace = tmp_path / "out" / "quick-linear" / "trace.csv"
+    lines = trace.read_text().splitlines()
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join(lines[:keep]) + "\n")
+    assert main(["compare", str(trace), str(other), "--tol", "1e-12"]) == rc
+    out = capsys.readouterr().out
+    assert ("FAIL: row counts differ" in out) == bool(rc)
+
+
 def test_families_listing(capsys):
     rc = main(["families"])
     out = capsys.readouterr().out

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import lswkit as lk
+from lswkit import linear_model
+from lswkit.cli import CHECKS
 from lswkit.linear_model import (
     LinearModelConfig, run_linear_model, stability_check, affine_exactness_check,
 )
@@ -16,6 +20,30 @@ def half_run():
 
 def test_mass_is_algebraically_conserved(half_run):
     _, res = half_run
+    assert mass_drift(res.trace) < 1e-12
+
+
+def test_conservation_reads_the_defect_before_projection(half_run):
+    # the recorded mass is projected back; the check reads each step's RK4
+    # defect before that, which is small but not rounding
+    fam, res = half_run
+    check = CHECKS[("linear", "conservation")](SimpleNamespace(fam=fam, result=res), {})
+    assert check.passed and 1e-12 < check.value == res.mass_defect < 1e-6
+
+
+def test_conservation_fails_a_step_that_loses_mass(monkeypatch):
+    # a step that misses the conserved mass by 1e-3 fails the check, though
+    # the projection keeps the recorded mass exact
+    fam = lk.constant_beta(0.5)
+    rk4 = linear_model._rk4
+
+    def lossy(f, y, s, h):
+        return rk4(f, y, s, h) + np.array([np.log1p(1e-3), 0.0])
+
+    monkeypatch.setattr(linear_model, "_rk4", lossy)
+    res = run_linear_model(fam.profile, 20.0, beta0=fam.beta_exact)
+    check = CHECKS[("linear", "conservation")](SimpleNamespace(fam=fam, result=res), {})
+    assert not check.passed and check.value == pytest.approx(1e-3, rel=1e-2)
     assert mass_drift(res.trace) < 1e-12
 
 

@@ -201,6 +201,15 @@ def test_descent_warns_when_newton_cannot_converge(monkeypatch):
         lsw_solver._analytic_descent(np.cbrt(x), 1.0, 1e-3)
 
 
+def test_inverse_table_is_increasing_with_ratio_in_unit_interval():
+    # the descent interpolates u/s in s, so s must increase strictly, and
+    # phi(u) >= u^3/3 keeps u/s in (0, 1]
+    s, ratio = lsw_solver._INVERSE_S, lsw_solver._INVERSE_RATIO
+    assert len(s) == len(ratio) == lsw_solver._INVERSE_NODES + 1
+    assert np.all(np.diff(s) > 0)
+    assert np.all((ratio > 0.0) & (ratio <= 1.0))
+
+
 @pytest.mark.parametrize("ds", [1e-9, 1e-5, 1e-3, 0.05, 0.5])
 def test_descent_inverts_exit_time(monkeypatch, ds):
     L = 1.3

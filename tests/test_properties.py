@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -190,13 +193,59 @@ def test_descent_is_elementwise(rs, L, frac):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(x_over_L, min_size=1, max_size=40), lengths,
        st.floats(min_value=0.0, max_value=5e-3))
-def test_descent_needs_at_most_three_iterations(rs, L, ds_over_L):
+def test_descent_needs_at_most_two_iterations(rs, L, ds_over_L):
     # ds/L <= 5e-3 covers the widest substep at delta = 0.05; with a cap of
-    # 3 Halley iterations, needing a fourth raises the cap warning
+    # 2 iterations, the untested Halley step and its residual test, needing
+    # a second step raises the cap warning
     x = L * np.array(rs)
     ds = ds_over_L * L
     x = x[exit_time_frozen(x, L) > ds]
     assume(len(x))
-    with mock.patch.object(lsw_solver, "_HALLEY_CAP", 3), warnings.catch_warnings():
+    with mock.patch.object(lsw_solver, "_HALLEY_CAP", 2), warnings.catch_warnings():
         warnings.simplefilter("error", lk.ConvergenceWarning)
         lsw_solver._analytic_descent(np.cbrt(x / L), L, ds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=0.9655), min_size=1, max_size=40), lengths,
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_descent_from_the_table_matches_the_second_order_start(us, L, frac):
+    # the roots the descent serves, from its tiny-root threshold to
+    # (0.9)^(1/3); a threshold of 1 sends every entry through the
+    # second-order start and up to 60 Halley passes
+    u = np.array(us)
+    ds = frac * float(np.min(exit_time_frozen(L * u**3, L)))
+    out = lsw_solver._analytic_descent(u, L, ds)
+    with mock.patch.object(lsw_solver, "_TINY_ROOT", 1.0):
+        ref = lsw_solver._analytic_descent(u, L, ds)
+    phi = lsw_solver._phi_of_u
+    floor = lsw_solver._PHI_FLOOR * (phi(ref) + ref * (2.0 + 0.5 * ref))
+    assert np.all(np.abs(phi(out) - phi(ref)) <= 2.0 * floor)
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_failing_property_does_not_stop_the_run(tmp_path):
+    # hypothesis prints a failing example through an import that warns; the
+    # repo's filterwarnings must let that failure count as one, and the
+    # tests after it run
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
