@@ -84,7 +84,6 @@ from .lsw_solver import (
     dyadic_report,
 )
 from .linear_model import (
-    LinearModelConfig,
     LinearRunResult,
     run_linear_model,
     stability_check,
@@ -113,6 +112,6 @@ __all__ = [
     "CoarseningTrace", "RunResult", "Snapshot", "coarsening_identity_check", "mass_drift",
     "beta_along_flow", "g_profile", "normalized_view", "dyadic_intervals",
     "dyadic_report",
-    "LinearModelConfig", "LinearRunResult", "run_linear_model",
+    "LinearRunResult", "run_linear_model",
     "stability_check", "affine_exactness_check",
 ]

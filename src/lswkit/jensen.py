@@ -9,13 +9,12 @@ forms, so the certificates are sharp for the given data.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .profiles import SurvivalProfile, beta_from_profile, json_number
+from .profiles import SurvivalProfile, beta_from_profile, write_json
 
 # leg-8 nodes/weights on [-1, 1] for smooth integrands against cellwise
 # constant densities
@@ -35,8 +34,7 @@ class JensenCertificate:
     note: str = ""
 
     def to_json(self, path: str | Path) -> None:
-        record = {k: json_number(v) if isinstance(v, float) else v for k, v in asdict(self).items()}
-        Path(path).write_text(json.dumps(record, indent=2) + "\n")
+        write_json(path, asdict(self))
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,8 @@ def _extended_cells(profile: SurvivalProfile, levels: int = 48):
     w = profile.values
     xm, wm = float(x[-1]), float(w[-1])
     tail = profile.tail
-    if tail.kind == "compact" or wm == 0.0:
-        return x, w, (wm if tail.kind == "compact" else 0.0)
+    if tail.kind == "compact":
+        return x, w, wm
     k = np.arange(1, levels + 1)
     if tail.kind == "exponential":
         extra_x = xm + k * np.log(2.0) / tail.param

@@ -32,11 +32,6 @@ SURVIVAL_FLOOR = 1e-12  # a run stops once w0(B)/w0(0) falls below this
 
 
 @dataclass
-class LinearModelConfig:
-    delta: float = 0.05          # step as a fraction of the current Lambda
-
-
-@dataclass
 class LinearRunResult:
     trace: CoarseningTrace
     tau: float
@@ -74,13 +69,12 @@ def _energy(profile: SurvivalProfile, tau: float, B: float) -> float:
     return (2.0 / 3.0) * np.exp(2.0 * tau / 3.0) * (body + tail)
 
 
-def run_linear_model(profile: SurvivalProfile, t_final: float,
-                     cfg: LinearModelConfig = LinearModelConfig(),
+def run_linear_model(profile: SurvivalProfile, t_final: float, delta: float = 0.05,
                      beta0=None) -> LinearRunResult:
     """Integrate the reduced (tau, B) system to t_final with RK4.
 
-    Steps scale with the current Lambda, so late-time coarsening costs
-    logarithmically many steps.
+    Steps are ``delta`` times the current Lambda, so late-time coarsening
+    costs logarithmically many steps.
     """
     if beta0 is None:
         beta0 = beta_interpolant(profile)
@@ -113,7 +107,7 @@ def run_linear_model(profile: SurvivalProfile, t_final: float,
             terminated = "extinction"
             break
         lam = mass0 / w0b
-        dt = min(cfg.delta * lam, t_final - t)
+        dt = min(delta * lam, t_final - t)
         state = _rk4(lambda y, s: _rhs(y, profile, mass0), state, t, dt)
         t += dt
         if profile.w_at(state[1]) <= 0.0:

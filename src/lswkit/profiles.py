@@ -41,10 +41,19 @@ def write_csv(path: str | Path, header: str, columns) -> None:
             f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def json_number(v) -> float | None:
-    """A float for a JSON file: non-finite values become null, as strict JSON requires."""
-    v = float(v)
-    return v if math.isfinite(v) else None
+def _strict(v):
+    # a non-finite float becomes None, at any depth of dicts, lists and tuples
+    if isinstance(v, dict):
+        return {key: _strict(item) for key, item in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(item) for item in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def write_json(path: str | Path, record) -> None:
+    """``record`` as indented JSON; a non-finite float at any depth is written
+    as null, as strict JSON requires."""
+    Path(path).write_text(json.dumps(_strict(record), indent=2) + "\n")
 
 
 _EPS = np.finfo(float).eps
@@ -133,7 +142,7 @@ def bracketed_root(f, lo, hi):
 
 def _tail_power_integral(tail: TailModel, xm: float, wm: float, s: float) -> float:
     """Exact integral of x^s * w(x) over (xm, infinity) for the tail model."""
-    if tail.kind == "compact" or wm == 0.0:
+    if tail.kind == "compact":
         return 0.0
     if tail.kind == "exponential":
         lam = tail.param
@@ -196,7 +205,7 @@ class SurvivalProfile:
     def tail_mass(self) -> float:
         """Mass of the analytic tail beyond the last grid node."""
         xm, wm = float(self.grid[-1]), float(self.values[-1])
-        if self.tail.kind == "compact" or wm == 0.0:
+        if self.tail.kind == "compact":
             return 0.0
         if self.tail.kind == "exponential":
             return wm / self.tail.param
@@ -342,7 +351,7 @@ class SurvivalProfile:
             "params": {"param": self.tail.param},
             "mass": self.mass,
         }
-        csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+        write_json(csv_path.with_suffix(".json"), sidecar)
 
     @classmethod
     def load(cls, csv_path: str | Path) -> "SurvivalProfile":
@@ -468,9 +477,9 @@ def beta_envelope(profile: SurvivalProfile) -> tuple[float, float]:
     resolved = (profile.values[:nb] >= profile.w0 * ENVELOPE_LEVEL) & ~beta.low_confidence
     vals = beta.values[resolved]
     lo, hi = float(np.min(vals)), float(np.max(vals))
-    if profile.tail.kind == "exponential" and profile.values[-1] > 0:
+    if profile.tail.kind == "exponential":
         lo, hi = min(lo, 1.0), max(hi, 1.0)
-    elif profile.tail.kind == "power" and profile.values[-1] > 0:
+    elif profile.tail.kind == "power":
         bt = profile.tail.param / (profile.tail.param - 1.0)
         lo, hi = min(lo, bt), max(hi, bt)
     return lo, hi

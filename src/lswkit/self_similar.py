@@ -12,7 +12,6 @@ profile and its beta function are accurate all the way to the support end.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import cellquad
 from .errors import ConfigError
-from .profiles import BetaProfile, SurvivalProfile, TailModel, bracketed_root, write_csv
+from .profiles import BetaProfile, SurvivalProfile, TailModel, bracketed_root, write_csv, write_json
 
 ALPHA_MAX = 4.0 / 27.0
 ALPHA_MARGIN = 1e-3     # build_profile takes alpha below ALPHA_MAX - ALPHA_MARGIN
@@ -71,7 +70,7 @@ class SelfSimilarProfile:
         write_csv(csv_path, "z,Gamma,w_star,g_alpha", (self.z, self.Gamma, self.w, g))
         meta = {"alpha": self.alpha, "a_alpha": self.a_alpha,
                 "gamma": self.gamma, "z4_residual": self.z4_residual}
-        Path(csv_path).with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
+        write_json(Path(csv_path).with_suffix(".json"), meta)
 
 
 def build_profile(alpha: float) -> SelfSimilarProfile:

@@ -1,4 +1,6 @@
 import configparser
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 import lswkit
 from lswkit import cli, lsw_solver
 from lswkit.cli import main
-from lswkit.families import make_family
+from lswkit.families import FAMILY_BUILDERS, make_family
 from lswkit.lsw_solver import CoarseningTrace
 
 
@@ -170,6 +172,14 @@ def test_families_listing(capsys):
     assert rc == 0
     for name in ("constant-beta", "exponential", "self-similar", "power-tail"):
         assert name in out
+    # the listing reads the registry: every builder, with its parameters
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert set(lines) == set(FAMILY_BUILDERS)
+    for name, builder in FAMILY_BUILDERS.items():
+        params = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default}"
+                           for p in inspect.signature(builder).parameters.values())
+        assert f" {params} " in lines[name], (name, params)
+    assert set(cli.FAMILY_PARAM_KEYS) == {"beta", "eps", "p", "alpha", "n"}
 
 
 def test_linear_summary_contents(config_path, tmp_path):
@@ -622,3 +632,135 @@ def test_default_bounds_are_pinned():
     }
     assert set(cli.BOUNDS) <= {name for _, name in cli.CHECKS}
     assert len(cli.CHECKS) == 21
+
+
+_LINEAR = "model = linear\nfamily = constant-beta\nbeta = 0.5\nt_final = 5\n"
+_MAP = "model = map_iteration\nfamily = exponential\nn_steps = 1\nn_grid = 256\n"
+_ANALYSIS = "model = analysis\nfamily = constant-beta\nbeta = 0.5\nalpha = 0.5\nrv_target = 1\n"
+
+
+_DELETED_KEYS = [
+    ("output", "elsewhere", "linear", _LINEAR + "checks = conservation\n"),
+    ("rho", "0.5", "map_iteration", _MAP + "checks = pointwise\n"),
+    ("k_norm", "1", "map_iteration", _MAP + "checks = pointwise\n"),
+    ("affine_tol", "1e-6", "linear", _LINEAR + "checks = affine\n"),
+    ("rv_tol", "0.05", "analysis", _ANALYSIS + "checks = regular_variation\n"),
+    ("rv_expect", "oscillatory", "analysis", _ANALYSIS + "checks = regular_variation\n"),
+]
+
+
+@pytest.mark.parametrize("key, value, model, section", _DELETED_KEYS,
+                         ids=[row[0] for row in _DELETED_KEYS])
+def test_deleted_keys_are_unknown(tmp_path, capsys, key, value, model, section):
+    # no section sets these keys any more; one that does fails before it runs
+    cfg = tmp_path / "gone.ini"
+    cfg.write_text(f"[gone]\n{section}{key} = {value}\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert f"gone  FAIL  ConfigError: unknown key(s) for model '{model}': {key}  [" in out
+    assert [p.name for p in (tmp_path / "out").rglob("*") if p.is_file()] == ["summary.json"]
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_sections_leave_unset_settings_to_the_library(tmp_path, monkeypatch):
+    seen = {}
+
+    def capture(name):
+        def stop(*args, **kwargs):
+            seen[name] = (args, kwargs)
+            raise _Reached
+        return stop
+
+    monkeypatch.setattr(cli, "advance_global", capture("lsw"))
+    monkeypatch.setattr(cli, "run_linear_model", capture("linear"))
+    monkeypatch.setattr(cli, "iterate", capture("map_iteration"))
+    sections = {
+        "lsw": {"model": "lsw", "family": "indicator", "n": "32", "t_final": "0.2"},
+        "linear": {"model": "linear", "family": "constant-beta", "beta": "0.5", "t_final": "5"},
+        "map_iteration": {"model": "map_iteration", "family": "exponential", "n_steps": "1"},
+    }
+    for model, opts in sections.items():
+        with pytest.raises(_Reached):
+            cli._run_section(model, model, opts, tmp_path)
+    assert seen["lsw"][0][2] == lsw_solver.SolverConfig()
+    assert "delta" not in seen["linear"][1]
+    assert "n_grid" not in seen["map_iteration"][1]
+    # a setting the section does make is passed on, as a number
+    with pytest.raises(_Reached):
+        cli._run_section("lsw", "lsw", dict(sections["lsw"], delta="0.1", tol="1e-6"), tmp_path)
+    assert seen["lsw"][0][2] == lsw_solver.SolverConfig(delta=0.1, tol=1e-6)
+    with pytest.raises(_Reached):
+        cli._run_section("linear", "linear", dict(sections["linear"], delta="0.1"), tmp_path)
+    assert seen["linear"][1]["delta"] == 0.1
+    with pytest.raises(_Reached):
+        cli._run_section("map", "map_iteration", dict(sections["map_iteration"], n_grid="256"),
+                         tmp_path)
+    assert seen["map_iteration"][1]["n_grid"] == 256
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_dyadic_report_is_strict_json(tmp_path, capsys):
+    # lengths the 64-node indicator cannot resolve at t = 0.5 are null, not NaN
+    cfg = tmp_path / "d.ini"
+    cfg.write_text("[d]\nmodel = lsw\nfamily = indicator\nn = 64\nt_final = 0.5\n"
+                   "snapshots = 0.5\nchecks = dyadic\n")
+    main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    capsys.readouterr()
+    written = sorted((tmp_path / "out" / "d").glob("*.json"))
+    assert "dyadic.json" in [p.name for p in written]
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    report = json.loads((tmp_path / "out" / "d" / "dyadic.json").read_text())
+    lengths = [v for snap in report for v in snap["lengths"]]
+    assert None in lengths
+    assert all(v is None or isinstance(v, float) for v in lengths)
+
+
+def test_run_without_a_step_keeps_its_rows(tmp_path, capsys):
+    # with t_final = 0 there is no Picard step and one trace row: picard and
+    # identity are not evaluated, and conservation still reports
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[zero]\nmodel = lsw\nfamily = exponential\nt_final = 0\n"
+                   "checks = picard, identity, conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert rc == 1
+    data = json.loads((tmp_path / "out" / "zero" / "summary.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert "error" not in data
+    assert data["steps"] == 0
+    assert data["violations"] == ["picard", "identity"]
+    for name in ("picard", "identity"):
+        assert data["checks"][name] == {"passed": False, "value": None, "bound": None,
+                                        "detail": "unknown or not evaluated"}
+    assert data["checks"]["conservation"]["passed"]
+    assert data["checks"]["conservation"]["bound"] == cli.BOUNDS["conservation"]
+
+
+def test_every_benchmark_probe_resolves():
+    # perfbench wraps these attributes by name; a probe that no longer
+    # resolves turns its metrics into None (or, inside a traced round, into
+    # output the harness cannot read)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    probes = [(owner, attr) for _, owner, attr in tracer.SPAN_PROBES]
+    probes += [(owner, attr) for _, _, owner, attr in tracer.COUNT_PROBES]
+    needed = {attr for attrs in tracer.NEEDS.values() for attr in attrs}
+    for attr in needed:
+        owners = [owner for owner, name in probes if name == attr]
+        assert owners, attr
+        for owner in owners:
+            # the tracer wraps only an attribute the owner itself defines
+            assert vars(owner).get(attr) is not None, attr
+    missing = {attr for owner, attr in probes if vars(owner).get(attr) is None}
+    # the two long-standing dead probes; no other may join them
+    assert missing <= {"identity_check", "save_summary"}
