@@ -501,20 +501,25 @@ def compare_traces(path_a: str, path_b: str, tol: float | None = None) -> int:
         print(f"column mismatch: {cols_a} vs {cols_b}")
         return 1
     n = min(len(a), len(b))
-    worst = 0.0
+    failed = []
     for col in cols_a:
         va, vb = np.atleast_1d(a[col])[:n], np.atleast_1d(b[col])[:n]
         denom = np.maximum(np.abs(va), 1e-300)
-        rel = float(np.max(np.abs(va - vb) / denom))
-        worst = max(worst, rel)
+        # equal entries, NaN against NaN included, do not differ; any other
+        # non-finite difference is NaN or inf, which no tolerance meets
+        same = (va == vb) | (np.isnan(va) & np.isnan(vb))
+        with np.errstate(invalid="ignore"):
+            rel = float(np.max(np.where(same, 0.0, np.abs(va - vb) / denom)))
+        if tol is not None and not rel <= tol:
+            failed.append(f"{col} ({rel:.6g})")
         print(f"{col:<10} max rel diff {rel:.6g}")
     if len(a) != len(b):
         print(f"row count differs: {len(a)} vs {len(b)} (compared first {n})")
         if tol is not None:
             print(f"FAIL: row counts differ ({len(a)} vs {len(b)})")
             return 1
-    if tol is not None and worst > tol:
-        print(f"FAIL: max relative difference {worst:.6g} exceeds {tol:g}")
+    if failed:
+        print(f"FAIL: max relative difference exceeds {tol:g} in {', '.join(failed)}")
         return 1
     return 0
 

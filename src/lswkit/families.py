@@ -32,7 +32,7 @@ class AnalyticFamily:
 
 
 @lru_cache(maxsize=8)
-def _quantile_levels(per_halving: int, deep: int) -> np.ndarray:
+def quantile_levels(per_halving: int, deep: int) -> np.ndarray:
     """The levels 2^(-k/m) for k = 1 .. m*deep, built once and shared read-only."""
     m = per_halving
     levels = np.array([2.0 ** (-k / m) for k in range(1, m * deep + 1)])
@@ -44,18 +44,19 @@ def quantile_grid(quantile, n: int = 2048, deep: int = 45, support_end: float | 
                   per_halving: int = 8):
     """Nodes at survival levels 2^(-k/m) down to 2^(-deep), plus uniform fill.
 
-    ``quantile`` maps an array of levels to the array of their positions.
+    ``quantile`` maps the array ``quantile_levels(per_halving, deep)`` to the
+    array of their positions.
     """
     m = per_halving
-    xq = quantile(_quantile_levels(m, deep))
+    xq = quantile(quantile_levels(m, deep))
     # uniform fill covers the bulk (down to the 2^-10 level); the far tail is
     # left to the geometric quantile nodes
     bulk_end = xq[min(10 * m - 1, len(xq) - 1)]
     fill = np.linspace(0.0, bulk_end, max(n - len(xq), 2))
-    grid = np.unique(np.concatenate(([0.0], fill, xq)))
+    grid = np.sort(np.concatenate(([0.0], fill, xq)))
     if support_end is not None:
         grid = np.append(grid[grid < support_end * (1 - 1e-15)], support_end)
-    # np.unique guarantees sortedness; drop any zero-width cells from rounding
+    # drop the repeated positions and any zero-width cells from rounding
     keep = np.concatenate(([True], np.diff(grid) > 0))
     return grid[keep]
 

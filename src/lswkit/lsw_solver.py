@@ -75,23 +75,33 @@ def _analytic_descent(u, L, ds):
     from the tabulated inverse of s = cbrt(3 phi), read at s = cbrt(3*target),
     which one step makes exact to rounding; the first step is taken without a
     test, and each entry stops once its residual is within the rounding floor
-    of ``_phi_of_u``.  Entries still moving after the iteration cap are
-    reported in a ConvergenceWarning.
+    of ``_phi_of_u``, or keeps moving if its residual is NaN.  An entry whose
+    root or start lies below ``_TINY_ROOT`` takes no step out of [0, 1).
+    Entries still moving after the iteration cap are reported in a
+    ConvergenceWarning.
     """
     c = ds / (3.0 * L)
     target = _phi_of_u(u) - c
     s = np.cbrt(3.0 * target)
     start = s * np.interp(s, _INVERSE_S, _INVERSE_RATIO)
-    tiny = u < _TINY_ROOT
-    if tiny.any():
-        # target cancels here; start from the second-order Taylor
-        # estimate of the inverse map, u - n (1 + n phi''/(2 phi')) with the
-        # Newton step n = c/phi', phi' = u^2/(1-u), phi'' = u(2-u)/(1-u)^2,
-        # capped by s, an upper bound of the root as phi(u) >= u^3/3
-        ut = u[tiny]
-        u2 = ut * ut
-        n = c * (1.0 - ut) / u2
-        start[tiny] = np.minimum(ut - n * (1.0 + (0.5 * c) * (2.0 - ut) / (u2 * ut)), s[tiny])
+    # below _TINY_ROOT phi cancels: a root there does not read its start from
+    # the table, and a start there can face a target under the rounding of
+    # phi, where a Halley step can throw it far out of [0, 1)
+    low = np.minimum(u, start) < _TINY_ROOT
+    guard = None
+    if low.any():
+        tiny = u < _TINY_ROOT
+        if tiny.any():
+            # target cancels here; start from the second-order Taylor
+            # estimate of the inverse map, u - n (1 + n phi''/(2 phi')) with the
+            # Newton step n = c/phi', phi' = u^2/(1-u), phi'' = u(2-u)/(1-u)^2,
+            # capped by s, an upper bound of the root as phi(u) >= u^3/3
+            ut = u[tiny]
+            u2 = ut * ut
+            n = c * (1.0 - ut) / u2
+            start[tiny] = np.minimum(ut - n * (1.0 + (0.5 * c) * (2.0 - ut) / (u2 * ut)), s[tiny])
+        # these entries take only the steps that keep them inside [0, 1)
+        guard = np.flatnonzero(low)
     moving = target > 0
     # an entry with target <= 0 would exit within ds and ends at the origin;
     # 0.5 only keeps its arithmetic finite
@@ -101,12 +111,15 @@ def _analytic_descent(u, L, ds):
         f = phi - target
         half = 0.5 * un
         if i:
-            # |log1p(-u)| = phi + u + u^2/2
-            moving &= np.abs(f) > _PHI_FLOOR * (phi + un * (2.0 + half))
+            # |log1p(-u)| = phi + u + u^2/2; a NaN residual keeps moving
+            moving &= ~(np.abs(f) <= _PHI_FLOOR * (phi + un * (2.0 + half)))
             if not moving.any():
                 break
         # Halley's step f / (phi' - f phi''/(2 phi')), both sides times u(1-u)
         step = f * un * (1.0 - un) / (un * un * un - f * (1.0 - half))
+        if guard is not None:
+            sg, ug = step[guard], un[guard]
+            step[guard] = np.where((sg <= ug) & (sg > ug - 1.0), sg, 0.0)
         np.subtract(un, step, out=un, where=moving)
     else:
         warnings.warn(f"_analytic_descent: {int(np.count_nonzero(moving))} of {len(un)} "

@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceWarning, DegenerateImageError
 from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
-                       write_csv)
-from .families import quantile_grid
+                       quantile_cells, quantile_positions, write_csv)
+from .families import quantile_grid, quantile_levels
 
 _NEWTON_CAP = 60
+# the image grid's quantile levels, 2^(-k/8) down to 2^-45
+QUANTILE_PER_HALVING, QUANTILE_DEEP = 8, 45
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,14 @@ def cube_root_map() -> MapF:
 
 
 def apply_map(profile: SurvivalProfile, F: MapF, n_grid: int = 2048) -> SurvivalProfile:
-    """Image profile x -> w(F(x)), resampled onto a fresh quantile grid."""
+    """Image profile x -> w(F(x)), resampled onto a fresh quantile grid.
+
+    The image is piecewise linear through (F^{-1}(y), w(y)) over y = F(0) and
+    the source nodes beyond it, continued by the source tail; the new grid
+    reads it only at its quantile levels.  So F is inverted only at the ends
+    of the cells holding those levels, the last node and a compact support
+    end: at most 2 * 360 + 2 nodes of the ~2,000.
+    """
     f0 = float(F(0.0))
     if f0 >= profile.sup_x:
         raise DegenerateImageError(
@@ -99,23 +108,31 @@ def apply_map(profile: SurvivalProfile, F: MapF, n_grid: int = 2048) -> Survival
         )
     mask = profile.grid >= f0
     y = np.concatenate(([f0], profile.grid[mask]))
-    vals = np.concatenate(([profile.w_at(f0)], profile.values[mask]))
-    x = np.concatenate(([0.0], F.inverse(y[1:])))
-    keep = np.concatenate(([True], np.diff(x) > 0))
-    x, vals = x[keep], vals[keep]
-    x[0] = 0.0
-    tail = profile.tail
+    # as SurvivalProfile scrubs rounding-level increases and ends a tail at a zero
+    vals = np.minimum.accumulate(np.concatenate(([profile.w_at(f0)], profile.values[mask])))
+    tail = profile.tail if vals[-1] > 0.0 else TailModel.compact()
+    target = quantile_levels(QUANTILE_PER_HALVING, QUANTILE_DEEP) * vals[0]
+    in_tail, j = quantile_cells(vals, target)
+    read = np.zeros(len(y), dtype=bool)
+    read[j] = True
+    read[j + 1] = True
+    # the support end: the first zero value, or the last node
+    end = len(y) - 1 if vals[-1] > 0.0 else int(np.count_nonzero(vals > 0.0))
+    read[[-1, end]] = True
+    read[0] = False  # F^{-1}(F(0)) = 0
+    x = np.zeros(len(y))
+    x[read] = F.inverse(y[read])
     if tail.kind == "exponential":
         tail = TailModel.exponential(tail.param * float(F.fprime(x[-1])))
-    raw = SurvivalProfile(x, vals, tail)
-    grid = quantile_grid(
-        raw.quantile, n=n_grid, deep=45,
-        support_end=raw.sup_x if np.isfinite(raw.sup_x) else None,
-    )
+    xq = quantile_positions(target, in_tail, j, vals, x[j], x[j + 1], float(x[-1]), tail)
+    grid = quantile_grid(lambda levels: xq, n=n_grid, deep=QUANTILE_DEEP,
+                         support_end=float(x[end]) if tail.kind == "compact" else None,
+                         per_halving=QUANTILE_PER_HALVING)
     # evaluate w(F(.)) from the source profile directly: composing with the
-    # raw image would stack a second interpolation and amplify curvature noise
+    # image's interpolant would stack a second interpolation and amplify
+    # curvature noise
     new_vals = profile.w_at(F(grid))
-    return SurvivalProfile(grid, new_vals, raw.tail)
+    return SurvivalProfile(grid, new_vals, tail)
 
 
 def beta_transform(profile: SurvivalProfile, F: MapF) -> BetaProfile:

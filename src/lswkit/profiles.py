@@ -156,6 +156,40 @@ def _tail_power_integral(tail: TailModel, xm: float, wm: float, s: float) -> flo
     return float(wm * xm ** (s + 1.0) / (p - s - 1.0))
 
 
+def quantile_cells(values, target):
+    """The cells of a nonincreasing ``values`` that hold each target in
+    (0, values[0]]: returns (in_tail, j), where a target at or below the last
+    value lies in the tail and any other in cell j, values[j+1] < t <= values[j].
+    """
+    in_tail = target <= values[-1]
+    # values nonincreasing: search on the reversed array.  The cell found
+    # has w1 < target <= w0, so it is never flat: target <= w0 = values[0],
+    # and target <= values[-1] went to the tail
+    j = len(values) - 1 - np.searchsorted(values[::-1], target[~in_tail], side="left")
+    return in_tail, j
+
+
+def quantile_positions(target, in_tail, j, values, x0, x1, xm: float, tail: TailModel):
+    """Largest x where a piecewise-linear w through (x_i, values[i]) reaches
+    each target, for the cells of :func:`quantile_cells`: linear from x0 to
+    x1 across cell j, and past the last node xm by the tail model.
+    """
+    out = np.empty_like(target)
+    wm = float(values[-1])
+    tt = target[in_tail]
+    if tail.kind == "exponential":
+        out[in_tail] = xm + np.log(wm / tt) / tail.param
+    elif tail.kind == "power":
+        out[in_tail] = xm * (wm / tt) ** (1.0 / tail.param)
+    else:
+        out[in_tail] = xm
+    tb = target[~in_tail]
+    w0, w1 = values[j], values[j + 1]
+    frac = (w0 - tb) / (w0 - w1)
+    out[~in_tail] = x0 + frac * (x1 - x0)
+    return out
+
+
 class SurvivalProfile:
     """Nonincreasing integrable w on [0, inf) with piecewise-linear body.
 
@@ -269,25 +303,9 @@ class SurvivalProfile:
         if not np.all((q > 0) & (q <= 1)):
             raise ValueError("quantile level must be in (0, 1]")
         target = np.ravel(q * self.w0)
-        out = np.empty_like(target)
-        xm, wm = float(self.grid[-1]), float(self.values[-1])
-        tail = target <= wm
-        tt = target[tail]
-        if self.tail.kind == "exponential":
-            out[tail] = xm + np.log(wm / tt) / self.tail.param
-        elif self.tail.kind == "power":
-            out[tail] = xm * (wm / tt) ** (1.0 / self.tail.param)
-        else:
-            out[tail] = xm
-        # values nonincreasing: search on the reversed array.  The cell found
-        # has w1 < target <= w0, so it is never flat: target <= w0 = values[0],
-        # and target <= values[-1] went to the tail above
-        tb = target[~tail]
-        j = len(self.values) - 1 - np.searchsorted(self.values[::-1], tb, side="left")
-        w0, w1 = self.values[j], self.values[j + 1]
-        x0, x1 = self.grid[j], self.grid[j + 1]
-        frac = (w0 - tb) / (w0 - w1)
-        out[~tail] = x0 + frac * (x1 - x0)
+        in_tail, j = quantile_cells(self.values, target)
+        out = quantile_positions(target, in_tail, j, self.values, self.grid[j], self.grid[j + 1],
+                                 float(self.grid[-1]), self.tail)
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
     # -- integrals ------------------------------------------------------

@@ -166,6 +166,18 @@ def test_compare_with_tol_fails_a_truncated_trace(config_path, tmp_path, capsys,
     assert ("FAIL: row counts differ" in out) == bool(rc)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_compare_with_tol_fails_a_non_finite_difference(tmp_path, capsys, value):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,L\n0,1\n1,2\n")
+    b.write_text(f"t,L\n0,1\n1,{value}\n")
+    assert main(["compare", str(a), str(b), "--tol", "1e-12"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "in L (" in out
+    # the same non-finite entry in both traces is no difference
+    assert main(["compare", str(b), str(b), "--tol", "1e-12"]) == 0
+
+
 def test_families_listing(capsys):
     rc = main(["families"])
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lswkit as lk
 from lswkit import cellquad, map_iteration
@@ -71,6 +72,19 @@ def test_inverse_matches_bisection(F):
     assert type(F.inverse(y[0])) is float and F.inverse(y[0]) == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MAPS),
+       st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-16, max_value=1e7)),
+                min_size=1, max_size=50),
+       st.data())
+def test_inverse_is_elementwise(F, offsets, data):
+    # an entry that stops moving keeps its x, so inverting a subset of the
+    # levels gives the same bits as inverting all of them
+    y = np.minimum(float(F(0.0)) + np.array(offsets), 1e7)
+    idx = data.draw(st.lists(st.integers(0, len(y) - 1), max_size=len(y)))
+    assert F.inverse(y[idx]).tobytes() == F.inverse(y)[idx].tobytes()
+
+
 @pytest.mark.parametrize("F", MAPS, ids=lambda F: F.name)
 def test_inverse_takes_at_most_ten_sweeps(F):
     calls = []
@@ -109,19 +123,75 @@ def test_apply_map_composition():
     np.testing.assert_allclose(image.w_at(xs), fam.profile.w_at(F(xs)), rtol=2e-3)
 
 
-def test_apply_map_makes_one_quantile_call(monkeypatch):
-    fam = lk.exponential()
-    calls = []
-    quantile = lk.SurvivalProfile.quantile
+def test_apply_map_inverts_only_the_read_nodes(monkeypatch):
+    # the ends of the cells holding the 360 levels, the last node and the
+    # support end, not the ~2,000 source nodes at or beyond F(0)
+    inverse = MapF.inverse
+    sizes = []
 
-    def counted(self, q):
-        calls.append(np.shape(q))
-        return quantile(self, q)
+    def counted(self, y):
+        sizes.append(np.size(y))
+        return inverse(self, y)
 
-    monkeypatch.setattr(lk.SurvivalProfile, "quantile", counted)
-    apply_map(fam.profile, cube_root_map())
-    # the whole quantile grid of the image in one array call
-    assert calls == [(360,)]
+    monkeypatch.setattr(MapF, "inverse", counted)
+    for fam in (lk.exponential(), lk.power_tail(1.0), lk.indicator()):
+        sizes.clear()
+        apply_map(fam.profile, cube_root_map())
+        assert len(sizes) == 1 and sizes[0] <= 2 * 360 + 2, (fam.name, sizes)
+
+
+def _full_route(profile, F, n_grid=2048):
+    """apply_map by the route that inverts every source node: F^{-1} at all
+    nodes at or beyond F(0), the filter on coincident images, a validated raw
+    image profile and the quantile grid of its ``quantile``."""
+    f0 = float(F(0.0))
+    mask = profile.grid >= f0
+    y = np.concatenate(([f0], profile.grid[mask]))
+    vals = np.concatenate(([profile.w_at(f0)], profile.values[mask]))
+    x = np.concatenate(([0.0], F.inverse(y[1:])))
+    keep = np.concatenate(([True], np.diff(x) > 0))
+    x, vals = x[keep], vals[keep]
+    x[0] = 0.0
+    tail = profile.tail
+    if tail.kind == "exponential":
+        tail = lk.TailModel.exponential(tail.param * float(F.fprime(x[-1])))
+    raw = lk.SurvivalProfile(x, vals, tail)
+    grid = lk.quantile_grid(raw.quantile, n=n_grid, deep=45,
+                            support_end=raw.sup_x if np.isfinite(raw.sup_x) else None)
+    return lk.SurvivalProfile(grid, profile.w_at(F(grid)), raw.tail)
+
+
+def _assert_same_profile(a, b):
+    assert a.grid.tobytes() == b.grid.tobytes()
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.tail == b.tail
+
+
+ROUTE_PROFILES = {
+    "exponential": lambda: lk.exponential().profile,
+    "constant-beta(0.5)": lambda: lk.constant_beta(0.5).profile,
+    "power-tail(1)": lambda: lk.power_tail(1.0).profile,
+    "indicator": lambda: lk.indicator().profile,  # compact, last value 1
+    "oscillating-compact(1, 0.2)": lambda: lk.oscillating_compact(1.0, 0.2).profile,  # last value 0
+    # compact, with its last positive value below every level and a zero
+    # beyond the support end, so that neither the last node nor any level's
+    # cell ends at the support end
+    "deep-drop": lambda: lk.SurvivalProfile(np.array([0.0, 0.3, 0.6, 0.9, 1.2, 1.5]),
+                                            np.array([1.0, 0.7, 0.4, 1e-20, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("F", [cube_root_map(), linear_map(0.5)], ids=lambda F: F.name)
+@pytest.mark.parametrize("name", ROUTE_PROFILES)
+def test_apply_map_equals_the_full_route(name, F):
+    prof = ROUTE_PROFILES[name]()
+    _assert_same_profile(apply_map(prof, F), _full_route(prof, F))
+    # and along ten normalize-and-map steps, each route from its own states
+    new = ref = prof
+    for _ in range(10):
+        new = apply_map(normalize(new, 0.5, 1.0)[1], F)
+        ref = _full_route(normalize(ref, 0.5, 1.0)[1], F)
+        _assert_same_profile(new, ref)
 
 
 def test_apply_map_degenerate_image():
