@@ -11,43 +11,70 @@ from __future__ import annotations
 import numpy as np
 
 
-def power_cells(x: np.ndarray, w: np.ndarray, s, shift: float = 0.0) -> np.ndarray:
-    """Exact integral of (x - shift)^s * wlin(x) over each grid cell.
+def _powers(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # u^e for each row of the column e, by pow on every entry: numpy's power
+    # takes sqrt or a square for an exponent 1/2 or 2 held in a stride-0
+    # operand, or not, depending on the layout, so a full exponent array keeps
+    # a row's bits the same alone and in any batch
+    return np.power(u, np.repeat(e, len(u), axis=-1))
 
-    ``wlin`` is the piecewise-linear interpolant of (x, w).  Requires
-    s > -1 and x >= shift on the grid.  An array of exponents gives one row
-    of cells per exponent, so several moments take one pass over the grid.
-    """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if np.ndim(s):
-        s = np.asarray(s, dtype=float)[:, None]
-    u = x - shift
+
+def _cells(u, w, s, q1, q2) -> np.ndarray:
+    """Exact integral of u^s * wlin over each cell of u, from the primitives'
+    powers q1 = u^(s+1) and q2 = u^(s+2) at the nodes; a column s gives one
+    row of cells per exponent."""
     u0, u1 = u[:-1], u[1:]
     w0, w1 = w[:-1], w[1:]
     du = u1 - u0
     m = (w1 - w0) / du
     a = w0 - m * u0  # w = a + m*u on the cell
-    p1 = np.diff(np.power(u, s + 1.0)) / (s + 1.0)
-    p2 = np.diff(np.power(u, s + 2.0)) / (s + 2.0)
+    p1 = (q1[..., 1:] - q1[..., :-1]) / (s + 1.0)
+    p2 = (q2[..., 1:] - q2[..., :-1]) / (s + 2.0)
     out = a * p1 + m * p2
     # the primitive differences cancel catastrophically on cells much
     # narrower than their distance from the singularity; a midpoint
     # expansion with the leading curvature terms is then accurate to
     # O((du/u)^4) relative and free of cancellation.  Narrow cells have
     # u0 > 0, so the expansion is finite on each of them
-    narrow = np.nonzero(du < 1e-4 * u0)[0]
+    narrow = (du < 1e-4 * u0).nonzero()[0]
     if len(narrow):
         du, m = du[narrow], m[narrow]
         um = 0.5 * (u0[narrow] + u1[narrow])
         wm = 0.5 * (w0[narrow] + w1[narrow])
         corr = s * du**2 / (12.0 * um) * (m + wm * (s - 1.0) / (2.0 * um))
-        out[..., narrow] = np.power(um, s) * du * (wm + corr)
+        out[..., narrow] = _powers(um, s) * du * (wm + corr)
     return out
+
+
+def power_cells(x: np.ndarray, w: np.ndarray, s, shift: float = 0.0) -> np.ndarray:
+    """Exact integral of (x - shift)^s * wlin(x) over each grid cell.
+
+    ``wlin`` is the piecewise-linear interpolant of (x, w).  Requires
+    s > -1 and x >= shift on the grid.  An array of exponents gives one row
+    of cells per exponent, so several moments take one pass over the grid;
+    a lone exponent takes the same path as a batch of one.
+    """
+    u = np.asarray(x, dtype=float) - shift
+    w = np.asarray(w, dtype=float)
+    lone = np.ndim(s) == 0
+    s = np.reshape(np.asarray(s, dtype=float), (-1, 1))
+    out = _cells(u, w, s, _powers(u, s + 1.0), _powers(u, s + 2.0))
+    return out[0] if lone else out
 
 
 def power_total(x, w, s, shift: float = 0.0) -> float:
     return float(np.sum(power_cells(x, w, s, shift)))
+
+
+_FLUX_EXPONENT = np.array([-2.0 / 3.0])
+
+
+def flux_total(x, w) -> float:
+    """``power_total(x, w, -2/3)``, the flux integral of x^(-2/3) * wlin,
+    with x^(1/3) by the cube root and x^(4/3) as x * x^(1/3)."""
+    x = np.asarray(x, dtype=float)
+    r = np.cbrt(x)
+    return float(_cells(x, np.asarray(w, dtype=float), _FLUX_EXPONENT, r, x * r).sum())
 
 
 def power_suffix(x, w, s) -> np.ndarray:
@@ -66,4 +93,3 @@ def linear_suffix(x, w) -> np.ndarray:
     out = np.zeros(len(x))
     out[:-1] = np.cumsum(cells[::-1])[::-1]
     return out
-

@@ -31,6 +31,12 @@ class AnalyticFamily:
     mean_exact: Optional[float] = None
 
 
+# a fill node closer than this fraction of the fill spacing to a quantile node
+# is dropped: it would leave a cell of rounding width, which two survivors of
+# the lsw solver can close
+FILL_GAP_FRACTION = 1e-6
+
+
 @lru_cache(maxsize=8)
 def quantile_levels(per_halving: int, deep: int) -> np.ndarray:
     """The levels 2^(-k/m) for k = 1 .. m*deep, built once and shared read-only."""
@@ -51,9 +57,19 @@ def quantile_grid(quantile, n: int = 2048, deep: int = 45, support_end: float | 
     xq = quantile(quantile_levels(m, deep))
     # uniform fill covers the bulk (down to the 2^-10 level); the far tail is
     # left to the geometric quantile nodes
-    bulk_end = xq[min(10 * m - 1, len(xq) - 1)]
+    bulk = min(10 * m, len(xq))
+    bulk_end = xq[bulk - 1]
     fill = np.linspace(0.0, bulk_end, max(n - len(xq), 2))
-    grid = np.sort(np.concatenate(([0.0], fill, xq)))
+    # drop the fill nodes near a quantile node x of the bulk, which lies in
+    # (fill[j - 1], fill[j]]; the quantile nodes carry the tail, so they stay
+    xb = xq[:bulk]
+    j = np.searchsorted(fill, xb)
+    below = np.maximum(j - 1, 0)
+    gap = FILL_GAP_FRACTION * fill[1]
+    keep = np.ones(len(fill), dtype=bool)
+    keep[j[fill[j] - xb < gap]] = False
+    keep[below[xb - fill[below] < gap]] = False
+    grid = np.sort(np.concatenate(([0.0], fill[keep], xq)))
     if support_end is not None:
         grid = np.append(grid[grid < support_end * (1 - 1e-15)], support_end)
     # drop the repeated positions and any zero-width cells from rounding

@@ -257,12 +257,13 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
             continue
         # positions increase, so x < 0.9 L_mid, the descent's share, is a prefix
         low = int(np.searchsorted(x, 0.9 * L_mid))
-        out, r_out = np.empty_like(x), np.empty_like(x)
+        parts = []       # (positions, roots) of the descent and the RK4 share
         if low:
-            r_out[:low] = u = _analytic_descent(r[:low], L_mid, ds)
-            out[:low] = L_mid * u ** 3
+            u = _analytic_descent(r[:low], L_mid, ds)
+            parts.append((L_mid * u ** 3, u))
         if low < len(x):
-            out[low:], r_out[low:] = _rk4(x[low:], r[low:], ds, L_a, L_mid, L_b)
+            parts.append(_rk4(x[low:], r[low:], ds, L_a, L_mid, L_b))
+        out, r_out = map(np.concatenate, zip(*parts))
         ens.jac = ens.jac * _speed_at_root(r_out) / _speed_at_root(r)
         ens.pos = out
         root = r_out, L_mid
@@ -270,13 +271,8 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
 
 
 def _boundary_labels(states: list, L) -> np.ndarray:
-    """Label arriving at x = 0 in each ensemble of ``states``, by exit-time
-    interpolation between the last exit and the first survivor's."""
-    t, x1, y1, t0, y0 = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
-                                  for s in states]).reshape(-1, 5).T
-    t1 = t + exit_time_frozen(x1, L)
-    ok = np.isfinite(t1) & (t1 > t0)
-    return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
+    """Label arriving at x = 0 in each ensemble of ``states``."""
+    return _FluxBatch(states).labels(L)
 
 
 def boundary_jacobian(ens: Ensemble, L: float) -> float:
@@ -305,9 +301,12 @@ def _augmented_state(state, w0b: float, n: Optional[int] = None):
     return x, w
 
 
-# the series of _phi_primitive and _phi_u2_primitive run over k = 3..60
+# the series of _phi_u2_primitive runs over k = 3..60, that of _phi_primitive
+# over k = 3..28: on u < 1/4 each later term is below half an ulp of the sum,
+# 12/(k(k+1)) 4^(3-k) < 2^-54 of its first term, so adding them in order
+# would change no bit
 _PHI_K = np.arange(3, 61).reshape(-1, 1)
-_PHI_POW, _PHI_DEN = _PHI_K + 1, _PHI_K * (_PHI_K + 1)
+_PHI_POW, _PHI_DEN = _PHI_K[:26] + 1, _PHI_K[:26] * (_PHI_K[:26] + 1)   # k = 3..28
 
 
 def _phi_primitive(u):
@@ -316,10 +315,11 @@ def _phi_primitive(u):
     u = np.asarray(u, float)
     out = np.empty_like(u)
     small = u < 0.25
-    us, ub = u[small], u[~small]
+    big = ~small
+    us, ub = u[small], u[big]
     out[small] = np.sum(us ** _PHI_POW / _PHI_DEN, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[~small] = -ub**3 / 6 - ub**2 / 2 + ub + (1.0 - ub) * np.log1p(-ub)
+    # finite for u < 1, which _theta_cells ensures
+    out[big] = -ub**3 / 6 - ub**2 / 2 + ub + (1.0 - ub) * np.log1p(-ub)
     return out
 
 
@@ -340,7 +340,8 @@ def _theta_cells(x, w, L):
     u = np.minimum(np.cbrt(x / L), 1.0 - 1e-12)
     theta = 3.0 * L * _phi_of_u(u)
     dtheta = np.diff(theta)
-    slope = np.where(dtheta > 0, np.diff(w) / np.where(dtheta > 0, dtheta, 1.0), 0.0)
+    rising = dtheta > 0
+    slope = np.where(rising, np.diff(w) / np.where(rising, dtheta, 1.0), 0.0)
     return u, theta, slope
 
 
@@ -348,14 +349,18 @@ def _theta_cell_integrals(x, w, Ls, n):
     """Flux integral, int x^(-2/3) w dx over the cells of each of several
     states, in the time-to-origin model: x and w join the states' nodes, n
     counts them and Ls holds one L per state."""
+    Ls = np.asarray(Ls, dtype=float)
     u, theta, slope = _theta_cells(x, w, np.repeat(Ls, n))
     d13 = 3.0 * np.diff(np.cbrt(x))
     dphi = np.diff(_phi_primitive(u))
     # Python's pow: numpy's array pow differs from it in the last bit
-    c = np.repeat([9.0 * float(l) ** (4.0 / 3.0) for l in Ls], n)[:-1]
+    c = np.repeat([9.0 * l ** (4.0 / 3.0) for l in Ls.tolist()], n)[:-1]
     cells = w[:-1] * d13 + slope * (c * dphi - theta[:-1] * d13)
-    # the cell joining one state's last node to the next one's origin is dropped
-    return np.array([float(np.sum(cells[end - m:end - 1])) for m, end in zip(n, np.cumsum(n))])
+    # the cell joining one state's last node to the next one's origin is
+    # dropped; each state's cells are summed as they would be alone
+    # (np.add.reduceat adds them in another order)
+    ends = np.cumsum(n).tolist()
+    return np.array([cells[end - m:end - 1].sum() for m, end in zip(n, ends)])
 
 
 def _theta_cell_mass(x, w, L) -> float:
@@ -372,43 +377,107 @@ def _origin_split(pos, L):
     return max(min(int(np.searchsorted(pos, ORIGIN_FRACTION * L)) + 1, len(pos)), 1)
 
 
-def _flux_L(states: list, w0b: np.ndarray, L_guess: np.ndarray, far: list) -> np.ndarray:
-    """``l_from_state`` at each ensemble of ``states``, with its w0b[i],
-    L_guess[i] and far[i]; one ``_theta_cell_integrals`` call serves them all."""
-    near, ks = np.empty(len(states)), np.ones(len(states), dtype=int)
-    cells = []       # (state, x, w) of the time-to-origin cells
-    for i, state in enumerate(states):
-        if L_guess[i] > 0 and state.pos[0] < ORIGIN_FRACTION * L_guess[i]:
-            ks[i] = k = _origin_split(state.pos, L_guess[i])
-            cells.append((i, *_augmented_state(state, w0b[i], k)))
-        else:
-            near[i] = cellquad.power_total(*_augmented_state(state, w0b[i], 1), -2.0 / 3.0)
-    if cells:
-        idx, xs, ws = map(list, zip(*cells))
-        near[idx] = _theta_cell_integrals(np.concatenate(xs), np.concatenate(ws),
-                                          L_guess[idx], [len(x) for x in xs])
-    return np.array([((near[i] + far[i][ks[i] - 1]) / (3.0 * w0b[i])) ** 3
-                     for i in range(len(states))])
+class _FluxBatch:
+    """What the flux balance reads of each ensemble of ``states``, gathered
+    once for all fixed-point iterations of an L-resolution.
+
+    A state whose first survivor lies below L/8 splits at k =
+    ``_origin_split(pos, L)``: time-to-origin cells over the origin and its
+    first k survivors, linear cells beyond, whose x^(-2/3) integral from
+    survivor k-1 on is ``far``.  Any other state takes one linear head cell
+    and k = 1.  The split is redone only once L/8 leaves the interval
+    (lo, hi] of positions that keeps it.  The time-to-origin cells of all
+    states are kept joined, with w unclipped and +inf at each origin node,
+    so an iteration only clips them at w0b.  ``far`` leaves w unclipped at
+    w0b, where the clip cannot bind: w0b = w0(y_b) with y_b at or below the
+    first survivor's label, and w0 is nonincreasing.
+    """
+
+    def __init__(self, states: list):
+        self.states = states
+        # rows t, pos[0], labels[0], exit_t and exit_y, a column per state
+        self.exits = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
+                               for s in states]).reshape(-1, 5).T
+        n = len(states)
+        self.lo, self.hi = np.full(n, np.nan), np.full(n, np.nan)   # NaN: no split yet
+        self.k = np.zeros(n, dtype=int)
+        self.theta = np.zeros(n, dtype=bool)    # time-to-origin cells next to the origin
+        self.far = np.zeros(n)
+        self.cells = [None] * n                 # (x, w) of the time-to-origin cells
+        self.joined = None                      # their concatenation and node counts
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def labels(self, L) -> np.ndarray:
+        """Label arriving at x = 0 in each state, by exit-time interpolation
+        between the last exit and the first survivor's."""
+        t, x1, y1, t0, y0 = self.exits
+        t1 = t + exit_time_frozen(x1, L)
+        ok = np.isfinite(t1) & (t1 > t0)
+        return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
+
+    def take(self, keep: np.ndarray) -> "_FluxBatch":
+        """The batch of the states where ``keep`` holds."""
+        out = copy.copy(self)
+        out.states = [s for s, kept in zip(self.states, keep) if kept]
+        out.cells = [c for c, kept in zip(self.cells, keep) if kept]
+        out.exits = self.exits[:, keep]
+        for name in ("lo", "hi", "k", "theta", "far"):
+            setattr(out, name, getattr(self, name)[keep])
+        out.joined = None
+        return out
+
+    def split(self, L: np.ndarray) -> None:
+        """Redo the splits that L/8 has left."""
+        c = ORIGIN_FRACTION * L
+        for i in np.flatnonzero(~((self.lo < c) & (c <= self.hi))).tolist():
+            pos, w = self.states[i].pos, self.states[i].w
+            j = int(np.searchsorted(pos, c[i])) if L[i] > 0 else 0
+            self.lo[i] = pos[j - 1] if j else -np.inf
+            self.hi[i] = pos[j] if j < len(pos) else np.inf
+            k = _origin_split(pos, L[i]) if j else 1
+            if (bool(j), k) == (self.theta[i], self.k[i]):
+                continue
+            if k != self.k[i]:
+                self.far[i] = cellquad.flux_total(pos[k - 1:], w[k - 1:])
+            self.theta[i], self.k[i] = bool(j), k
+            self.cells[i] = (np.concatenate(([0.0], pos[:k])),
+                             np.concatenate(([np.inf], w[:k]))) if j else None
+            self.joined = None
+
+    def near_cells(self) -> tuple:
+        """x, unclipped w and node counts of the time-to-origin cells, joined."""
+        if self.joined is None:
+            xs, ws = zip(*(c for c in self.cells if c is not None))
+            self.joined = np.concatenate(xs), np.concatenate(ws), [len(x) for x in xs]
+        return self.joined
 
 
-def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None,
-                 far: Optional[np.ndarray] = None) -> float:
+def _flux_L(batch: _FluxBatch, w0b: np.ndarray, L_guess: np.ndarray) -> np.ndarray:
+    """``l_from_state`` at each state of ``batch``, with its w0b[i] and
+    L_guess[i]; one ``_theta_cell_integrals`` call serves them all."""
+    batch.split(L_guess)
+    near = np.empty(len(batch))
+    th = batch.theta
+    if th.any():
+        x, w, n = batch.near_cells()
+        near[th] = _theta_cell_integrals(x, np.minimum(w, np.repeat(w0b[th], n)), L_guess[th], n)
+    for i in np.flatnonzero(~th).tolist():
+        near[i] = cellquad.power_total(*_augmented_state(batch.states[i], w0b[i], 1), -2.0 / 3.0)
+    return ((near + batch.far) / (3.0 * w0b)) ** 3
+
+
+def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None) -> float:
     """L from the flux balance, exact per cell for the linear representative.
 
     With L_guess given, cells near the origin switch to the time-to-origin
     model of the integrand, which removes the cusp bias of the linear cells.
-    ``far`` is ``cellquad.power_suffix(ens.pos, ens.w, -2/3)``, the x^(-2/3)
-    integrals from each survivor to the last; a caller that varies only w0b
-    and L_guess computes it once.  It leaves w unclipped at w0b, where the
-    clip cannot bind: w0b = w0(y_b) with y_b at or below the first
-    survivor's label, and w0 is nonincreasing.
     """
     if ens.n_alive == 0:
         raise ExtinctionError("no surviving characteristics")
-    if far is None:
-        far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
     guess = np.array([np.nan if L_guess is None else L_guess])
-    return float(_flux_L([ens], np.array([w0b]), guess, [far])[0])
+    return float(_flux_L(_FluxBatch([ens]), np.array([w0b]), guess)[0])
 
 
 _RESOLVE_CAP = 40   # fixed-point iterations before _resolve_L reports a node as not converged
@@ -419,36 +488,38 @@ def _resolve_L(states: list, L_guess, initial: SurvivalProfile):
     one fixed-point iteration from L_guess over all of them, and the number
     of ``_flux_L`` batches it took.
 
-    A node stops once its change d, or the error bound d r/(1-r) of d and
-    its contraction ratio r = d/d_prev, is below 1e-13 max(L, 1).  Each node
-    leaves the batch once it stops, so it takes the iterations and values it
-    would alone; nodes still moving at ``_RESOLVE_CAP`` iterations are
-    reported in a ConvergenceWarning.
+    What the iterations read of the states is gathered once, in a
+    ``_FluxBatch``.  A node stops once its change d, or the error bound
+    d r/(1-r) of d and its contraction ratio r = d/d_prev, is below
+    1e-13 max(L, 1).  Each node leaves the batch once it stops, so it takes
+    the iterations and values it would alone; nodes still moving at
+    ``_RESOLVE_CAP`` iterations are reported in a ConvergenceWarning.
     """
     if any(s.n_alive == 0 for s in states):
         raise ExtinctionError("no surviving characteristics")
     L = np.array(L_guess, dtype=float)
-    # only the cells next to the origin and w0b change between iterations
-    far = [cellquad.power_suffix(s.pos, s.w, -2.0 / 3.0) for s in states]
+    batch = every = _FluxBatch(states)
     act = np.arange(len(states))
     change = np.full(len(states), np.nan)   # each node's last change; NaN fails every test
     for evals in range(1, _RESOLVE_CAP + 1):
-        active = [states[i] for i in act]
-        w0b = initial.w_at(_boundary_labels(active, L[act]))
-        L_new = _flux_L(active, w0b, L[act], [far[i] for i in act])
-        d = np.abs(L_new - L[act])
+        La = L[act]
+        w0b = initial.w_at(batch.labels(La))
+        L_new = _flux_L(batch, w0b, La)
+        d = np.abs(L_new - La)
         r = d / change[act]
-        floor = 1e-13 * np.maximum(L[act], 1.0)
+        floor = 1e-13 * np.maximum(La, 1.0)
         # the bound test d r/(1-r) < floor, false for r >= 1
         done = (d < floor) | (d * r < floor * (1.0 - r))
         L[act], change[act] = L_new, d
-        act = act[~done]
-        if len(act) == 0:
-            break
+        if done.any():
+            act = act[~done]
+            if len(act) == 0:
+                break
+            batch = batch.take(~done)
     else:
         warnings.warn(f"_resolve_L: {len(act)} of {len(states)} nodes did not converge "
                       f"in {_RESOLVE_CAP} iterations", ConvergenceWarning, stacklevel=2)
-    yb = _boundary_labels(states, L)
+    yb = every.labels(L)
     return L, yb, initial.w_at(yb), evals
 
 

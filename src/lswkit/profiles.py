@@ -212,13 +212,16 @@ class SurvivalProfile:
         if not values[0] > 0:
             raise DegenerateProfileError("w(0) must be positive")
         values = np.minimum.accumulate(values)  # scrub rounding-level increases
+        if tail.kind != "compact" and values[-1] == 0.0:
+            tail = TailModel.compact()
+        self._assign(grid, values, tail)
+
+    def _assign(self, grid: np.ndarray, values: np.ndarray, tail: TailModel) -> None:
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tail", tail)
-        if tail.kind != "compact" and values[-1] == 0.0:
-            object.__setattr__(self, "tail", TailModel.compact())
 
     # -- basic geometry -------------------------------------------------
 
@@ -354,10 +357,16 @@ class SurvivalProfile:
         """Profile of the dilated variable lam * X (same values, scaled grid)."""
         if not lam > 0:
             raise ValueError("dilation factor must be positive")
+        grid = self.grid * lam
+        # the values stay valid; only the scaled grid's strict increase can break
+        if not np.all(np.diff(grid) > 0):
+            raise DegenerateProfileError("grid must be strictly increasing from 0")
         tail = self.tail
         if tail.kind == "exponential":
             tail = TailModel.exponential(tail.param / lam)
-        return SurvivalProfile(self.grid * lam, self.values, tail)
+        out = object.__new__(SurvivalProfile)
+        out._assign(grid, self.values, tail)
+        return out
 
     # -- serialization ---------------------------------------------------
 

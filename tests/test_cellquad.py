@@ -98,3 +98,28 @@ def test_linear_suffix_trapezoid():
     suf = cellquad.linear_suffix(x, w)
     np.testing.assert_allclose(suf, [0.75 + 0.5, 0.5, 0.0])
 
+
+
+@pytest.mark.parametrize("n", [88, 2048, 5000])
+def test_power_cells_lone_exponent_keeps_its_batch_bits(n):
+    # numpy's power takes sqrt or a square for an exponent 1/2 or 2 in some
+    # layouts and pow in others; a lone exponent and every row of a batch
+    # take the same path, so memoized moments do not depend on call order
+    x = np.concatenate(([0.0], np.geomspace(1e-6, 40.0, n - 1)))
+    w = np.exp(-x)
+    for batch in ([-0.5, 0.0], [-2.0 / 3.0, -0.5, 0.0], [-0.5, -0.5, -0.5, 0.0, 0.5]):
+        rows = cellquad.power_cells(x, w, np.array(batch))
+        for si, row in zip(batch, rows):
+            np.testing.assert_array_equal(row, cellquad.power_cells(x, w, si))
+
+
+def test_flux_total_is_the_cube_root_form_of_the_power_total():
+    # the same cells, narrow ones included, with x^(1/3) by np.cbrt and
+    # x^(4/3) as x * x^(1/3) instead of two pow passes
+    x, w = _narrow_and_wide_grid()
+    for lo in (0, 1, 45):
+        got = cellquad.flux_total(x[lo:], w[lo:])
+        assert got == pytest.approx(cellquad.power_total(x[lo:], w[lo:], -2.0 / 3.0), rel=1e-14)
+    assert cellquad.flux_total(x[-1:], w[-1:]) == 0.0
+    # int_0^1 x^(-2/3) dx = 3 for w == 1
+    assert cellquad.flux_total(np.linspace(0.0, 1.0, 400), np.ones(400)) == pytest.approx(3.0, rel=1e-15)

@@ -596,6 +596,25 @@ def test_standard_scenarios_request_registered_checks():
             assert (model, name) in cli.CHECKS, (section, name)
 
 
+def test_grid_scenario_runs_clean_to_t4(tmp_path, capsys):
+    # the section of scenarios/grids.ini, cut at t_final = 4: on a grid with a
+    # cell 8.9e-16 wide it hit the L-resolution cap and warned in cellquad
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "scenarios" / "grids.ini")
+    assert parser.sections() == ["exponential-n4096-delta0.1"]
+    parser["exponential-n4096-delta0.1"]["t_final"] = "4"
+    cfg = tmp_path / "grid.ini"
+    with cfg.open("w") as f:
+        parser.write(f)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert [str(w.message) for w in shown] == []
+    data = json.loads((tmp_path / "out" / "exponential-n4096-delta0.1" / "summary.json").read_text())
+    assert data["violations"] == [] and data["terminated"] == "t_final"
+
+
 def test_standard_scenarios_pass_the_key_and_family_checks(tmp_path, monkeypatch):
     # each section gets through the key check and builds its family through
     # make_family; the runners stop there, before any solver

@@ -134,3 +134,58 @@ def test_self_similar_family_seed():
     fam = make_family("self-similar", alpha=0.05)
     assert fam.profile.mass == pytest.approx(1.0, rel=1e-6)
     assert fam.beta_exact(0.0) == pytest.approx(0.05 * 1.035241154488942, abs=1e-6)
+
+
+def _fill_gap(quantile, n=2048, deep=45, support_end=None, per_halving=8):
+    """Least distance from a fill node of the grid to a quantile node of the
+    bulk, over the fill spacing."""
+    grid = lk.quantile_grid(quantile, n=n, deep=deep, support_end=support_end,
+                            per_halving=per_halving)
+    xq = quantile(lk.families.quantile_levels(per_halving, deep))
+    bulk = xq[:10 * per_halving]
+    spacing = bulk[-1] / (max(n - len(xq), 2) - 1)
+    fill = grid[(grid > 0) & (grid < bulk[-1]) & ~np.isin(grid, xq)]
+    j = np.searchsorted(bulk, fill)
+    gaps = np.minimum(np.abs(fill - bulk[np.minimum(j, len(bulk) - 1)]),
+                      np.abs(fill - bulk[np.maximum(j - 1, 0)]))
+    return float(np.min(gaps)) / spacing
+
+
+GRID_FAMILIES = {
+    "exponential": lk.exponential,
+    "power-tail(1)": lambda n: lk.power_tail(1.0, n=n),
+    "constant-beta(2)": lambda n: lk.constant_beta(2.0, n=n),
+    "constant-beta(0.5)": lambda n: lk.constant_beta(0.5, n=n),
+    "oscillating-exponential(0.3)": lambda n: lk.oscillating_exponential(0.3, n=n),
+    "oscillating-compact(1, 0.2)": lambda n: lk.oscillating_compact(1.0, 0.2, n=n),
+}
+
+
+@pytest.mark.parametrize("name", GRID_FAMILIES)
+def test_family_grids_keep_fill_nodes_off_quantile_nodes(name, monkeypatch):
+    # a fill node near a quantile node leaves a cell of rounding width; the
+    # gap is read on the arguments each family passes to quantile_grid
+    calls = []
+    real = lk.families.quantile_grid
+
+    def recorded(quantile, **kwargs):
+        calls.append((quantile, kwargs))
+        return real(quantile, **kwargs)
+
+    monkeypatch.setattr(lk.families, "quantile_grid", recorded)
+    for n in (1024, 2048, 4096, 8192, 16384):
+        GRID_FAMILIES[name](n)
+    monkeypatch.undo()
+    assert len(calls) == 5
+    for quantile, kwargs in calls:
+        assert _fill_gap(quantile, **kwargs) >= lk.families.FILL_GAP_FRACTION
+
+
+def test_exponential_grids_keep_fill_nodes_off_quantile_nodes():
+    # the fill of e^(-x) ends at 10 ln 2, and the quantile node of level 2^-6
+    # sits at 0.6 of that: a fill node lands on it, up to rounding, whenever
+    # n - 361 is a multiple of 5 (at n = 4096 the cell was 8.9e-16 wide)
+    for n in range(1026, 16385, 5):
+        assert _fill_gap(lambda q: -np.log(q), n=n) >= lk.families.FILL_GAP_FRACTION, n
+    grid = lk.exponential(4096).profile.grid
+    assert np.min(np.diff(grid)) > 1e-9

@@ -250,13 +250,16 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     third = -2.0 / 3.0
     # linear cells throughout
     full = (cellquad.power_total(x, w, third) / (3.0 * w0b)) ** 3
-    assert lsw_solver.l_from_state(ens, w0b, far=far) == pytest.approx(full, rel=1e-13)
+    assert lsw_solver.l_from_state(ens, w0b) == pytest.approx(full, rel=1e-13)
     # time-to-origin cells next to the origin, linear cells beyond
     assert x[1] < 0.125 * L
     k = lsw_solver._origin_split(ens.pos, L)
     near = lsw_solver._theta_cell_integrals(x[:k + 1], w[:k + 1], [L], [k + 1])[0]
     split = ((near + cellquad.power_total(x[k:], w[k:], third)) / (3.0 * w0b)) ** 3
-    assert lsw_solver.l_from_state(ens, w0b, L_guess=L, far=far) == pytest.approx(split, rel=1e-13)
+    # the far field a batch keeps is the suffix integral from survivor k - 1
+    batch = lsw_solver._FluxBatch([ens])
+    batch.split(np.array([L]))
+    assert batch.far[0] == pytest.approx(far[k - 1], rel=1e-13)
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)
 
 
@@ -346,11 +349,11 @@ def test_resolution_stops_on_its_error_bound(family, short_exp_run):
     L, _, _, evals = lsw_solver._resolve_L(at_nodes, guesses, ens.initial)
     on_change = 0
     for node, guess, got in zip(at_nodes, guesses, L):
-        far = [cellquad.power_suffix(node.pos, node.w, -2.0 / 3.0)]
+        batch = lsw_solver._FluxBatch([node])
         prev, changes = float(guess), []
         for _ in range(lsw_solver._RESOLVE_CAP):
             w0b = node.initial.w_at(lsw_solver._boundary_labels([node], np.array([prev])))
-            new = float(lsw_solver._flux_L([node], w0b, np.array([prev]), far)[0])
+            new = float(lsw_solver._flux_L(batch, w0b, np.array([prev]))[0])
             changes.append(abs(new - prev))
             prev = new
             if changes[-1] < 1e-15 * max(prev, 1.0):
@@ -378,6 +381,82 @@ def test_resolution_warns_at_its_cap(short_exp_run, monkeypatch):
     with pytest.warns(lk.ConvergenceWarning, match="8 of 8 nodes did not converge in 40 iterations"):
         evals = lsw_solver._resolve_L(at_nodes, guesses, at_nodes[0].initial)[3]
     assert evals == lsw_solver._RESOLVE_CAP
+
+
+# The L-resolution route that read every state afresh on each fixed-point
+# iteration (its split, its clipped near cells, a whole far-field suffix
+# array), kept as the reference of the route that gathers those reads once.
+
+
+def _ref_boundary_labels(states, L):
+    t, x1, y1, t0, y0 = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
+                                  for s in states]).reshape(-1, 5).T
+    t1 = t + exit_time_frozen(x1, L)
+    ok = np.isfinite(t1) & (t1 > t0)
+    return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
+
+
+def _ref_flux_L(states, w0b, L_guess, far):
+    near, ks = np.empty(len(states)), np.ones(len(states), dtype=int)
+    cells = []
+    for i, state in enumerate(states):
+        if L_guess[i] > 0 and state.pos[0] < lsw_solver.ORIGIN_FRACTION * L_guess[i]:
+            ks[i] = k = lsw_solver._origin_split(state.pos, L_guess[i])
+            cells.append((i, *lsw_solver._augmented_state(state, w0b[i], k)))
+        else:
+            near[i] = cellquad.power_total(*lsw_solver._augmented_state(state, w0b[i], 1),
+                                           -2.0 / 3.0)
+    if cells:
+        idx, xs, ws = map(list, zip(*cells))
+        near[idx] = lsw_solver._theta_cell_integrals(np.concatenate(xs), np.concatenate(ws),
+                                                     L_guess[idx], [len(x) for x in xs])
+    return np.array([((near[i] + far[i][ks[i] - 1]) / (3.0 * w0b[i])) ** 3
+                     for i in range(len(states))])
+
+
+def _ref_resolve_L(states, L_guess, initial):
+    L = np.array(L_guess, dtype=float)
+    far = [cellquad.power_suffix(s.pos, s.w, -2.0 / 3.0) for s in states]
+    act = np.arange(len(states))
+    change = np.full(len(states), np.nan)
+    for evals in range(1, lsw_solver._RESOLVE_CAP + 1):
+        active = [states[i] for i in act]
+        w0b = initial.w_at(_ref_boundary_labels(active, L[act]))
+        L_new = _ref_flux_L(active, w0b, L[act], [far[i] for i in act])
+        d = np.abs(L_new - L[act])
+        r = d / change[act]
+        floor = 1e-13 * np.maximum(L[act], 1.0)
+        done = (d < floor) | (d * r < floor * (1.0 - r))
+        L[act], change[act] = L_new, d
+        act = act[~done]
+        if len(act) == 0:
+            break
+    yb = _ref_boundary_labels(states, L)
+    return L, yb, initial.w_at(yb), evals
+
+
+@pytest.mark.parametrize("family, cfg", [
+    ("exponential", SolverConfig(tol=1e-6)),
+    ("indicator(512)", SolverConfig()),
+    ("power-tail(1)", SolverConfig(tol=1e-6)),
+])
+def test_resolution_matches_the_per_iteration_route(family, cfg, monkeypatch):
+    fam = {"exponential": lk.exponential, "indicator(512)": lambda: lk.indicator(n=512),
+           "power-tail(1)": lambda: lk.power_tail(1.0)}[family]()
+    resolve, captured = lsw_solver._resolve_L, []
+
+    def recorded(states, L_guess, initial):
+        captured.append((states, np.array(L_guess, dtype=float)))
+        return resolve(states, L_guess, initial)
+
+    monkeypatch.setattr(lsw_solver, "_resolve_L", recorded)
+    advance_global(fam.profile, 1.0, cfg, beta0=fam.beta_exact)
+    assert sum(len(states) == lsw_solver.N_CHEB for states, _ in captured) >= 20
+    for states, guesses in captured:
+        got, ref = resolve(states, guesses, fam.profile), _ref_resolve_L(states, guesses, fam.profile)
+        assert got[3] == ref[3]
+        for new, old in zip(got[:3], ref[:3]):
+            np.testing.assert_allclose(new, old, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("ds_over_L", [1e-25, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
@@ -651,6 +730,17 @@ def test_natural_spline_matches_scipy():
     grid = s[:2000].reshape(400, 5)
     assert ours(grid).shape == grid.shape
     np.testing.assert_array_equal(ours.x, nodes)
+
+
+def test_phi_primitive_series_is_cut_where_no_bit_moves():
+    # below u = 1/4 the series stops at k = 28; the terms up to k = 60 that
+    # it leaves out are each below half an ulp of the sum
+    rng = np.random.default_rng(11)
+    u = np.concatenate((0.25 * rng.random(20000), 0.25 * rng.random(2000) ** 8,
+                        np.nextafter(0.25, 0.0) - 1e-9 * rng.random(2000), [0.0]))
+    k = np.arange(3, 61).reshape(-1, 1)
+    np.testing.assert_array_equal(lsw_solver._phi_primitive(u),
+                                  np.sum(u ** (k + 1) / (k * (k + 1)), axis=0))
 
 
 def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):

@@ -191,6 +191,34 @@ def test_dilate_preserves_beta():
     assert np.max(np.abs(b.values[res] - b0.values[res])) < 1e-8
 
 
+@pytest.mark.parametrize("fam", [lk.exponential(), lk.constant_beta(0.5), lk.power_tail(1.0)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("lam", [0.37, 1.0, 3.0])
+def test_dilate_matches_the_constructor(fam, lam):
+    # dilate skips the constructor's checks of values it does not change,
+    # and must still build what the constructor builds, bit for bit
+    p = fam.profile
+    tail = lk.TailModel.exponential(p.tail.param / lam) if p.tail.kind == "exponential" else p.tail
+    ref = lk.SurvivalProfile(p.grid * lam, p.values, tail)
+    got = p.dilate(lam)
+    np.testing.assert_array_equal(got.grid, ref.grid)
+    np.testing.assert_array_equal(got.values, ref.values)
+    assert got.tail == ref.tail
+    assert not got.grid.flags.writeable and not got.values.flags.writeable
+    assert (got.mass, got.mean, got.sup_x, got.moment(0.5)) == \
+        (ref.mass, ref.mean, ref.sup_x, ref.moment(0.5))
+
+
+def test_dilate_keeps_the_strict_increase_check():
+    # the one check scaling can break: cells 1e-14 wide at the support end
+    # of constant-beta(0.5) underflow to equal subnormal nodes
+    p = lk.constant_beta(0.5).profile
+    with pytest.raises(lk.DegenerateProfileError, match="strictly increasing"):
+        lk.SurvivalProfile(p.grid * 1e-318, p.values, p.tail)
+    with pytest.raises(lk.DegenerateProfileError, match="strictly increasing"):
+        p.dilate(1e-318)
+
+
 def test_save_load_round_trip(tmp_path, expf):
     path = tmp_path / "prof.csv"
     expf.profile.save(path)
@@ -241,3 +269,14 @@ def test_derivative_nonuniform_quadratic():
 def test_degenerate_profile_rejected():
     with pytest.raises(lk.LswkitError):
         lk.SurvivalProfile(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+
+
+def test_moment_memos_do_not_depend_on_call_order():
+    # numpy's power takes sqrt for a lone exponent 1/2 held in a stride-0
+    # operand and pow inside some batches; the cells take pow for either
+    alphas = (1.0 / 3.0, 0.5, 2.0 / 3.0)
+    lone_first, batch_first = lk.constant_beta(0.5).profile, lk.constant_beta(0.5).profile
+    lone_first.moment(0.5)
+    batch_first.moments(alphas)
+    assert lone_first.moments(alphas) == batch_first.moments(alphas)
+    assert batch_first.moment(0.5) == lone_first.moment(0.5)
