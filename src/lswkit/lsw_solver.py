@@ -147,8 +147,8 @@ class SolverConfig:
 
 
 MAX_PICARD = 50         # sweeps before a step counts as not converged
-N_CHEB = 8              # Chebyshev panels per Picard interval
-NSUB = 2                # integrator substeps per panel
+N_CHEB = 3              # Chebyshev panels per Picard interval
+NSUB = 3                # integrator substeps per panel
 EXTINCTION_FLOOR = 16   # a run stops when fewer survivors are left
 MAX_HALVINGS = 6        # step halvings before a run ends as a Picard failure
 ORIGIN_FRACTION = 0.125  # survivors below this times L get the time-to-origin cell model
@@ -190,12 +190,7 @@ def make_ensemble(profile: SurvivalProfile, beta0: Optional[Callable] = None) ->
 def _speed(x, L):
     # magnitude of the drift; the Jacobian dx/dy along a characteristic is
     # proportional to it while L is frozen, since d(ln J)/ds = v'(x) = d(ln|v|)/ds
-    return _speed_at_root(np.cbrt(np.asarray(x, float) / L))
-
-
-def _speed_at_root(r):
-    # the drift magnitude at r = (x/L)^(1/3)
-    return np.maximum(np.abs(1.0 - r), 1e-12)
+    return np.maximum(np.abs(1.0 - np.cbrt(np.asarray(x, float) / L)), 1e-12)
 
 
 def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> Optional[np.ndarray]:
@@ -264,7 +259,10 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
         if low < len(x):
             parts.append(_rk4(x[low:], r[low:], ds, L_a, L_mid, L_b))
         out, r_out = map(np.concatenate, zip(*parts))
-        ens.jac = ens.jac * _speed_at_root(r_out) / _speed_at_root(r)
+        # |1 - u'| / |1 - u| along the frozen-L flow, in a form that does not
+        # cancel at u = 1; an entry the descent sent to the origin takes 1 / (1 - u)
+        ratio = np.exp(ds / (3.0 * L_mid) - 0.5 * (r_out - r) * (r_out + r + 2.0))
+        ens.jac = ens.jac * np.divide(1.0, 1.0 - r, out=ratio, where=r_out == 0)
         ens.pos = out
         root = r_out, L_mid
     return root
@@ -436,7 +434,8 @@ class _FluxBatch:
             j = int(np.searchsorted(pos, c[i])) if L[i] > 0 else 0
             self.lo[i] = pos[j - 1] if j else -np.inf
             self.hi[i] = pos[j] if j < len(pos) else np.inf
-            k = _origin_split(pos, L[i]) if j else 1
+            # _origin_split(pos, L[i]), from the search for c[i] above
+            k = min(j + 1, len(pos)) if j else 1
             if (bool(j), k) == (self.theta[i], self.k[i]):
                 continue
             if k != self.k[i]:

@@ -156,6 +156,62 @@ def test_jacobian_transport_tracks_stretching(short_exp_run):
     np.testing.assert_allclose(ens.jac[mid], fd, rtol=2e-3)
 
 
+def test_jacobian_update_does_not_cancel_at_x_equal_L():
+    # one frozen-L substep from survivors at x = L(1 -+ gap); the Jacobian
+    # ratio |1 - u'|/|1 - u| of the exact flow, with e = u - 1 and q = e'/e,
+    # solves ln q = ds/(3L) - e^2 (q^2 - 1)/2 - 2e(q - 1), iterated in 50 digits
+    import mpmath
+
+    L, a, ds = 1.3, 0.7, 2e-3
+    gaps = np.array([1e-9, 1e-11, 1e-13])
+    pos = L * np.concatenate((1.0 - gaps, 1.0 + gaps[::-1]))
+    fam = lk.exponential()
+    ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos.copy(), w=np.exp(-pos),
+                              initial=fam.profile, beta0=fam.beta_exact, t=a)
+    lsw_solver._advance(ens, [a, a + ds], [[L, L, L]])
+    assert len(ens.jac) == len(pos)
+    ref = []
+    with mpmath.workdps(50):
+        c = mpmath.mpf(ds) / (3 * mpmath.mpf(L))
+        for x in pos:
+            e = mpmath.cbrt(mpmath.mpf(x) / mpmath.mpf(L)) - 1
+            q = mpmath.exp(c)
+            for _ in range(8):
+                q = mpmath.exp(c - e * e * (q * q - 1) / 2 - 2 * e * (q - 1))
+            ref.append(float(q))
+    # a ratio of the rounded distances 1 - u cancels: it is off by up to 5e-4 here
+    np.testing.assert_allclose(ens.jac, ref, rtol=1e-14, atol=0)
+
+
+def test_transported_beta_does_not_drop_at_six_panels(monkeypatch):
+    # halving-profile's datum at 6 panels of 2 substeps: a Jacobian update
+    # that cancels near x = L(t), which every later exit crosses, put a drop
+    # of 8.1e-6 into the transported beta of this snapshot
+    monkeypatch.setattr(lsw_solver, "N_CHEB", 6)
+    monkeypatch.setattr(lsw_solver, "NSUB", 2)
+    fam = lk.constant_beta(0.5)
+    res = advance_global(fam.profile, 2.6, SolverConfig(tol=1e-6), beta0=fam.beta_exact,
+                         snapshot_times=(2.5,))
+    tb, _ = beta_along_flow(res.snapshots[0], fam.profile, res.ensemble.beta0)
+    bv = tb.values[~tb.low_confidence]
+    assert np.max(np.maximum(-np.diff(bv), 0.0), initial=0.0) <= 1e-6
+
+
+def test_panel_layout_keeps_lambda_near_a_fine_layout(monkeypatch):
+    # the panel layout was chosen as the coarsest whose Lambda(20) stays
+    # within 5e-7 of 16 panels of 4 substeps; power-tail(1) at t = 5
+    fam = lk.power_tail(1.0)
+
+    def final_lambda():
+        return advance_global(fam.profile, 5.0, SolverConfig(tol=1e-6),
+                              beta0=fam.beta_exact).trace.Lambda[-1]
+
+    chosen = final_lambda()
+    monkeypatch.setattr(lsw_solver, "N_CHEB", 16)
+    monkeypatch.setattr(lsw_solver, "NSUB", 4)
+    assert chosen == pytest.approx(final_lambda(), rel=5e-7)
+
+
 def test_extinction_reported():
     fam = lk.indicator(n=32)
     res = advance_global(fam.profile, 50.0, SolverConfig(), beta0=fam.beta_exact)
@@ -321,9 +377,10 @@ def test_batched_resolution_matches_per_node(family, short_exp_run, monkeypatch)
     _, path, at_nodes = _first_sweep(ens)
     guesses = path(np.array([e.t for e in at_nodes]))
     # two nodes start from a guess so small that their first flux evaluation
-    # takes the head-cell branch
-    guesses[[2, 5]] *= 1e-6
-    assert all(at_nodes[i].pos[0] >= 0.125 * guesses[i] for i in (2, 5))
+    # takes the head-cell branch; the last node does not
+    small = [lsw_solver.N_CHEB // 4, 5 * lsw_solver.N_CHEB // 8]
+    guesses[small] *= 1e-6
+    assert all(at_nodes[i].pos[0] >= 0.125 * guesses[i] for i in small)
     iters = _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch)
     assert len(set(iters)) > 1
 
@@ -378,7 +435,9 @@ def test_resolution_warns_at_its_cap(short_exp_run, monkeypatch):
 
     monkeypatch.setattr(lsw_solver, "_flux_L", noisy)
     guesses = path(np.array([e.t for e in at_nodes]))
-    with pytest.warns(lk.ConvergenceWarning, match="8 of 8 nodes did not converge in 40 iterations"):
+    n = lsw_solver.N_CHEB
+    with pytest.warns(lk.ConvergenceWarning,
+                      match=f"{n} of {n} nodes did not converge in {lsw_solver._RESOLVE_CAP} iterations"):
         evals = lsw_solver._resolve_L(at_nodes, guesses, at_nodes[0].initial)[3]
     assert evals == lsw_solver._RESOLVE_CAP
 
