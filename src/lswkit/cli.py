@@ -105,6 +105,10 @@ def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
         tau_target = float(opts.get("tau_target", 2.0))
         t_final = float((np.exp(tau_target * rate) - 1.0) / rate)
         snaps = tuple(sorted(set(snaps) | {t_final}))
+    outside = [f"{t:g}" for t in snaps if not 0.0 <= t <= t_final]
+    if outside:
+        # the run would never reach them, and the checks would read fewer snapshots
+        raise ConfigError(f"snapshot time(s) {', '.join(outside)} outside [0, t_final={t_final:g}]")
     result = advance_global(fam.profile, t_final, cfg, beta0=fam.beta_exact,
                             snapshot_times=snaps)
     result.trace.save(outdir / "trace.csv")
@@ -494,8 +498,9 @@ def list_families() -> int:
 
 
 def compare_traces(path_a: str, path_b: str, tol: float | None = None) -> int:
-    a = np.genfromtxt(path_a, delimiter=",", names=True)
-    b = np.genfromtxt(path_b, delimiter=",", names=True)
+    # ndmin=1: a one-row trace reads as one row, not as a 0-d record
+    a = np.genfromtxt(path_a, delimiter=",", names=True, ndmin=1)
+    b = np.genfromtxt(path_b, delimiter=",", names=True, ndmin=1)
     cols_a, cols_b = a.dtype.names, b.dtype.names
     if cols_a != cols_b:
         print(f"column mismatch: {cols_a} vs {cols_b}")
@@ -503,7 +508,7 @@ def compare_traces(path_a: str, path_b: str, tol: float | None = None) -> int:
     n = min(len(a), len(b))
     failed = []
     for col in cols_a:
-        va, vb = np.atleast_1d(a[col])[:n], np.atleast_1d(b[col])[:n]
+        va, vb = a[col][:n], b[col][:n]
         denom = np.maximum(np.abs(va), 1e-300)
         # equal entries, NaN against NaN included, do not differ; any other
         # non-finite difference is NaN or inf, which no tolerance meets

@@ -37,8 +37,13 @@ class AnalyticFamily:
 FILL_GAP_FRACTION = 1e-6
 
 
+# a quantile grid's survival levels: 2^(-k/8) down to 2^-45
+QUANTILE_PER_HALVING, QUANTILE_DEEP = 8, 45
+
+
 @lru_cache(maxsize=8)
-def quantile_levels(per_halving: int, deep: int) -> np.ndarray:
+def quantile_levels(per_halving: int = QUANTILE_PER_HALVING,
+                    deep: int = QUANTILE_DEEP) -> np.ndarray:
     """The levels 2^(-k/m) for k = 1 .. m*deep, built once and shared read-only."""
     m = per_halving
     levels = np.array([2.0 ** (-k / m) for k in range(1, m * deep + 1)])
@@ -46,8 +51,8 @@ def quantile_levels(per_halving: int, deep: int) -> np.ndarray:
     return levels
 
 
-def quantile_grid(quantile, n: int = 2048, deep: int = 45, support_end: float | None = None,
-                  per_halving: int = 8):
+def quantile_grid(quantile, n: int = 2048, deep: int = QUANTILE_DEEP,
+                  support_end: float | None = None, per_halving: int = QUANTILE_PER_HALVING):
     """Nodes at survival levels 2^(-k/m) down to 2^(-deep), plus uniform fill.
 
     ``quantile`` maps the array ``quantile_levels(per_halving, deep)`` to the
@@ -96,7 +101,7 @@ def constant_beta(beta: float, n: int = 2048) -> AnalyticFamily:
         def quantile(q):
             return (1.0 - q ** ((1.0 - b) / b)) / (1.0 - b)
 
-        grid = quantile_grid(quantile, n=n, deep=45, support_end=a)
+        grid = quantile_grid(quantile, n=n, support_end=a)
         prof = SurvivalProfile(grid, w(grid), TailModel.compact())
     else:
         p = b / (b - 1.0)
@@ -110,7 +115,7 @@ def constant_beta(beta: float, n: int = 2048) -> AnalyticFamily:
         def quantile(q):
             return (q ** (-(b - 1.0) / b) - 1.0) / (b - 1.0)
 
-        grid = quantile_grid(quantile, n=max(n, 4096), deep=45, per_halving=16)
+        grid = quantile_grid(quantile, n=max(n, 4096), per_halving=16)
         prof = SurvivalProfile(grid, w(grid), TailModel.power(p))
     return AnalyticFamily(
         name=f"constant-beta({b:g})",
@@ -128,7 +133,7 @@ def exponential(n: int = 2048) -> AnalyticFamily:
     def w(x):
         return np.exp(-np.asarray(x, float))
 
-    grid = quantile_grid(lambda q: -np.log(q), n=n, deep=45)
+    grid = quantile_grid(lambda q: -np.log(q), n=n)
     prof = SurvivalProfile(grid, w(grid), TailModel.exponential(1.0))
     return AnalyticFamily(
         name="exponential",
@@ -185,7 +190,7 @@ def oscillating_exponential(eps: float, n: int = 2048) -> AnalyticFamily:
         hi = -np.log(target / (1.0 + 2.0 * abs(eps))) + 1.0
         return bracketed_root(lambda x: w(x) - target, 0.0, hi)
 
-    grid = quantile_grid(quantile, n=n, deep=45)
+    grid = quantile_grid(quantile, n=n)
     # exact tail mass beyond the last node: int e^-x (1 + eps cos x) = h(x);
     # pick the rate that reproduces it, so h is exact on the whole grid
     rate = float(w(grid[-1]) / h(grid[-1]))
@@ -232,7 +237,7 @@ def oscillating_compact(p: float, eps: float, n: int = 4096) -> AnalyticFamily:
         target = qs * w0
         return bracketed_root(lambda x: w(x) - target, 0.0, 1.0 - 1e-15)
 
-    grid = quantile_grid(quantile, n=n, deep=45, support_end=1.0)
+    grid = quantile_grid(quantile, n=n, support_end=1.0)
     vals = w(grid)
     vals[-1] = 0.0
     vals = np.minimum.accumulate(np.maximum(vals, 0.0))
@@ -263,7 +268,7 @@ def power_tail(eps: float, n: int = 2048) -> AnalyticFamily:
     def quantile(q):
         return q ** (-1.0 / (1.0 + eps)) - 1.0
 
-    grid = quantile_grid(quantile, n=max(n, 4096), deep=45, per_halving=16)
+    grid = quantile_grid(quantile, n=max(n, 4096), per_halving=16)
     prof = SurvivalProfile(grid, w(grid), TailModel.power(1.0 + eps))
     b = (1.0 + eps) / eps
     return AnalyticFamily(

@@ -268,11 +268,6 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
     return root
 
 
-def _boundary_labels(states: list, L) -> np.ndarray:
-    """Label arriving at x = 0 in each ensemble of ``states``."""
-    return _FluxBatch(states).labels(L)
-
-
 def boundary_jacobian(ens: Ensemble, L: float) -> float:
     """dx/dy of the characteristic currently at the origin.
 
@@ -369,26 +364,26 @@ def _theta_cell_mass(x, w, L) -> float:
     return float(np.sum(w[:-1] * dx + slope * (9.0 * L * L * dpsi - theta[:-1] * dx)))
 
 
-def _origin_split(pos, L):
-    # survivors of the cells that get the time-parametrized model: those
-    # below ORIGIN_FRACTION * L and the first one at or above it
-    return max(min(int(np.searchsorted(pos, ORIGIN_FRACTION * L)) + 1, len(pos)), 1)
+def _origin_split(pos, L) -> int:
+    """Survivors whose cells get the time-to-origin model at L: those below
+    ORIGIN_FRACTION * L and the first one at or above it; 0, a linear head
+    cell, when none lies below or L is not positive."""
+    j = int(np.searchsorted(pos, ORIGIN_FRACTION * L)) if L > 0 else 0
+    return min(j + 1, len(pos)) if j else 0
 
 
 class _FluxBatch:
     """What the flux balance reads of each ensemble of ``states``, gathered
     once for all fixed-point iterations of an L-resolution.
 
-    A state whose first survivor lies below L/8 splits at k =
-    ``_origin_split(pos, L)``: time-to-origin cells over the origin and its
-    first k survivors, linear cells beyond, whose x^(-2/3) integral from
-    survivor k-1 on is ``far``.  Any other state takes one linear head cell
-    and k = 1.  The split is redone only once L/8 leaves the interval
-    (lo, hi] of positions that keeps it.  The time-to-origin cells of all
-    states are kept joined, with w unclipped and +inf at each origin node,
-    so an iteration only clips them at w0b.  ``far`` leaves w unclipped at
-    w0b, where the clip cannot bind: w0b = w0(y_b) with y_b at or below the
-    first survivor's label, and w0 is nonincreasing.
+    A state splits at k = ``_origin_split(pos, L)``: time-to-origin cells
+    over the origin and its first k survivors, linear cells beyond, whose
+    x^(-2/3) integral from survivor max(k, 1) - 1 on is ``far``; k = 0 takes
+    one linear head cell instead.  A state's near cells, with w unclipped
+    and +inf at the origin node, and its far field are rebuilt only when
+    its k changes, so an iteration only clips them at w0b.  ``far`` leaves
+    w unclipped at w0b, where the clip cannot bind: w0b = w0(y_b) with y_b
+    at or below the first survivor's label, and w0 is nonincreasing.
     """
 
     def __init__(self, states: list):
@@ -396,16 +391,9 @@ class _FluxBatch:
         # rows t, pos[0], labels[0], exit_t and exit_y, a column per state
         self.exits = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
                                for s in states]).reshape(-1, 5).T
-        n = len(states)
-        self.lo, self.hi = np.full(n, np.nan), np.full(n, np.nan)   # NaN: no split yet
-        self.k = np.zeros(n, dtype=int)
-        self.theta = np.zeros(n, dtype=bool)    # time-to-origin cells next to the origin
-        self.far = np.zeros(n)
-        self.cells = [None] * n                 # (x, w) of the time-to-origin cells
-        self.joined = None                      # their concatenation and node counts
-
-    def __len__(self) -> int:
-        return len(self.states)
+        self.k = np.full(len(states), -1)      # -1: no split yet
+        self.far = np.zeros(len(states))
+        self.cells = [None] * len(states)      # (x, w) of the time-to-origin cells
 
     def labels(self, L) -> np.ndarray:
         """Label arriving at x = 0 in each state, by exit-time interpolation
@@ -415,53 +403,30 @@ class _FluxBatch:
         ok = np.isfinite(t1) & (t1 > t0)
         return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
 
-    def take(self, keep: np.ndarray) -> "_FluxBatch":
-        """The batch of the states where ``keep`` holds."""
-        out = copy.copy(self)
-        out.states = [s for s, kept in zip(self.states, keep) if kept]
-        out.cells = [c for c, kept in zip(self.cells, keep) if kept]
-        out.exits = self.exits[:, keep]
-        for name in ("lo", "hi", "k", "theta", "far"):
-            setattr(out, name, getattr(self, name)[keep])
-        out.joined = None
-        return out
-
     def split(self, L: np.ndarray) -> None:
-        """Redo the splits that L/8 has left."""
-        c = ORIGIN_FRACTION * L
-        for i in np.flatnonzero(~((self.lo < c) & (c <= self.hi))).tolist():
-            pos, w = self.states[i].pos, self.states[i].w
-            j = int(np.searchsorted(pos, c[i])) if L[i] > 0 else 0
-            self.lo[i] = pos[j - 1] if j else -np.inf
-            self.hi[i] = pos[j] if j < len(pos) else np.inf
-            # _origin_split(pos, L[i]), from the search for c[i] above
-            k = min(j + 1, len(pos)) if j else 1
-            if (bool(j), k) == (self.theta[i], self.k[i]):
+        """Split each state at L, rebuilding those whose k changed."""
+        for i, (state, l) in enumerate(zip(self.states, L.tolist())):
+            k = _origin_split(state.pos, l)
+            if k == self.k[i]:
                 continue
-            if k != self.k[i]:
-                self.far[i] = cellquad.flux_total(pos[k - 1:], w[k - 1:])
-            self.theta[i], self.k[i] = bool(j), k
-            self.cells[i] = (np.concatenate(([0.0], pos[:k])),
-                             np.concatenate(([np.inf], w[:k]))) if j else None
-            self.joined = None
-
-    def near_cells(self) -> tuple:
-        """x, unclipped w and node counts of the time-to-origin cells, joined."""
-        if self.joined is None:
-            xs, ws = zip(*(c for c in self.cells if c is not None))
-            self.joined = np.concatenate(xs), np.concatenate(ws), [len(x) for x in xs]
-        return self.joined
+            self.k[i] = k
+            head = max(k, 1) - 1
+            self.far[i] = cellquad.flux_total(state.pos[head:], state.w[head:])
+            self.cells[i] = (np.concatenate(([0.0], state.pos[:k])),
+                             np.concatenate(([np.inf], state.w[:k])))
 
 
 def _flux_L(batch: _FluxBatch, w0b: np.ndarray, L_guess: np.ndarray) -> np.ndarray:
     """``l_from_state`` at each state of ``batch``, with its w0b[i] and
     L_guess[i]; one ``_theta_cell_integrals`` call serves them all."""
     batch.split(L_guess)
-    near = np.empty(len(batch))
-    th = batch.theta
+    near = np.empty(len(w0b))
+    th = batch.k > 0
     if th.any():
-        x, w, n = batch.near_cells()
-        near[th] = _theta_cell_integrals(x, np.minimum(w, np.repeat(w0b[th], n)), L_guess[th], n)
+        xs, ws = zip(*(c for c, t in zip(batch.cells, th) if t))
+        n = batch.k[th] + 1
+        w = np.minimum(np.concatenate(ws), np.repeat(w0b[th], n))
+        near[th] = _theta_cell_integrals(np.concatenate(xs), w, L_guess[th], n)
     for i in np.flatnonzero(~th).tolist():
         near[i] = cellquad.power_total(*_augmented_state(batch.states[i], w0b[i], 1), -2.0 / 3.0)
     return ((near + batch.far) / (3.0 * w0b)) ** 3
@@ -490,35 +455,33 @@ def _resolve_L(states: list, L_guess, initial: SurvivalProfile):
     What the iterations read of the states is gathered once, in a
     ``_FluxBatch``.  A node stops once its change d, or the error bound
     d r/(1-r) of d and its contraction ratio r = d/d_prev, is below
-    1e-13 max(L, 1).  Each node leaves the batch once it stops, so it takes
-    the iterations and values it would alone; nodes still moving at
-    ``_RESOLVE_CAP`` iterations are reported in a ConvergenceWarning.
+    1e-13 max(L, 1).  A stopped node's L is frozen while the others move,
+    so it keeps the iterations and values it would take alone; nodes still
+    moving at ``_RESOLVE_CAP`` iterations are reported in a
+    ConvergenceWarning.
     """
     if any(s.n_alive == 0 for s in states):
         raise ExtinctionError("no surviving characteristics")
     L = np.array(L_guess, dtype=float)
-    batch = every = _FluxBatch(states)
-    act = np.arange(len(states))
-    change = np.full(len(states), np.nan)   # each node's last change; NaN fails every test
+    batch = _FluxBatch(states)
+    moving = np.ones(len(states), dtype=bool)
+    change = np.full(len(states), np.nan)   # a moving node's last change; NaN fails every test
     for evals in range(1, _RESOLVE_CAP + 1):
-        La = L[act]
-        w0b = initial.w_at(batch.labels(La))
-        L_new = _flux_L(batch, w0b, La)
-        d = np.abs(L_new - La)
-        r = d / change[act]
-        floor = 1e-13 * np.maximum(La, 1.0)
+        L_new = _flux_L(batch, initial.w_at(batch.labels(L)), L)
+        d = np.abs(L_new - L)
+        r = d / change
+        floor = 1e-13 * np.maximum(L, 1.0)
         # the bound test d r/(1-r) < floor, false for r >= 1
         done = (d < floor) | (d * r < floor * (1.0 - r))
-        L[act], change[act] = L_new, d
-        if done.any():
-            act = act[~done]
-            if len(act) == 0:
-                break
-            batch = batch.take(~done)
+        L = np.where(moving, L_new, L)
+        moving &= ~done
+        if not moving.any():
+            break
+        change = np.where(moving, d, np.nan)
     else:
-        warnings.warn(f"_resolve_L: {len(act)} of {len(states)} nodes did not converge "
-                      f"in {_RESOLVE_CAP} iterations", ConvergenceWarning, stacklevel=2)
-    yb = every.labels(L)
+        warnings.warn(f"_resolve_L: {np.count_nonzero(moving)} of {len(states)} nodes did not "
+                      f"converge in {_RESOLVE_CAP} iterations", ConvergenceWarning, stacklevel=2)
+    yb = batch.labels(L)
     return L, yb, initial.w_at(yb), evals
 
 
@@ -705,8 +668,8 @@ def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: flo
     x, w = _augmented_state(ens, w0b)
     # the tail beyond the last survivor stretches with the label-map Jacobian
     tail = ens.initial.tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
-    if ens.n_alive and ens.pos[0] < ORIGIN_FRACTION * L:
-        k = _origin_split(ens.pos, L)
+    k = _origin_split(ens.pos, L)
+    if k:
         near = _theta_cell_mass(x[:k + 1], w[:k + 1], L)
         mass = near + float(np.trapezoid(w[k:], x[k:])) + tail
     else:

@@ -18,11 +18,9 @@ import numpy as np
 from .errors import ConfigError, ConvergenceWarning, DegenerateImageError
 from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
                        quantile_cells, quantile_positions, write_csv)
-from .families import quantile_grid, quantile_levels
+from .families import QUANTILE_DEEP, QUANTILE_PER_HALVING, quantile_grid, quantile_levels
 
 _NEWTON_CAP = 60
-# the image grid's quantile levels, 2^(-k/8) down to 2^-45
-QUANTILE_PER_HALVING, QUANTILE_DEEP = 8, 45
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,7 @@ def apply_map(profile: SurvivalProfile, F: MapF, n_grid: int = 2048) -> Survival
     # as SurvivalProfile scrubs rounding-level increases and ends a tail at a zero
     vals = np.minimum.accumulate(np.concatenate(([profile.w_at(f0)], profile.values[mask])))
     tail = profile.tail if vals[-1] > 0.0 else TailModel.compact()
+    # the levels quantile_grid reads, by the call that shares its cached array
     target = quantile_levels(QUANTILE_PER_HALVING, QUANTILE_DEEP) * vals[0]
     in_tail, j = quantile_cells(vals, target)
     read = np.zeros(len(y), dtype=bool)
@@ -125,9 +124,8 @@ def apply_map(profile: SurvivalProfile, F: MapF, n_grid: int = 2048) -> Survival
     if tail.kind == "exponential":
         tail = TailModel.exponential(tail.param * float(F.fprime(x[-1])))
     xq = quantile_positions(target, in_tail, j, vals, x[j], x[j + 1], float(x[-1]), tail)
-    grid = quantile_grid(lambda levels: xq, n=n_grid, deep=QUANTILE_DEEP,
-                         support_end=float(x[end]) if tail.kind == "compact" else None,
-                         per_halving=QUANTILE_PER_HALVING)
+    grid = quantile_grid(lambda levels: xq, n=n_grid,
+                         support_end=float(x[end]) if tail.kind == "compact" else None)
     # evaluate w(F(.)) from the source profile directly: composing with the
     # image's interpolant would stack a second interpolation and amplify
     # curvature noise

@@ -795,3 +795,49 @@ def test_every_benchmark_probe_resolves():
     missing = {attr for owner, attr in probes if vars(owner).get(attr) is None}
     # the two long-standing dead probes; no other may join them
     assert missing <= {"identity_check", "save_summary"}
+
+
+def test_compare_one_row_traces(tmp_path, capsys):
+    # a t_final = 0 lsw section writes a one-row trace
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[zero]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    trace = tmp_path / "out" / "zero" / "trace.csv"
+    header, row = trace.read_text().splitlines()
+    assert main(["compare", str(trace), str(trace), "--tol", "1e-12"]) == 0
+    cols = row.split(",")
+    cols[3] = str(float(cols[3]) * 1.5)
+    other = tmp_path / "other.csv"
+    other.write_text(f"{header}\n{','.join(cols)}\n")
+    assert main(["compare", str(trace), str(other), "--tol", "1e-6"]) == 1
+    assert "FAIL: max relative difference exceeds 1e-06 in Lambda" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, outside", [
+    ("family = indicator\nn = 32\nt_final = 0.2\nsnapshots = 0.1, 30\n"
+     "checks = monotonicity\n", "30 outside [0, t_final=0.2]"),
+    ("family = indicator\nn = 32\nt_final = 0.2\nsnapshots = -0.1, 0.1\n"
+     "checks = monotonicity\n", "-0.1 outside [0, t_final=0.2]"),
+    # the stationarity path runs to the t_final of its tau_target, not of its key
+    ("family = self-similar\nalpha = 0.05\ntau_target = 0.01\nt_final = 1\n"
+     "snapshots = 0.5\nchecks = stationarity\n", "0.5 outside [0, t_final=0.0100026]"),
+], ids=["late", "negative", "stationarity"])
+def test_snapshot_outside_the_run_fails_the_section(tmp_path, capsys, section, outside):
+    cfg = tmp_path / "snap.ini"
+    cfg.write_text("[snap]\nmodel = lsw\n" + section)
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert f"snap  FAIL  ConfigError: snapshot time(s) {outside}" in out
+    # the section fails before its model runs
+    assert not (tmp_path / "out" / "snap" / "trace.csv").exists()
+
+
+def test_snapshot_at_t_final_is_taken(tmp_path, capsys):
+    cfg = tmp_path / "end.ini"
+    cfg.write_text("[end]\nmodel = lsw\nfamily = indicator\nn = 32\nt_final = 0.2\n"
+                   "snapshots = 0.1, 0.2\nchecks = conservation\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "out" / "end").glob("snapshot_*.csv")) == \
+        ["snapshot_0.csv", "snapshot_1.csv"]

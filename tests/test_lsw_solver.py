@@ -298,7 +298,7 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     _, res = short_exp_run
     ens = res.ensemble
     L = res.trace.L[-1]
-    w0b = float(ens.initial.w_at(lsw_solver._boundary_labels([ens], L)[0]))
+    w0b = float(ens.initial.w_at(lsw_solver._FluxBatch([ens]).labels(L)[0]))
     # the clip of w at w0b in the augmented state never binds
     assert np.all(ens.w <= w0b)
     far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
@@ -348,23 +348,28 @@ def _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch):
     _, moments, extinct = lsw_solver._transport(ens, nodes, path)
     assert extinct is None and len(moments) == len(at_nodes)
     flux = lsw_solver._flux_L
-    batch_sizes = []
+    calls = []      # the L each _flux_L call reads
 
-    def counted(states, *args):
-        batch_sizes.append(len(states))
-        return flux(states, *args)
+    def counted(batch, w0b, L_guess):
+        calls.append(L_guess.tolist())
+        return flux(batch, w0b, L_guess)
 
     monkeypatch.setattr(lsw_solver, "_flux_L", counted)
     L, yb, w0b, _ = lsw_solver._resolve_L(moments, guesses, ens.initial)
+    batch_calls = np.array(calls)
     per_node_iters = []
     for i, (node, guess) in enumerate(zip(at_nodes, guesses)):
-        start = len(batch_sizes)
+        start = len(calls)
         ref = lsw_solver._state_L(node, float(guess))
-        per_node_iters.append(len(batch_sizes) - start)
+        alone = [c[0] for c in calls[start:]]
+        per_node_iters.append(len(alone))
         assert (L[i], yb[i], w0b[i]) == ref
-    # the batch runs iteration j over exactly the nodes that alone take more than j
+        # the batch moves node i through the L it reads alone, then holds
+        # it at its result while the others move
+        assert batch_calls[:len(alone), i].tolist() == alone
+        assert np.all(batch_calls[len(alone):, i] == L[i])
     iters = np.array(per_node_iters)
-    assert batch_sizes[:iters.max()] == [int(np.sum(iters > j)) for j in range(iters.max())]
+    assert len(batch_calls) == iters.max()
     return iters
 
 
@@ -409,7 +414,7 @@ def test_resolution_stops_on_its_error_bound(family, short_exp_run):
         batch = lsw_solver._FluxBatch([node])
         prev, changes = float(guess), []
         for _ in range(lsw_solver._RESOLVE_CAP):
-            w0b = node.initial.w_at(lsw_solver._boundary_labels([node], np.array([prev])))
+            w0b = node.initial.w_at(batch.labels(np.array([prev])))
             new = float(lsw_solver._flux_L(batch, w0b, np.array([prev]))[0])
             changes.append(abs(new - prev))
             prev = new
@@ -810,7 +815,7 @@ def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):
     Ls = [L_end * (0.8 + 0.01 * i) for i in range(60)]
     segments = []
     for L in Ls:
-        w0b = float(ens.initial.w_at(lsw_solver._boundary_labels([ens], L)[0]))
+        w0b = float(ens.initial.w_at(lsw_solver._FluxBatch([ens]).labels(L)[0]))
         x, w = lsw_solver._augmented_state(ens, w0b)
         k = lsw_solver._origin_split(ens.pos, L)
         segments.append((x[:k + 1], w[:k + 1]))
