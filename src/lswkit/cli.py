@@ -448,9 +448,13 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
 
 def run_config(config_path: str, output_root: str | None = None) -> int:
     parser = configparser.ConfigParser()
-    read = parser.read(config_path)
-    if not read:
-        print(f"error: cannot read config {config_path}", file=sys.stderr)
+    try:
+        if not parser.read(config_path):
+            raise configparser.Error("cannot read it")
+        if not parser.sections():
+            raise configparser.Error("it has no sections")
+    except configparser.Error as exc:
+        print(f"error: config {config_path}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
     root = Path(output_root or os.environ.get(OUTPUT_ROOT_ENV) or
                 Path(config_path).resolve().parent / "out")
@@ -514,7 +518,8 @@ def compare_traces(path_a: str, path_b: str, tol: float | None = None) -> int:
         # non-finite difference is NaN or inf, which no tolerance meets
         same = (va == vb) | (np.isnan(va) & np.isnan(vb))
         with np.errstate(invalid="ignore"):
-            rel = float(np.max(np.where(same, 0.0, np.abs(va - vb) / denom)))
+            # with no common rows no column differs; the row counts do
+            rel = float(np.max(np.where(same, 0.0, np.abs(va - vb) / denom), initial=0.0))
         if tol is not None and not rel <= tol:
             failed.append(f"{col} ({rel:.6g})")
         print(f"{col:<10} max rel diff {rel:.6g}")

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import math
 
 
 class LswkitError(Exception):
@@ -31,3 +32,9 @@ class ConfigError(LswkitError):
 
 class ConvergenceWarning(RuntimeWarning):
     """An iterative kernel reached its iteration cap before converging."""
+
+
+def require_setting(key: str, value: float, zero_ok: bool = False) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is finite and > 0 (>= 0 if zero_ok)."""
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise ConfigError(f"{key} = {value:g} must be finite and {'>=' if zero_ok else '>'} 0")

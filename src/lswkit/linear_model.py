@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import cellquad
+from .errors import require_setting
 from .profiles import (SurvivalProfile, beta_from_profile, beta_interpolant,
                        regular_variation_exponent)
 from .lsw_solver import CoarseningTrace
@@ -76,6 +77,8 @@ def run_linear_model(profile: SurvivalProfile, t_final: float, delta: float = 0.
     Steps are ``delta`` times the current Lambda, so late-time coarsening
     costs logarithmically many steps.
     """
+    require_setting("delta", delta)
+    require_setting("t_final", t_final, zero_ok=True)
     if beta0 is None:
         beta0 = beta_interpolant(profile)
     mass0 = profile.mass
@@ -90,14 +93,8 @@ def run_linear_model(profile: SurvivalProfile, t_final: float, delta: float = 0.
         tau, B = state
         w0b = profile.w_at(B)
         lam = mass0 / w0b
-        trace.t.append(t)
-        trace.tau.append(tau)
-        trace.L.append(lam)
-        trace.Lambda.append(lam)
-        trace.E.append(_energy(profile, tau, B))
-        trace.beta0.append(float(beta0(B)))
-        trace.mass.append(float(np.exp(tau) * profile.h_at(B)))
-        trace.gamma.append(1.0)
+        trace.append(t=t, tau=tau, L=lam, Lambda=lam, E=_energy(profile, tau, B),
+                     beta0=float(beta0(B)), mass=float(np.exp(tau) * profile.h_at(B)), gamma=1.0)
         Bs.append(float(B))
 
     record()
@@ -121,9 +118,6 @@ def run_linear_model(profile: SurvivalProfile, t_final: float, delta: float = 0.
         if hB > 0:
             state[0] = np.log(mass0 / hB)
         record()
-    if not trace.t or trace.t[-1] < t_final - 1e-9:
-        if terminated == "t_final":
-            terminated = "extinction"
     return LinearRunResult(trace=trace, tau=float(state[0]), B=float(state[1]),
                            Bs=Bs, terminated=terminated, mass_defect=float(defect))
 

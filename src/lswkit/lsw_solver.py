@@ -15,15 +15,16 @@ ensemble arrays and never writes into them, so shallow copies are safe.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import cellquad
-from .errors import ConvergenceWarning, ExtinctionError
+from .errors import ConvergenceWarning, ExtinctionError, require_setting
 from .profiles import (
     SurvivalProfile, BetaProfile, beta_from_profile, beta_interpolant, derivative_nonuniform,
     low_confidence_mask, write_csv,
@@ -145,6 +146,10 @@ class SolverConfig:
     delta: float = 0.05          # step length as a fraction of the current L
     tol: float = 1e-8            # Picard tolerance relative to L
 
+    def __post_init__(self):
+        require_setting("delta", self.delta)
+        require_setting("tol", self.tol)
+
 
 MAX_PICARD = 50         # sweeps before a step counts as not converged
 N_CHEB = 3              # Chebyshev panels per Picard interval
@@ -219,11 +224,9 @@ def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> Optional[np.ndar
 
 def _panel_times(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Substep times of the panels between ``nodes``: row i holds the NSUB + 1
-    ends of panel i's substeps, bit for bit as np.linspace(nodes[i],
-    nodes[i + 1], NSUB + 1) gives them, and the (start, middle, end) times
-    of each of its substeps."""
-    ss = nodes[:-1, None] + np.arange(NSUB + 1) * (np.diff(nodes) / NSUB)[:, None]
-    ss[:, -1] = nodes[1:]
+    ends of panel i's substeps, and the (start, middle, end) times of each
+    of its substeps."""
+    ss = np.linspace(nodes[:-1], nodes[1:], NSUB + 1, axis=1)
     ds = np.diff(ss, axis=1)
     start = ss[:, :-1]
     return ss, np.stack((start, start + 0.5 * ds, start + ds), axis=-1)
@@ -497,8 +500,8 @@ class PicardStats:
     ratios: list
     converged: bool
     stopped_on_bound: bool = False   # converged on the error bound, not a confirming sweep
-    end_state: Optional[tuple] = None   # (L, y_b, w0b) the last sweep resolved at the end node
-    flux_evals: int = 0          # _flux_L batches the sweeps' L-resolutions took
+    end_state: Optional[tuple] = None   # (L, y_b, w0b) at the end node of a converged step
+    flux_evals: int = 0          # _flux_L batches the step's L-resolutions took
 
 
 def _transport(ens: Ensemble, nodes: np.ndarray, path):
@@ -522,42 +525,38 @@ def _transport(ens: Ensemble, nodes: np.ndarray, path):
     return scratch, moments, None
 
 
-class NaturalSpline:
-    """The natural cubic spline through (x, y), zero second derivative at both
-    ends; each panel is a cubic in s - x[i], evaluated by Horner's rule, and
-    the end panels' cubics extend it beyond the nodes."""
+class Barycentric:
+    """The polynomial through (x, y) in barycentric Lagrange form: a node gives its y
+    exactly, and terms add in node order, elementwise, so no bit depends on s's shape."""
 
     def __init__(self, x, y):
         self.x = x = np.asarray(x, dtype=float)
-        h, slope = np.diff(x), np.diff(y) / np.diff(x)
-        # second derivatives m: zero at the ends; inside, row j of the
-        # tridiagonal system is h[j], 2(h[j] + h[j+1]), h[j+1], solved by one
-        # forward and one back sweep over floats (it is diagonally dominant)
-        hs, rhs = h.tolist(), (6.0 * np.diff(slope)).tolist()
-        diag = [2.0 * (hl + hr) for hl, hr in zip(hs, hs[1:])]
-        for j in range(1, len(rhs)):
-            f = hs[j] / diag[j - 1]
-            diag[j] -= f * hs[j]
-            rhs[j] -= f * rhs[j - 1]
-        m = [0.0] * len(x)
-        for j in range(len(rhs) - 1, -1, -1):
-            m[j + 1] = (rhs[j] - hs[j + 1] * m[j + 2]) / diag[j]
-        m = np.array(m)
-        # a row per panel: its left node, then its cubic's coefficients, gathered at once
-        self._panels = np.column_stack((x[:-1], np.diff(m) / (6.0 * h), 0.5 * m[:-1],
-                                        slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]))
+        self.y = np.asarray(y, dtype=float)
+        xs = x.tolist()
+        self.w = np.array([1.0 / math.prod(xj - xk for k, xk in enumerate(xs) if k != j)
+                           for j, xj in enumerate(xs)])
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        p = self._panels[np.searchsorted(self.x[1:-1], s, side="right")]
-        t = s - p[..., 0]
-        return ((p[..., 1] * t + p[..., 2]) * t + p[..., 3]) * t + p[..., 4]
+        d = s[..., None] - self.x
+        hit = d == 0.0
+        # at a node its term is infinite and the quotient NaN; its y is taken instead
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = self.w / d
+            cy = c * self.y
+            num, den = cy[..., 0], c[..., 0]
+            for j in range(1, len(self.x)):
+                num = num + cy[..., j]
+                den = den + c[..., j]
+            out = num / den
+        return np.where(hit.any(axis=-1), np.where(hit, self.y, 0.0).sum(axis=-1), out)
 
 
 def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig,
-                          prior: Optional[NaturalSpline] = None
-                          ) -> tuple[Ensemble, NaturalSpline, PicardStats]:
-    """Resolve L(s) on [t, t+dt] by fixed-point iteration.
+                          prior: Optional[Barycentric] = None
+                          ) -> tuple[Ensemble, Barycentric, PicardStats]:
+    """Resolve L(s) on [t, t+dt] by fixed-point iteration on the polynomial
+    path through L at the interval's Chebyshev nodes.
 
     The iteration starts from L == L0, or, given the accepted path ``prior``
     of the step that ended at t, from the quadratic through its values at
@@ -567,28 +566,23 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
     Chebyshev nodes of the interval at once; the map is a contraction for dt
     small compared to L.  Once the error bound d_k r/(1-r) of correction d_k
     and ratio r = d_k/d_(k-1) is below tol * L0, a transport through iterate
-    k's path ends the step.
+    k's path ends the step, and L at its end node is resolved from there.
     """
     j = np.arange(N_CHEB + 1)
     nodes = ens.t + dt * 0.5 * (1.0 - np.cos(np.pi * j / N_CHEB))
     L_vals = np.full(len(nodes), L0)
     if prior is not None:
-        # three-point Lagrange form in z = 2(s - t)/h, with the prior's values at z = -2, -1
-        h = ens.t - prior.x[0]
-        a, b = prior(np.array([prior.x[0], ens.t - 0.5 * h]))
-        z = 2.0 * (nodes[1:] - ens.t) / h
-        warm = 0.5 * a * z * (z + 1.0) - b * z * (z + 2.0) + 0.5 * L0 * (z + 1.0) * (z + 2.0)
+        x3 = np.array([prior.x[0], ens.t - 0.5 * (ens.t - prior.x[0]), ens.t])
+        warm = Barycentric(x3, np.append(prior(x3[:2]), L0))(nodes[1:])
         if np.all(np.isfinite(warm) & (warm > 0)):
             L_vals[1:] = warm
     diffs = []
-    scratch = end = None
     converged = on_bound = False
     flux_evals = 0
     for _ in range(MAX_PICARD):
-        path = NaturalSpline(nodes, L_vals)
+        path = Barycentric(nodes, L_vals)
         scratch, moments, extinct = _transport(ens, nodes, path)
-        resolved, yb, w0b, evals = _resolve_L(moments, path(nodes[1:len(moments) + 1]),
-                                              ens.initial)
+        resolved, yb, w0b, evals = _resolve_L(moments, L_vals[1:len(moments) + 1], ens.initial)
         flux_evals += evals
         # a node whose L is not positive ends the sweep before any later panel
         if not np.all(np.isfinite(resolved) & (resolved > 0)):
@@ -601,21 +595,25 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
         L_vals = new_vals
         if diff < cfg.tol * L0:
             converged = True
-            end = (float(resolved[-1]), float(yb[-1]), float(w0b[-1]))
+            end = resolved, yb, w0b
             break
         r = diff / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 1.0
         if r < 1.0 and diff * r / (1.0 - r) < cfg.tol * L0:
-            path = NaturalSpline(nodes, L_vals)
-            scratch, _, extinct = _transport(ens, nodes, path)
-            if extinct:
-                raise extinct
             converged = on_bound = True
             break
+    path = Barycentric(nodes, L_vals)
+    if on_bound:
+        scratch, _, extinct = _transport(ens, nodes, path)
+        if extinct:
+            raise extinct
+        *end, evals = _resolve_L([scratch], L_vals[-1:], ens.initial)
+        flux_evals += evals
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     stats = PicardStats(iterations=len(diffs), first_correction=diffs[0] if diffs else 0.0,
                         ratios=ratios, converged=converged, stopped_on_bound=on_bound,
-                        end_state=end, flux_evals=flux_evals)
-    return scratch, path if on_bound else NaturalSpline(nodes, L_vals), stats
+                        end_state=tuple(float(v[-1]) for v in end) if converged else None,
+                        flux_evals=flux_evals)
+    return scratch, path, stats
 
 
 @dataclass
@@ -647,12 +645,16 @@ class CoarseningTrace:
     gamma: list = field(default_factory=list)
 
     def as_arrays(self) -> dict:
-        return {k: np.array(getattr(self, k)) for k in
-                ("t", "tau", "L", "Lambda", "E", "beta0", "mass", "gamma")}
+        return {f.name: np.array(getattr(self, f.name)) for f in fields(self)}
+
+    def append(self, **row) -> None:
+        """Add one row, given as a value for every column."""
+        for f in fields(self):
+            getattr(self, f.name).append(row[f.name])
 
     def save(self, path: str | Path) -> None:
-        write_csv(path, "t,tau,L,Lambda,E,beta0,mass,gamma",
-                  (self.t, self.tau, self.L, self.Lambda, self.E, self.beta0, self.mass, self.gamma))
+        names = [f.name for f in fields(self)]
+        write_csv(path, ",".join(names), [getattr(self, k) for k in names])
 
 
 @dataclass
@@ -687,14 +689,8 @@ def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: flo
         tau = trace.tau[-1] + dtau
     else:
         tau = 0.0
-    trace.t.append(ens.t)
-    trace.tau.append(tau)
-    trace.L.append(L)
-    trace.Lambda.append(lam)
-    trace.E.append(energy)
-    trace.beta0.append(beta_origin)
-    trace.mass.append(mass)
-    trace.gamma.append(lam / L)
+    trace.append(t=ens.t, tau=tau, L=L, Lambda=lam, E=energy, beta0=beta_origin, mass=mass,
+                 gamma=lam / L)
 
 
 def advance_global(profile: SurvivalProfile, t_final: float,
@@ -702,28 +698,27 @@ def advance_global(profile: SurvivalProfile, t_final: float,
                    beta0: Optional[Callable] = None,
                    snapshot_times: tuple = ()) -> RunResult:
     """Evolve to t_final with steps dt = delta * L, Picard-resolving each."""
+    require_setting("t_final", t_final, zero_ok=True)
     ens = make_ensemble(profile, beta0)
     trace = CoarseningTrace()
     snapshots: list[Snapshot] = []
     picard_log: list[PicardStats] = []
-    L, yb, w0b = _state_L(ens, l_from_state(ens, profile.w0))
-    _record(trace, ens, L, yb, w0b)
     pending = sorted(snapshot_times)
     terminated = "t_final"
-
-    def maybe_snapshot():
-        nonlocal pending
+    prior = None
+    L, yb, w0b = _state_L(ens, l_from_state(ens, profile.w0))
+    while True:
+        # the state at t = 0 or at the end of an accepted step
+        _record(trace, ens, L, yb, w0b)
         while pending and ens.t >= pending[0] - 1e-12:
             snapshots.append(Snapshot(
                 t=ens.t, tau=trace.tau[-1], labels=ens.labels.copy(),
                 pos=ens.pos.copy(), w=ens.w.copy(), y_b=yb, w0b=w0b,
                 L=L, Lambda=trace.Lambda[-1], jac=ens.jac.copy(),
             ))
-            pending = pending[1:]
-
-    maybe_snapshot()
-    prior = None
-    while ens.t < t_final - 1e-12:
+            pending.pop(0)
+        if ens.t >= t_final - 1e-12:
+            break
         dt = min(cfg.delta * L, t_final - ens.t)
         try:
             for _ in range(MAX_HALVINGS + 1):
@@ -739,10 +734,7 @@ def advance_global(profile: SurvivalProfile, t_final: float,
             break
         ens, prior = advanced, path
         picard_log.append(stats)
-        # a step that stopped on the bound returns a transport nothing has resolved
-        L, yb, w0b = _state_L(ens, L) if stats.stopped_on_bound else stats.end_state
-        _record(trace, ens, L, yb, w0b)
-        maybe_snapshot()
+        L, yb, w0b = stats.end_state
     return RunResult(trace=trace, snapshots=snapshots, ensemble=ens,
                      picard=picard_log, terminated=terminated)
 

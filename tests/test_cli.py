@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import lswkit
-from lswkit import cli, lsw_solver
+from lswkit import cli, linear_model, lsw_solver
 from lswkit.cli import main
 from lswkit.families import FAMILY_BUILDERS, make_family
 from lswkit.lsw_solver import CoarseningTrace
@@ -519,9 +519,9 @@ def test_lsw_summary_counts_steps_stopped_on_the_bound(tmp_path, capsys, monkeyp
 
 
 def test_lsw_summary_counts_the_flux_evaluations_of_the_sweeps(tmp_path, capsys, monkeypatch):
-    # each step's flux_evals is the _flux_L batches its sweeps took; the
-    # summary sums them over the accepted steps, leaving out halved attempts
-    # and the resolutions of the recorded states
+    # each step's flux_evals is the _flux_L batches its L-resolutions took;
+    # the summary sums them over the accepted steps, leaving out halved
+    # attempts and the resolution of the initial state
     flux, picard = lsw_solver._flux_L, lsw_solver.picard_solve_interval
     batches, steps = [0], []
 
@@ -841,3 +841,53 @@ def test_snapshot_at_t_final_is_taken(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(p.name for p in (tmp_path / "out" / "end").glob("snapshot_*.csv")) == \
         ["snapshot_0.csv", "snapshot_1.csv"]
+
+
+@pytest.mark.parametrize("model, key, value", [
+    ("lsw", "delta", "-0.05"), ("lsw", "delta", "0"), ("lsw", "tol", "0"),
+    ("lsw", "t_final", "nan"), ("lsw", "t_final", "-1"),
+    ("linear", "delta", "0"), ("linear", "delta", "-0.05"),
+    ("linear", "t_final", "nan"), ("linear", "t_final", "-1"),
+])
+def test_unusable_setting_fails_the_section(tmp_path, capsys, monkeypatch, model, key, value):
+    # each of these hangs, crashes or passes without a step when it reaches
+    # the stepper
+    def never(*args, **kwargs):
+        raise AssertionError("the stepper was reached")
+
+    monkeypatch.setattr(lsw_solver, "picard_solve_interval", never)
+    monkeypatch.setattr(linear_model, "_rk4", never)
+    cfg = tmp_path / "bad.ini"
+    settings = {"t_final": "0.5", key: value}
+    cfg.write_text(f"[bad]\nmodel = {model}\nfamily = exponential\nchecks = conservation\n" +
+                   "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+    assert f"bad  FAIL  ConfigError: {key} = {float(value):g} must be finite and" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[a]\nmodel = self_similar\n\n[a]\nmodel = self_similar\n", "section 'a' already exists"),
+    ("model = self_similar\n", "File contains no section headers."),
+    ("# a comment\n; and another\n", "has no sections"),
+], ids=["duplicate-section", "no-section-header", "comments-only"])
+def test_unusable_config_exits_2_with_one_error_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_a_trace_without_rows(tmp_path, capsys):
+    # no common rows: no column differs, and the row counts tell the traces apart
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,L\n0,1\n")
+    b.write_text("t,L\n")
+    assert main(["compare", str(a), str(b)]) == 0
+    assert main(["compare", str(a), str(b), "--tol", "1e-12"]) == 1
+    out = capsys.readouterr().out
+    assert "L          max rel diff 0\n" in out and "FAIL: row counts differ (1 vs 0)" in out
+    assert main(["compare", str(b), str(b), "--tol", "1e-12"]) == 0

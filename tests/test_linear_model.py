@@ -18,6 +18,22 @@ def half_run():
     return fam, run_linear_model(fam.profile, 200.0, beta0=fam.beta_exact)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("delta", 0.0), ("delta", -0.05), ("delta", np.nan),
+    ("t_final", np.nan), ("t_final", -1.0), ("t_final", np.inf),
+])
+def test_run_rejects_unusable_settings(key, value, monkeypatch):
+    # a step that is not positive never reaches t_final, and a NaN or
+    # negative t_final takes no step and passes
+    def never(*args):
+        raise AssertionError("the stepper was reached")
+
+    monkeypatch.setattr(linear_model, "_rk4", never)
+    settings = {"t_final": 5.0, key: value}
+    with pytest.raises(lk.ConfigError, match=f"^{key} = "):
+        run_linear_model(lk.constant_beta(0.5).profile, **settings)
+
+
 def test_mass_is_algebraically_conserved(half_run):
     _, res = half_run
     assert mass_drift(res.trace) < 1e-12

@@ -27,6 +27,25 @@ def test_solver_config_holds_what_a_section_sets():
     assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == ("delta", "tol")
 
 
+@pytest.mark.parametrize("key, value", [("delta", -0.05), ("delta", 0.0), ("delta", np.nan),
+                                        ("tol", 0.0), ("tol", -1e-6), ("tol", np.inf)])
+def test_solver_config_rejects_a_step_or_tolerance_that_is_not_positive(key, value):
+    with pytest.raises(lk.ConfigError, match=f"^{key} = "):
+        SolverConfig(**{key: value})
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the stepper was reached")
+
+
+@pytest.mark.parametrize("t_final", [np.nan, -1.0, np.inf])
+def test_advance_global_rejects_an_unusable_t_final(t_final, monkeypatch):
+    # on a NaN or negative t_final the run would take no step and pass
+    monkeypatch.setattr(lsw_solver, "picard_solve_interval", _never)
+    with pytest.raises(lk.ConfigError, match="^t_final = "):
+        advance_global(lk.exponential().profile, t_final)
+
+
 def test_drift_sign_and_zero():
     L = 2.0
     assert drift(L, L) == pytest.approx(0.0, abs=1e-14)
@@ -337,7 +356,7 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     L0 = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, ens.initial.w0))[0]
     j = np.arange(lsw_solver.N_CHEB + 1)
     nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
-    path = lsw_solver.NaturalSpline(nodes, np.full(len(nodes), L0))
+    path = lsw_solver.Barycentric(nodes, np.full(len(nodes), L0))
     return nodes, path, _advance_panels(ens, nodes, path)[1]
 
 
@@ -549,7 +568,7 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
 def test_one_spline_evaluation_per_sweep(short_exp_run):
     nodes, path, _ = _first_sweep(short_exp_run[1].ensemble)
     # a path that is not constant, as in later sweeps
-    path = lsw_solver.NaturalSpline(nodes, path(nodes) * (1.0 + 0.01 * np.sin(nodes)))
+    path = lsw_solver.Barycentric(nodes, path(nodes) * (1.0 + 0.01 * np.sin(nodes)))
     calls = []
 
     def counted(s):
@@ -581,7 +600,7 @@ def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
     else:
         ens = make_ensemble(lk.indicator(n=512).profile)
     nodes, path, _ = _first_sweep(ens, SolverConfig())
-    path = lsw_solver.NaturalSpline(nodes, path(nodes) * (1.0 + 0.01 * np.sin(40.0 * nodes)))
+    path = lsw_solver.Barycentric(nodes, path(nodes) * (1.0 + 0.01 * np.sin(40.0 * nodes)))
     log_exits, descent, rk4 = lsw_solver._log_exits, lsw_solver._analytic_descent, lsw_solver._rk4
     seen, worst = [], []
 
@@ -648,16 +667,16 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
 
 
 def test_stop_on_bound_builds_each_path_once(short_exp_run, monkeypatch):
-    # one spline per sweep and one for the confirming transport, which is
+    # one path per sweep and one for the confirming transport, which is
     # the one returned
     built = []
 
-    class Counted(lsw_solver.NaturalSpline):
+    class Counted(lsw_solver.Barycentric):
         def __init__(self, x, y):
             super().__init__(x, y)
             built.append(self)
 
-    monkeypatch.setattr(lsw_solver, "NaturalSpline", Counted)
+    monkeypatch.setattr(lsw_solver, "Barycentric", Counted)
     ens = short_exp_run[1].ensemble
     cfg = SolverConfig(tol=1e-6)
     L0 = lsw_solver._state_L(ens, short_exp_run[1].trace.L[-1])[0]
@@ -701,8 +720,8 @@ def test_warm_start_falls_back_to_cold_on_a_nonpositive_extrapolation(short_exp_
     ens, L0, dt, cfg = _final_step(short_exp_run[1])
     # a prior path whose midpoint sits far above both ends: the quadratic
     # through it, in z = 2(s - t)/dt, falls below 0 at the step's last nodes
-    prior = lsw_solver.NaturalSpline(ens.t + dt * np.array([-1.0, -0.5, 0.0]),
-                                     L0 * np.array([1.0, 100.0, 1.0]))
+    prior = lsw_solver.Barycentric(ens.t + dt * np.array([-1.0, -0.5, 0.0]),
+                                   L0 * np.array([1.0, 100.0, 1.0]))
     z = 1.0 - np.cos(np.pi * np.arange(lsw_solver.N_CHEB + 1) / lsw_solver.N_CHEB)
     assert np.min(0.5 * z * (z + 1) - 100.0 * z * (z + 2) + 0.5 * (z + 1) * (z + 2)) < 0
     cold_ens, cold_path, cold = lsw_solver.picard_solve_interval(ens, dt, L0, cfg)
@@ -731,9 +750,8 @@ def test_warm_and_cold_steps_agree(short_exp_run):
 
 
 def test_end_node_resolution_is_reused_exactly(monkeypatch):
-    # a step that converged on a small correction records the L its last
-    # sweep resolved at the end node; only the initial state and steps that
-    # stopped on the bound go through _state_L
+    # every accepted step records the (L, y_b, w0b) it resolved at its own
+    # end node, on either exit; only the initial state goes through _state_L
     picard, state_L = lsw_solver.picard_solve_interval, lsw_solver._state_L
     steps, resolved_at = [], []
 
@@ -752,14 +770,16 @@ def test_end_node_resolution_is_reused_exactly(monkeypatch):
     res = advance_global(fam.profile, 2.0, SolverConfig(tol=1e-6), beta0=fam.beta_exact)
     accepted = [out for out in steps if out[2].converged]
     assert [stats for _, _, stats in accepted] == res.picard
-    on_bound = [out[0].t for out in accepted if out[2].stopped_on_bound]
-    assert 0 < len(on_bound) < len(accepted)
-    assert resolved_at == [0.0] + on_bound
-    for (out, _, stats), L_prev, L in zip(accepted, res.trace.L, res.trace.L[1:]):
-        if not stats.stopped_on_bound:
-            assert stats.end_state[0] == L
-            ref = state_L(out, L_prev)
-            np.testing.assert_allclose(stats.end_state, ref, rtol=1e-12, atol=0)
+    assert 0 < sum(stats.stopped_on_bound for stats in res.picard) < len(accepted)
+    assert resolved_at == [0.0]
+    for (out, path, stats), L_prev, L in zip(accepted, res.trace.L, res.trace.L[1:]):
+        assert stats.end_state[0] == L
+        ref = state_L(out, L_prev)
+        np.testing.assert_allclose(stats.end_state, ref, rtol=1e-12, atol=0)
+        if stats.stopped_on_bound:
+            # resolved from the accepted path's value at the end node
+            own = lsw_solver._resolve_L([out], path(np.array([out.t])), out.initial)
+            assert stats.end_state == tuple(float(v[0]) for v in own[:3])
 
 
 def test_warm_starts_cut_the_sweeps(short_exp_run):
@@ -781,19 +801,26 @@ def test_first_step_is_a_cold_start(short_exp_run):
     assert res.picard[0].first_correction == max(p.first_correction for p in res.picard)
 
 
-def test_natural_spline_matches_scipy():
-    from scipy.interpolate import CubicSpline
-
+def test_polynomial_path_reproduces_cubics():
     j = np.arange(lsw_solver.N_CHEB + 1)
     nodes = 2.0 + 0.05 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
-    values = 1.3 * (1.0 + 0.01 * np.sin(40.0 * nodes))
-    ours, ref = lsw_solver.NaturalSpline(nodes, values), CubicSpline(nodes, values, bc_type="natural")
     s = np.concatenate((nodes, np.linspace(nodes[0] - 0.01, nodes[-1] + 0.01, 2001)))
-    np.testing.assert_allclose(ours(s), ref(s), rtol=0, atol=1e-15)
+    # node values come back exactly
+    values = 1.3 * (1.0 + 0.01 * np.sin(40.0 * nodes))
+    ours = lsw_solver.Barycentric(nodes, values)
     np.testing.assert_array_equal(ours(nodes), values)
-    grid = s[:2000].reshape(400, 5)
-    assert ours(grid).shape == grid.shape
     np.testing.assert_array_equal(ours.x, nodes)
+    grid = s[:2000].reshape(400, 5)
+    assert ours(grid).shape == grid.shape and ours(s[0]).shape == ()
+    # through 4 nodes, any cubic is reproduced to rounding, 0.01 beyond each end too
+    assert len(nodes) == 4
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        c = rng.normal(size=4)
+        cubic = lambda t: np.polynomial.polynomial.polyval((t - 2.025) / 0.025, c)
+        ref = cubic(s)
+        np.testing.assert_allclose(lsw_solver.Barycentric(nodes, cubic(nodes))(s), ref, rtol=0,
+                                   atol=16.0 * np.finfo(float).eps * np.max(np.abs(ref)))
 
 
 def test_phi_primitive_series_is_cut_where_no_bit_moves():
