@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceWarning
+from .errors import ConfigError, ConvergenceWarning, require_setting
 from .families import FAMILY_BUILDERS, make_family
 from . import jensen
 from .lsw_solver import (
@@ -103,6 +103,7 @@ def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
             raise ConfigError("stationarity check needs a family with a known beta")
         rate = float(fam.beta_exact(0.0))
         tau_target = float(opts.get("tau_target", 2.0))
+        require_setting("tau_target", tau_target, zero_ok=True)
         t_final = float((np.exp(tau_target * rate) - 1.0) / rate)
         snaps = tuple(sorted(set(snaps) | {t_final}))
     outside = [f"{t:g}" for t in snaps if not 0.0 <= t <= t_final]
@@ -502,9 +503,21 @@ def list_families() -> int:
 
 
 def compare_traces(path_a: str, path_b: str, tol: float | None = None) -> int:
-    # ndmin=1: a one-row trace reads as one row, not as a 0-d record
-    a = np.genfromtxt(path_a, delimiter=",", names=True, ndmin=1)
-    b = np.genfromtxt(path_b, delimiter=",", names=True, ndmin=1)
+    if tol is not None and not tol >= 0:
+        print(f"error: --tol {tol:g} must be >= 0", file=sys.stderr)
+        return 2
+    traces = []
+    for path in (path_a, path_b):
+        try:
+            with warnings.catch_warnings():
+                # an empty file is only a warning, before an IndexError on its header
+                warnings.simplefilter("error")
+                # ndmin=1: a one-row trace reads as one row, not as a 0-d record
+                traces.append(np.genfromtxt(path, delimiter=",", names=True, ndmin=1))
+        except (OSError, ValueError, UserWarning) as exc:
+            print(f"error: trace {path}: {' '.join(str(exc).split())}", file=sys.stderr)
+            return 2
+    a, b = traces
     cols_a, cols_b = a.dtype.names, b.dtype.names
     if cols_a != cols_b:
         print(f"column mismatch: {cols_a} vs {cols_b}")

@@ -9,6 +9,7 @@ forms, so the certificates are sharp for the given data.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -17,8 +18,8 @@ import numpy as np
 from .profiles import SurvivalProfile, beta_from_profile, write_json
 
 # leg-8 nodes/weights on [-1, 1] for smooth integrands against cellwise
-# constant densities
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# constant densities, built on first use: numpy.polynomial takes ms to import
+_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(8))
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ def expectation(profile: SurvivalProfile, phi) -> float:
     dens = (w[:-1] - w[1:]) / dx          # cell density of X (times w(0))
     mid = 0.5 * (x[:-1] + x[1:])
     half = 0.5 * dx
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    cell_int = half * (phi(nodes) @ _GL_W)
+    gl_x, gl_w = _gauss_legendre()
+    nodes = mid[:, None] + half[:, None] * gl_x[None, :]
+    cell_int = half * (phi(nodes) @ gl_w)
     total = float(np.sum(dens * cell_int))
     if atom > 0.0:
         total += atom * float(phi(x[-1]))

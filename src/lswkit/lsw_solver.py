@@ -15,8 +15,10 @@ ensemble arrays and never writes into them, so shallow copies are safe.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
@@ -222,14 +224,36 @@ def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> Optional[np.ndar
     return keep
 
 
-def _panel_times(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Substep times of the panels between ``nodes``: row i holds the NSUB + 1
-    ends of panel i's substeps, and the (start, middle, end) times of each
-    of its substeps."""
-    ss = np.linspace(nodes[:-1], nodes[1:], NSUB + 1, axis=1)
-    ds = np.diff(ss, axis=1)
-    start = ss[:, :-1]
-    return ss, np.stack((start, start + 0.5 * ds, start + ds), axis=-1)
+def _lagrange_weights(x, s) -> np.ndarray:
+    """The Lagrange basis of the nodes x at the points s, node axis first: a
+    product over the other nodes in node order, so a point at node j reads
+    exactly row j of the identity."""
+    return np.array([math.prod([(s - xk) / (xj - xk) for xk in x if xk != xj], start=1.0) for xj in x])
+
+
+def _contract(w, y):
+    """sum_j w[j] y[j], one node at a time in node order: no bit depends on
+    BLAS or on w's shape, and a unit row gives its node's y exactly."""
+    out = w[0] * y[0]
+    for wj, yj in zip(w[1:], y[1:]):
+        out = out + wj * yj
+    return out
+
+
+_Layout = namedtuple("_Layout", "nodes ends sub mid")
+
+
+@functools.cache
+def _layout(n_cheb: int, nsub: int) -> _Layout:
+    """What n_cheb Chebyshev panels of nsub substeps fix in every Picard step,
+    in fractions of the step: the nodes, each panel's substep ends (its first
+    and last are its nodes), and the nodes' Lagrange weights at each
+    substep's (start, middle, end) and at the step's middle."""
+    f = 0.5 * (1.0 - np.cos(np.pi * np.arange(n_cheb + 1) / n_cheb))
+    ends = np.linspace(f[:-1], f[1:], nsub + 1, axis=1)
+    start, end = ends[:, :-1], ends[:, 1:]
+    points = np.stack((start, start + 0.5 * (end - start), end), axis=-1)
+    return _Layout(f, ends, _lagrange_weights(f, points), _lagrange_weights(f, 0.5))
 
 
 def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None) -> tuple:
@@ -504,19 +528,21 @@ class PicardStats:
     flux_evals: int = 0          # _flux_L batches the step's L-resolutions took
 
 
-def _transport(ens: Ensemble, nodes: np.ndarray, path):
-    """A copy of ens carried along ``path`` through the panels of ``nodes``,
-    what L-resolution reads of it at each node, and the ExtinctionError of a
-    node with fewer than ``EXTINCTION_FLOOR`` survivors, where it stops.
+def _transport(ens: Ensemble, dt: float, L_vals: np.ndarray):
+    """A copy of ens carried through the panels of the step [t, t + dt] along
+    the path with values ``L_vals`` at its nodes, what L-resolution reads of
+    it at each node, and the ExtinctionError of a node with fewer than
+    ``EXTINCTION_FLOOR`` survivors, where it stops.
 
-    One call of ``path`` gives L at every substep of every panel; each panel
-    is one ``_advance``, and the survivors' cube root carries from one panel
-    to the next."""
-    ss, points = _panel_times(nodes)
+    The substep times and the path's values there are read off the layout's
+    table; each panel is one ``_advance``, and the survivors' cube root
+    carries from one panel to the next."""
+    lay = _layout(N_CHEB, NSUB)
     scratch = copy.copy(ens)
     moments = []
     root = None
-    for panel_ss, panel_L in zip(ss.tolist(), path(points).tolist()):
+    L_sub = _contract(lay.sub, L_vals.tolist())
+    for panel_ss, panel_L in zip((ens.t + dt * lay.ends).tolist(), L_sub.tolist()):
         root = _advance(scratch, panel_ss, panel_L, root)
         if scratch.n_alive < EXTINCTION_FLOOR:
             return scratch, moments, ExtinctionError(
@@ -525,36 +551,14 @@ def _transport(ens: Ensemble, nodes: np.ndarray, path):
     return scratch, moments, None
 
 
-class Barycentric:
-    """The polynomial through (x, y) in barycentric Lagrange form: a node gives its y
-    exactly, and terms add in node order, elementwise, so no bit depends on s's shape."""
-
-    def __init__(self, x, y):
-        self.x = x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        xs = x.tolist()
-        self.w = np.array([1.0 / math.prod(xj - xk for k, xk in enumerate(xs) if k != j)
-                           for j, xj in enumerate(xs)])
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        d = s[..., None] - self.x
-        hit = d == 0.0
-        # at a node its term is infinite and the quotient NaN; its y is taken instead
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = self.w / d
-            cy = c * self.y
-            num, den = cy[..., 0], c[..., 0]
-            for j in range(1, len(self.x)):
-                num = num + cy[..., j]
-                den = den + c[..., j]
-            out = num / den
-        return np.where(hit.any(axis=-1), np.where(hit, self.y, 0.0).sum(axis=-1), out)
+# L on the Picard step [t, t + dt]: the polynomial through ``values`` at the
+# layout's nodes t + dt * nodes, read anywhere through ``_lagrange_weights``
+PicardPath = namedtuple("PicardPath", "t dt values")
 
 
 def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig,
-                          prior: Optional[Barycentric] = None
-                          ) -> tuple[Ensemble, Barycentric, PicardStats]:
+                          prior: Optional[PicardPath] = None
+                          ) -> tuple[Ensemble, PicardPath, PicardStats]:
     """Resolve L(s) on [t, t+dt] by fixed-point iteration on the polynomial
     path through L at the interval's Chebyshev nodes.
 
@@ -568,20 +572,19 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
     and ratio r = d_k/d_(k-1) is below tol * L0, a transport through iterate
     k's path ends the step, and L at its end node is resolved from there.
     """
-    j = np.arange(N_CHEB + 1)
-    nodes = ens.t + dt * 0.5 * (1.0 - np.cos(np.pi * j / N_CHEB))
-    L_vals = np.full(len(nodes), L0)
+    lay = _layout(N_CHEB, NSUB)
+    L_vals = np.full(len(lay.nodes), L0)
     if prior is not None:
-        x3 = np.array([prior.x[0], ens.t - 0.5 * (ens.t - prior.x[0]), ens.t])
-        warm = Barycentric(x3, np.append(prior(x3[:2]), L0))(nodes[1:])
+        # the quadratic in (s - t) / prior.dt through the prior's start, its middle and L0
+        knots = np.array([prior.values[0], _contract(lay.mid, prior.values), L0])
+        warm = _contract(_lagrange_weights((-1.0, -0.5, 0.0), lay.nodes[1:] * (dt / prior.dt)), knots)
         if np.all(np.isfinite(warm) & (warm > 0)):
             L_vals[1:] = warm
     diffs = []
     converged = on_bound = False
     flux_evals = 0
     for _ in range(MAX_PICARD):
-        path = Barycentric(nodes, L_vals)
-        scratch, moments, extinct = _transport(ens, nodes, path)
+        scratch, moments, extinct = _transport(ens, dt, L_vals)
         resolved, yb, w0b, evals = _resolve_L(moments, L_vals[1:len(moments) + 1], ens.initial)
         flux_evals += evals
         # a node whose L is not positive ends the sweep before any later panel
@@ -601,9 +604,8 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
         if r < 1.0 and diff * r / (1.0 - r) < cfg.tol * L0:
             converged = on_bound = True
             break
-    path = Barycentric(nodes, L_vals)
     if on_bound:
-        scratch, _, extinct = _transport(ens, nodes, path)
+        scratch, _, extinct = _transport(ens, dt, L_vals)
         if extinct:
             raise extinct
         *end, evals = _resolve_L([scratch], L_vals[-1:], ens.initial)
@@ -613,7 +615,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
                         ratios=ratios, converged=converged, stopped_on_bound=on_bound,
                         end_state=tuple(float(v[-1]) for v in end) if converged else None,
                         flux_evals=flux_evals)
-    return scratch, path, stats
+    return scratch, PicardPath(ens.t, dt, L_vals), stats
 
 
 @dataclass
@@ -823,13 +825,8 @@ def dyadic_intervals(y: np.ndarray, w_star: np.ndarray, n_levels: int = 14) -> n
     Returns NaN where a level is unresolved by the data.
     """
     w0 = w_star[0]
-    out = np.full(n_levels, np.nan)
     levels = w0 * 2.0 ** (-np.arange(n_levels + 1, dtype=float))
-    ys = np.interp(-levels, -w_star, y, left=np.nan, right=np.nan)
-    for n in range(n_levels):
-        if np.isfinite(ys[n]) and np.isfinite(ys[n + 1]):
-            out[n] = ys[n + 1] - ys[n]
-    return out
+    return np.diff(np.interp(-levels, -w_star, y, left=np.nan, right=np.nan))
 
 
 def dyadic_report(snaps: list) -> dict:

@@ -848,6 +848,7 @@ def test_snapshot_at_t_final_is_taken(tmp_path, capsys):
     ("lsw", "t_final", "nan"), ("lsw", "t_final", "-1"),
     ("linear", "delta", "0"), ("linear", "delta", "-0.05"),
     ("linear", "t_final", "nan"), ("linear", "t_final", "-1"),
+    ("lsw", "tau_target", "-1"), ("lsw", "tau_target", "nan"),
 ])
 def test_unusable_setting_fails_the_section(tmp_path, capsys, monkeypatch, model, key, value):
     # each of these hangs, crashes or passes without a step when it reaches
@@ -859,7 +860,9 @@ def test_unusable_setting_fails_the_section(tmp_path, capsys, monkeypatch, model
     monkeypatch.setattr(linear_model, "_rk4", never)
     cfg = tmp_path / "bad.ini"
     settings = {"t_final": "0.5", key: value}
-    cfg.write_text(f"[bad]\nmodel = {model}\nfamily = exponential\nchecks = conservation\n" +
+    # only the stationarity check reads tau_target
+    check = "stationarity" if key == "tau_target" else "conservation"
+    cfg.write_text(f"[bad]\nmodel = {model}\nfamily = exponential\nchecks = {check}\n" +
                    "".join(f"{k} = {v}\n" for k, v in settings.items()))
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
     assert f"bad  FAIL  ConfigError: {key} = {float(value):g} must be finite and" in \
@@ -891,3 +894,38 @@ def test_compare_a_trace_without_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "L          max rel diff 0\n" in out and "FAIL: row counts differ (1 vs 0)" in out
     assert main(["compare", str(b), str(b), "--tol", "1e-12"]) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "not found"),
+    ("", "Empty input file"),
+    ("t;L\n0;1\n", "could not convert string to float"),
+], ids=["missing", "empty", "semicolons"])
+def test_compare_an_unreadable_trace_exits_2_with_one_error_line(tmp_path, capsys, text, message):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,L\n0,1\n")
+    if text is not None:
+        b.write_text(text)
+    for pair in ((a, b), (b, a)):
+        assert main(["compare", *map(str, pair), "--tol", "1e-12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: trace {b}: ") and message in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_compare_rejects_an_unusable_tol(tmp_path, capsys, tol):
+    a = tmp_path / "a.csv"
+    a.write_text("t,L\n0,1\n")
+    assert main(["compare", str(a), str(a), "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --tol {float(tol):g} must be >= 0\n"
+
+
+def test_import_leaves_numpy_polynomial_out():
+    src = Path(lswkit.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lswkit.cli; "
+            "print('numpy.polynomial' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0 and done.stdout == "False\n", done.stdout + done.stderr

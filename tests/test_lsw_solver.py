@@ -228,7 +228,9 @@ def test_panel_layout_keeps_lambda_near_a_fine_layout(monkeypatch):
     chosen = final_lambda()
     monkeypatch.setattr(lsw_solver, "N_CHEB", 16)
     monkeypatch.setattr(lsw_solver, "NSUB", 4)
-    assert chosen == pytest.approx(final_lambda(), rel=5e-7)
+    fine = final_lambda()
+    # the fine layout runs: a step that kept the 3 x 3 layout would read the same bits
+    assert chosen != fine and chosen == pytest.approx(fine, rel=5e-7)
 
 
 def test_extinction_reported():
@@ -338,14 +340,17 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)
 
 
-def _advance_panels(ens, nodes, path):
-    """A copy of ens carried through the panels of ``nodes`` one ``_advance``
-    at a time, with the cube root carried between panels, and a full copy of
-    it at every node."""
+def _layout():
+    return lsw_solver._layout(lsw_solver.N_CHEB, lsw_solver.NSUB)
+
+
+def _advance_panels(ens, path):
+    """A copy of ens carried along ``path`` one ``_advance`` per panel, with
+    the cube root carried between panels, and a full copy of it at every node."""
+    lay = _layout()
     scratch, at_nodes, root = copy.copy(ens), [], None
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        ss, points = lsw_solver._panel_times(np.array([a, b]))
-        root = lsw_solver._advance(scratch, ss[0].tolist(), path(points[0]).tolist(), root)
+    for ss, L_sub in zip(path.t + path.dt * lay.ends, lsw_solver._contract(lay.sub, path.values)):
+        root = lsw_solver._advance(scratch, ss.tolist(), L_sub.tolist(), root)
         at_nodes.append(copy.copy(scratch))
     return scratch, at_nodes
 
@@ -354,17 +359,14 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     """Chebyshev nodes of one Picard step from ens, the first sweep's path,
     and a full copy of the transported ensemble at every node."""
     L0 = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, ens.initial.w0))[0]
-    j = np.arange(lsw_solver.N_CHEB + 1)
-    nodes = ens.t + cfg.delta * L0 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
-    path = lsw_solver.Barycentric(nodes, np.full(len(nodes), L0))
-    return nodes, path, _advance_panels(ens, nodes, path)[1]
+    path = lsw_solver.PicardPath(ens.t, cfg.delta * L0, np.full(lsw_solver.N_CHEB + 1, L0))
+    return path.t + path.dt * _layout().nodes, path, _advance_panels(ens, path)[1]
 
 
 def _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch):
     # the batch reads what the sweep's transport keeps at each node
-    nodes = path.x
     monkeypatch.setattr(lsw_solver, "EXTINCTION_FLOOR", 1)
-    _, moments, extinct = lsw_solver._transport(ens, nodes, path)
+    _, moments, extinct = lsw_solver._transport(ens, path.dt, path.values)
     assert extinct is None and len(moments) == len(at_nodes)
     flux = lsw_solver._flux_L
     calls = []      # the L each _flux_L call reads
@@ -399,7 +401,7 @@ def test_batched_resolution_matches_per_node(family, short_exp_run, monkeypatch)
     else:
         ens = make_ensemble(lk.power_tail(1.0).profile)
     _, path, at_nodes = _first_sweep(ens)
-    guesses = path(np.array([e.t for e in at_nodes]))
+    guesses = path.values[1:].copy()
     # two nodes start from a guess so small that their first flux evaluation
     # takes the head-cell branch; the last node does not
     small = [lsw_solver.N_CHEB // 4, 5 * lsw_solver.N_CHEB // 8]
@@ -413,7 +415,7 @@ def test_batched_resolution_head_cell_branch(monkeypatch):
     # four survivors on [0, 1]: the first sits at x = 0.25 >= L/8 throughout
     ens = make_ensemble(lk.indicator(n=4).profile)
     _, path, at_nodes = _first_sweep(ens, SolverConfig())
-    guesses = path(np.array([e.t for e in at_nodes]))
+    guesses = path.values[1:].copy()
     assert all(e.pos[0] >= 0.125 * g for e, g in zip(at_nodes, guesses))
     _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch)
 
@@ -426,7 +428,7 @@ def test_resolution_stops_on_its_error_bound(family, short_exp_run):
     ens = short_exp_run[1].ensemble if family == "exponential" else \
         make_ensemble(lk.power_tail(1.0).profile)
     _, path, at_nodes = _first_sweep(ens)
-    guesses = path(np.array([e.t for e in at_nodes]))
+    guesses = path.values[1:].copy()
     L, _, _, evals = lsw_solver._resolve_L(at_nodes, guesses, ens.initial)
     on_change = 0
     for node, guess, got in zip(at_nodes, guesses, L):
@@ -458,7 +460,7 @@ def test_resolution_warns_at_its_cap(short_exp_run, monkeypatch):
         return clean(*args) * (1.0 + 1e-8 * flips[0])
 
     monkeypatch.setattr(lsw_solver, "_flux_L", noisy)
-    guesses = path(np.array([e.t for e in at_nodes]))
+    guesses = path.values[1:].copy()
     n = lsw_solver.N_CHEB
     with pytest.warns(lk.ConvergenceWarning,
                       match=f"{n} of {n} nodes did not converge in {lsw_solver._RESOLVE_CAP} iterations"):
@@ -565,26 +567,31 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
     np.testing.assert_array_equal(ens.labels, pos[~exiting])
 
 
-def test_one_spline_evaluation_per_sweep(short_exp_run):
-    nodes, path, _ = _first_sweep(short_exp_run[1].ensemble)
+def test_sweeps_read_the_layout_table(short_exp_run, monkeypatch):
+    ens = short_exp_run[1].ensemble
+    nodes, path, _ = _first_sweep(ens)
     # a path that is not constant, as in later sweeps
-    path = lsw_solver.Barycentric(nodes, path(nodes) * (1.0 + 0.01 * np.sin(nodes)))
-    calls = []
+    values = path.values * (1.0 + 0.01 * np.sin(nodes))
+    lay = _layout()
+    advance, weights, calls = lsw_solver._advance, lsw_solver._lagrange_weights, []
 
-    def counted(s):
-        calls.append(np.array(s))
-        return path(s)
+    def counted(e, ss, L_sub, root=None):
+        calls.append((ss, L_sub))
+        return advance(e, ss, L_sub, root)
 
-    lsw_solver._transport(short_exp_run[1].ensemble, nodes, counted)
-    assert [c.shape for c in calls] == [(lsw_solver.N_CHEB, lsw_solver.NSUB, 3)]
-    # each panel's rows are the (start, middle, end) of its substeps, as
-    # np.linspace spaces them, and the path's values there are the pointwise ones
-    for a, b, rows in zip(nodes[:-1], nodes[1:], calls[0]):
-        ss = np.linspace(a, b, lsw_solver.NSUB + 1)
-        ds = np.diff(ss)
-        points = np.column_stack((ss[:-1], ss[:-1] + 0.5 * ds, ss[:-1] + ds))
-        np.testing.assert_array_equal(rows, points)
-        assert [p.tolist() for p in path(rows)] == [[float(path(p)) for p in row] for row in points]
+    monkeypatch.setattr(lsw_solver, "_advance", counted)
+    monkeypatch.setattr(lsw_solver, "_lagrange_weights", _never)
+    lsw_solver._transport(ens, path.dt, values)
+    assert len(calls) == lsw_solver.N_CHEB
+    for i, (ss, L_sub) in enumerate(calls):
+        # a panel's substep ends are t + dt * its row of the table, the last
+        # one its end node, bit for bit
+        assert ss == (path.t + path.dt * lay.ends[i]).tolist() and ss[-1] == nodes[i + 1]
+        # L at each substep's (start, middle, end) is the path's value there,
+        # with the weights of that one point
+        start, end = lay.ends[i, :-1], lay.ends[i, 1:]
+        for row, points in zip(L_sub, np.column_stack((start, start + 0.5 * (end - start), end))):
+            assert row == [float(lsw_solver._contract(weights(lay.nodes, p), values)) for p in points]
 
 
 def _ulps(r, ref):
@@ -600,7 +607,7 @@ def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
     else:
         ens = make_ensemble(lk.indicator(n=512).profile)
     nodes, path, _ = _first_sweep(ens, SolverConfig())
-    path = lsw_solver.Barycentric(nodes, path(nodes) * (1.0 + 0.01 * np.sin(40.0 * nodes)))
+    values = path.values * (1.0 + 0.01 * np.sin(40.0 * nodes))
     log_exits, descent, rk4 = lsw_solver._log_exits, lsw_solver._analytic_descent, lsw_solver._rk4
     seen, worst = [], []
 
@@ -620,7 +627,7 @@ def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
     monkeypatch.setattr(lsw_solver, "_log_exits", screened)
     monkeypatch.setattr(lsw_solver, "_analytic_descent", checked_descent)
     monkeypatch.setattr(lsw_solver, "_rk4", checked_rk4)
-    lsw_solver._transport(ens, nodes, path)
+    lsw_solver._transport(ens, path.dt, values)
     # both shares run at every substep
     assert len(seen) == lsw_solver.N_CHEB * lsw_solver.NSUB and len(worst) == 2 * len(seen)
     assert max(worst) <= 4.0
@@ -656,10 +663,9 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
     L0 = lsw_solver._state_L(ens, short_exp_run[1].trace.L[-1])[0]
     out, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
     assert stats.converged and stats.stopped_on_bound and stats.iterations >= 2
-    nodes = path.x
-    confirm, moments = _advance_panels(ens, nodes, path)
-    resolved = lsw_solver._resolve_L(moments, path(nodes[1:]), ens.initial)[0]
-    assert np.max(np.abs(resolved - path(nodes[1:]))) < cfg.tol * L0
+    confirm, moments = _advance_panels(ens, path)
+    resolved = lsw_solver._resolve_L(moments, path.values[1:], ens.initial)[0]
+    assert np.max(np.abs(resolved - path.values[1:])) < cfg.tol * L0
     for name in ("labels", "pos", "w", "jac"):
         np.testing.assert_array_equal(getattr(out, name), getattr(confirm, name))
     assert (out.t, out.exit_t, out.exit_y, out.exit_jac) == \
@@ -667,22 +673,29 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
 
 
 def test_stop_on_bound_builds_each_path_once(short_exp_run, monkeypatch):
-    # one path per sweep and one for the confirming transport, which is
-    # the one returned
-    built = []
+    # the sweeps and the confirming transport read the layout's table: no
+    # Lagrange weight is computed, per sweep or per step, and the one path
+    # built is the one returned; a warm start computes the weights of its
+    # quadratic once
+    built, weights = [], []
+    lagrange = lsw_solver._lagrange_weights
 
-    class Counted(lsw_solver.Barycentric):
-        def __init__(self, x, y):
-            super().__init__(x, y)
-            built.append(self)
+    class Counted(lsw_solver.PicardPath):
+        def __new__(cls, *args):
+            built.append(super().__new__(cls, *args))
+            return built[-1]
 
-    monkeypatch.setattr(lsw_solver, "Barycentric", Counted)
+    _layout()
+    monkeypatch.setattr(lsw_solver, "PicardPath", Counted)
+    monkeypatch.setattr(lsw_solver, "_lagrange_weights", lambda *a: weights.append(a) or lagrange(*a))
     ens = short_exp_run[1].ensemble
     cfg = SolverConfig(tol=1e-6)
     L0 = lsw_solver._state_L(ens, short_exp_run[1].trace.L[-1])[0]
     _, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
-    assert stats.stopped_on_bound
-    assert len(built) == stats.iterations + 1 and path is built[-1]
+    assert stats.stopped_on_bound and stats.iterations >= 2
+    assert len(built) == 1 and built[0] is path and weights == []
+    lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg, path)
+    assert len(built) == 2 and len(weights) == 1
 
 
 def test_solver_never_writes_into_ensemble_arrays(short_exp_run, monkeypatch):
@@ -720,14 +733,15 @@ def test_warm_start_falls_back_to_cold_on_a_nonpositive_extrapolation(short_exp_
     ens, L0, dt, cfg = _final_step(short_exp_run[1])
     # a prior path whose midpoint sits far above both ends: the quadratic
     # through it, in z = 2(s - t)/dt, falls below 0 at the step's last nodes
-    prior = lsw_solver.Barycentric(ens.t + dt * np.array([-1.0, -0.5, 0.0]),
-                                   L0 * np.array([1.0, 100.0, 1.0]))
+    f = _layout().nodes
+    prior = lsw_solver.PicardPath(ens.t - dt, dt, L0 * (1.0 + 396.0 * f * (1.0 - f)))
+    assert lsw_solver._contract(_layout().mid, prior.values) == pytest.approx(100.0 * L0)
     z = 1.0 - np.cos(np.pi * np.arange(lsw_solver.N_CHEB + 1) / lsw_solver.N_CHEB)
     assert np.min(0.5 * z * (z + 1) - 100.0 * z * (z + 2) + 0.5 * (z + 1) * (z + 2)) < 0
     cold_ens, cold_path, cold = lsw_solver.picard_solve_interval(ens, dt, L0, cfg)
     warm_ens, warm_path, warm = lsw_solver.picard_solve_interval(ens, dt, L0, cfg, prior)
     assert warm.converged and warm == cold
-    np.testing.assert_array_equal(warm_path(warm_path.x), cold_path(cold_path.x))
+    np.testing.assert_array_equal(warm_path.values, cold_path.values)
     np.testing.assert_array_equal(warm_ens.pos, cold_ens.pos)
 
 
@@ -739,9 +753,8 @@ def test_warm_and_cold_steps_agree(short_exp_run):
     _, cold_path, cold = lsw_solver.picard_solve_interval(first, cfg.delta * L1, L1, cfg)
     _, warm_path, warm = lsw_solver.picard_solve_interval(first, cfg.delta * L1, L1, cfg, prior)
     assert cold.converged and warm.converged
-    nodes = cold_path.x
-    np.testing.assert_array_equal(warm_path.x, nodes)
-    assert np.max(np.abs(warm_path(nodes) - cold_path(nodes))) <= 2.0 * cfg.tol * L1
+    assert (warm_path.t, warm_path.dt) == (cold_path.t, cold_path.dt)
+    assert np.max(np.abs(warm_path.values - cold_path.values)) <= 2.0 * cfg.tol * L1
     assert warm.first_correction < 0.01 * cold.first_correction
     # on this step both take two sweeps, and only the cold start stops on
     # the bound and pays a confirming transport
@@ -778,7 +791,7 @@ def test_end_node_resolution_is_reused_exactly(monkeypatch):
         np.testing.assert_allclose(stats.end_state, ref, rtol=1e-12, atol=0)
         if stats.stopped_on_bound:
             # resolved from the accepted path's value at the end node
-            own = lsw_solver._resolve_L([out], path(np.array([out.t])), out.initial)
+            own = lsw_solver._resolve_L([out], path.values[-1:], out.initial)
             assert stats.end_state == tuple(float(v[0]) for v in own[:3])
 
 
@@ -801,26 +814,53 @@ def test_first_step_is_a_cold_start(short_exp_run):
     assert res.picard[0].first_correction == max(p.first_correction for p in res.picard)
 
 
-def test_polynomial_path_reproduces_cubics():
-    j = np.arange(lsw_solver.N_CHEB + 1)
-    nodes = 2.0 + 0.05 * 0.5 * (1.0 - np.cos(np.pi * j / lsw_solver.N_CHEB))
-    s = np.concatenate((nodes, np.linspace(nodes[0] - 0.01, nodes[-1] + 0.01, 2001)))
-    # node values come back exactly
-    values = 1.3 * (1.0 + 0.01 * np.sin(40.0 * nodes))
-    ours = lsw_solver.Barycentric(nodes, values)
-    np.testing.assert_array_equal(ours(nodes), values)
-    np.testing.assert_array_equal(ours.x, nodes)
-    grid = s[:2000].reshape(400, 5)
-    assert ours(grid).shape == grid.shape and ours(s[0]).shape == ()
-    # through 4 nodes, any cubic is reproduced to rounding, 0.01 beyond each end too
-    assert len(nodes) == 4
+def test_layout_table_reproduces_cubics():
+    lay = _layout()
+    f = lay.nodes
+    assert len(f) == 4
+    # a panel's first and last substep ends are its nodes, bit for bit, so
+    # its end time t + dt * ends is the node time t + dt * nodes
+    np.testing.assert_array_equal(lay.ends[:, 0], f[:-1])
+    np.testing.assert_array_equal(lay.ends[:, -1], f[1:])
+    # a point at a node reads exactly that node's unit row
+    eye = np.eye(len(f))
+    np.testing.assert_array_equal(lsw_solver._lagrange_weights(f, f), eye)
+    np.testing.assert_array_equal(lay.sub[:, :, 0, 0], eye[:, :-1])
+    np.testing.assert_array_equal(lay.sub[:, :, -1, 2], eye[:, 1:])
+    # through 4 nodes, any cubic is reproduced to rounding at the (start,
+    # middle, end) of every substep and at the step's middle
+    h = np.diff(f)[:, None] / lsw_solver.NSUB
+    start = f[:-1, None] + h * np.arange(lsw_solver.NSUB)
+    points = np.stack((start, start + 0.5 * h, start + h), axis=-1)
     rng = np.random.default_rng(3)
     for _ in range(200):
         c = rng.normal(size=4)
-        cubic = lambda t: np.polynomial.polynomial.polyval((t - 2.025) / 0.025, c)
-        ref = cubic(s)
-        np.testing.assert_allclose(lsw_solver.Barycentric(nodes, cubic(nodes))(s), ref, rtol=0,
-                                   atol=16.0 * np.finfo(float).eps * np.max(np.abs(ref)))
+        cubic = lambda z: np.polynomial.polynomial.polyval(2.0 * z - 1.0, c)
+        ref = np.append(cubic(points), cubic(0.5))
+        ours = np.append(lsw_solver._contract(lay.sub, cubic(f)), lsw_solver._contract(lay.mid, cubic(f)))
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=16.0 * np.finfo(float).eps * np.max(np.abs(ref)))
+
+
+def test_a_monkeypatched_layout_reaches_the_run(short_exp_run, monkeypatch):
+    # the table is keyed on the layout in use: at 6 panels of 2 substeps a
+    # sweep runs 6 _advance calls of 2 substeps, ending at the 7 nodes
+    monkeypatch.setattr(lsw_solver, "N_CHEB", 6)
+    monkeypatch.setattr(lsw_solver, "NSUB", 2)
+    advance, calls = lsw_solver._advance, []
+
+    def counted(e, ss, L_sub, root=None):
+        calls.append(ss)
+        return advance(e, ss, L_sub, root)
+
+    monkeypatch.setattr(lsw_solver, "_advance", counted)
+    ens, L0, dt, cfg = _final_step(short_exp_run[1])
+    _, path, stats = lsw_solver.picard_solve_interval(ens, dt, L0, cfg)
+    assert stats.converged and len(path.values) == 7
+    assert len(calls) == 6 * (stats.iterations + stats.stopped_on_bound)
+    assert all(len(ss) == 3 for ss in calls)
+    j = np.arange(7)
+    nodes = ens.t + dt * (0.5 * (1.0 - np.cos(np.pi * j / 6)))
+    assert [ss[-1] for ss in calls[:6]] == nodes[1:].tolist()
 
 
 def test_phi_primitive_series_is_cut_where_no_bit_moves():
