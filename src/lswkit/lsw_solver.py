@@ -399,64 +399,40 @@ def _origin_split(pos, L) -> int:
     return min(j + 1, len(pos)) if j else 0
 
 
-class _FluxBatch:
-    """What the flux balance reads of each ensemble of ``states``, gathered
-    once for all fixed-point iterations of an L-resolution.
+def _boundary_labels(states: list, L: np.ndarray) -> np.ndarray:
+    """Label arriving at x = 0 in each of ``states`` at its L, by exit-time
+    interpolation between the last exit and the first survivor's."""
+    t, x1, y1, t0, y0 = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
+                                  for s in states]).reshape(-1, 5).T
+    t1 = t + exit_time_frozen(x1, L)
+    ok = np.isfinite(t1) & (t1 > t0)
+    return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
 
-    A state splits at k = ``_origin_split(pos, L)``: time-to-origin cells
-    over the origin and its first k survivors, linear cells beyond, whose
-    x^(-2/3) integral from survivor max(k, 1) - 1 on is ``far``; k = 0 takes
-    one linear head cell instead.  A state's near cells, with w unclipped
-    and +inf at the origin node, and its far field are rebuilt only when
-    its k changes, so an iteration only clips them at w0b.  ``far`` leaves
-    w unclipped at w0b, where the clip cannot bind: w0b = w0(y_b) with y_b
-    at or below the first survivor's label, and w0 is nonincreasing.
+
+def _flux_L(states: list, w0b: np.ndarray, L_guess: np.ndarray) -> np.ndarray:
+    """``l_from_state`` at each of ``states``, with its w0b[i] and L_guess[i].
+
+    A state splits at k = ``_origin_split(pos, L_guess)``: time-to-origin
+    cells over the origin and its first k survivors, one
+    ``_theta_cell_integrals`` call for every state that has them, and k = 0
+    takes one linear head cell instead.  Linear cells from survivor
+    max(k, 1) - 1 on are the far field, one ``cellquad.flux_total`` pass
+    with w unclipped at w0b, where the clip cannot bind: w0b = w0(y_b) with
+    y_b at or below the first survivor's label, and w0 is nonincreasing.
     """
-
-    def __init__(self, states: list):
-        self.states = states
-        # rows t, pos[0], labels[0], exit_t and exit_y, a column per state
-        self.exits = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
-                               for s in states]).reshape(-1, 5).T
-        self.k = np.full(len(states), -1)      # -1: no split yet
-        self.far = np.zeros(len(states))
-        self.cells = [None] * len(states)      # (x, w) of the time-to-origin cells
-
-    def labels(self, L) -> np.ndarray:
-        """Label arriving at x = 0 in each state, by exit-time interpolation
-        between the last exit and the first survivor's."""
-        t, x1, y1, t0, y0 = self.exits
-        t1 = t + exit_time_frozen(x1, L)
-        ok = np.isfinite(t1) & (t1 > t0)
-        return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
-
-    def split(self, L: np.ndarray) -> None:
-        """Split each state at L, rebuilding those whose k changed."""
-        for i, (state, l) in enumerate(zip(self.states, L.tolist())):
-            k = _origin_split(state.pos, l)
-            if k == self.k[i]:
-                continue
-            self.k[i] = k
-            head = max(k, 1) - 1
-            self.far[i] = cellquad.flux_total(state.pos[head:], state.w[head:])
-            self.cells[i] = (np.concatenate(([0.0], state.pos[:k])),
-                             np.concatenate(([np.inf], state.w[:k])))
-
-
-def _flux_L(batch: _FluxBatch, w0b: np.ndarray, L_guess: np.ndarray) -> np.ndarray:
-    """``l_from_state`` at each state of ``batch``, with its w0b[i] and
-    L_guess[i]; one ``_theta_cell_integrals`` call serves them all."""
-    batch.split(L_guess)
-    near = np.empty(len(w0b))
-    th = batch.k > 0
-    if th.any():
-        xs, ws = zip(*(c for c, t in zip(batch.cells, th) if t))
-        n = batch.k[th] + 1
-        w = np.minimum(np.concatenate(ws), np.repeat(w0b[th], n))
-        near[th] = _theta_cell_integrals(np.concatenate(xs), w, L_guess[th], n)
-    for i in np.flatnonzero(~th).tolist():
-        near[i] = cellquad.power_total(*_augmented_state(batch.states[i], w0b[i], 1), -2.0 / 3.0)
-    return ((near + batch.far) / (3.0 * w0b)) ** 3
+    ks = [_origin_split(s.pos, l) for s, l in zip(states, L_guess.tolist())]
+    far = np.array([cellquad.flux_total(s.pos[max(k, 1) - 1:], s.w[max(k, 1) - 1:])
+                    for s, k in zip(states, ks)])
+    near = np.empty(len(states))
+    th = [i for i, k in enumerate(ks) if k]
+    if th:
+        xs, ws = zip(*(_augmented_state(states[i], w0b[i], ks[i]) for i in th))
+        near[th] = _theta_cell_integrals(np.concatenate(xs), np.concatenate(ws), L_guess[th],
+                                         [ks[i] + 1 for i in th])
+    for i, k in enumerate(ks):
+        if not k:
+            near[i] = cellquad.power_total(*_augmented_state(states[i], w0b[i], 1), -2.0 / 3.0)
+    return ((near + far) / (3.0 * w0b)) ** 3
 
 
 def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None) -> float:
@@ -468,53 +444,45 @@ def l_from_state(ens: Ensemble, w0b: float, L_guess: Optional[float] = None) -> 
     if ens.n_alive == 0:
         raise ExtinctionError("no surviving characteristics")
     guess = np.array([np.nan if L_guess is None else L_guess])
-    return float(_flux_L(_FluxBatch([ens]), np.array([w0b]), guess)[0])
+    return float(_flux_L([ens], np.array([w0b]), guess)[0])
 
 
-_RESOLVE_CAP = 40   # fixed-point iterations before _resolve_L reports a node as not converged
+_RESOLVE_CAP = 40   # fixed-point iterations before _state_L reports no convergence
 
 
-def _resolve_L(states: list, L_guess, initial: SurvivalProfile):
-    """Self-consistent (L, y_b, w0b) arrays at each ensemble of ``states``, by
-    one fixed-point iteration from L_guess over all of them, and the number
-    of ``_flux_L`` batches it took.
+def _state_L(ens: Ensemble, L_guess: float, L_from: Optional[float] = None) -> tuple:
+    """Self-consistent (L, y_b, w0b) at the ensemble's current time, by
+    fixed-point iteration of the flux balance from L_guess, and the number
+    of ``l_from_state`` evaluations it took.
 
-    What the iterations read of the states is gathered once, in a
-    ``_FluxBatch``.  A node stops once its change d, or the error bound
-    d r/(1-r) of d and its contraction ratio r = d/d_prev, is below
-    1e-13 max(L, 1).  A stopped node's L is frozen while the others move,
-    so it keeps the iterations and values it would take alone; nodes still
-    moving at ``_RESOLVE_CAP`` iterations are reported in a
-    ConvergenceWarning.
+    Given ``L_from``, L_guess is the flux balance's value at L_from: the
+    first iteration, taken without evaluating it again.  The iteration stops
+    once its change d, or the error bound d r/(1-r) of d and its contraction
+    ratio r = d/d_prev, is below 1e-13 max(L, 1), with L the value d moved
+    from; one still moving after ``_RESOLVE_CAP`` iterations is reported in
+    a ConvergenceWarning.
     """
-    if any(s.n_alive == 0 for s in states):
-        raise ExtinctionError("no surviving characteristics")
-    L = np.array(L_guess, dtype=float)
-    batch = _FluxBatch(states)
-    moving = np.ones(len(states), dtype=bool)
-    change = np.full(len(states), np.nan)   # a moving node's last change; NaN fails every test
-    for evals in range(1, _RESOLVE_CAP + 1):
-        L_new = _flux_L(batch, initial.w_at(batch.labels(L)), L)
-        d = np.abs(L_new - L)
+    def labels(L):
+        return _boundary_labels([ens], np.array([L]))
+
+    L, new = (L_guess, None) if L_from is None else (L_from, L_guess)
+    change, evals = math.nan, 0   # NaN: the first change has no ratio
+    for _ in range(_RESOLVE_CAP):
+        if new is None:
+            new = l_from_state(ens, ens.initial.w_at(labels(L))[0], L)
+            evals += 1
+        d = abs(new - L)
         r = d / change
-        floor = 1e-13 * np.maximum(L, 1.0)
+        floor = 1e-13 * max(L, 1.0)
+        L, new, change = new, None, d
         # the bound test d r/(1-r) < floor, false for r >= 1
-        done = (d < floor) | (d * r < floor * (1.0 - r))
-        L = np.where(moving, L_new, L)
-        moving &= ~done
-        if not moving.any():
+        if d < floor or d * r < floor * (1.0 - r):
             break
-        change = np.where(moving, d, np.nan)
     else:
-        warnings.warn(f"_resolve_L: {np.count_nonzero(moving)} of {len(states)} nodes did not "
-                      f"converge in {_RESOLVE_CAP} iterations", ConvergenceWarning, stacklevel=2)
-    yb = batch.labels(L)
-    return L, yb, initial.w_at(yb), evals
-
-
-def _state_L(ens: Ensemble, L_guess: float) -> tuple[float, float, float]:
-    """Self-consistent (L, y_b, w0b) at the ensemble's current time."""
-    return tuple(float(v[0]) for v in _resolve_L([ens], [L_guess], ens.initial)[:3])
+        warnings.warn(f"_state_L: L at t={ens.t:g} did not converge in {_RESOLVE_CAP} iterations",
+                      ConvergenceWarning, stacklevel=2)
+    yb = labels(L)
+    return float(L), float(yb[0]), float(ens.initial.w_at(yb)[0]), evals
 
 
 @dataclass
@@ -525,14 +493,14 @@ class PicardStats:
     converged: bool
     stopped_on_bound: bool = False   # converged on the error bound, not a confirming sweep
     end_state: Optional[tuple] = None   # (L, y_b, w0b) at the end node of a converged step
-    flux_evals: int = 0          # _flux_L batches the step's L-resolutions took
+    flux_evals: int = 0          # flux evaluations: one per sweep, plus the end node's _state_L ones
 
 
 def _transport(ens: Ensemble, dt: float, L_vals: np.ndarray):
     """A copy of ens carried through the panels of the step [t, t + dt] along
-    the path with values ``L_vals`` at its nodes, what L-resolution reads of
-    it at each node, and the ExtinctionError of a node with fewer than
-    ``EXTINCTION_FLOOR`` survivors, where it stops.
+    the path with values ``L_vals`` at its nodes, a copy of it at each node
+    for the flux balance to read, and the ExtinctionError of a node with
+    fewer than ``EXTINCTION_FLOOR`` survivors, where it stops.
 
     The substep times and the path's values there are read off the layout's
     table; each panel is one ``_advance``, and the survivors' cube root
@@ -566,11 +534,16 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
     of the step that ended at t, from the quadratic through its values at
     the start and middle of that step and L0 at t; the first correction is
     measured from this starting path.  Each sweep transports a scratch copy
-    of the ensemble through the current L path and resolves L at all
-    Chebyshev nodes of the interval at once; the map is a contraction for dt
-    small compared to L.  Once the error bound d_k r/(1-r) of correction d_k
-    and ratio r = d_k/d_(k-1) is below tol * L0, a transport through iterate
-    k's path ends the step, and L at its end node is resolved from there.
+    of the ensemble through the current L path and evaluates the flux
+    balance once at every Chebyshev node of the interval, at the w0b of the
+    label its path value reads there, so path and L converge together; the
+    map is a contraction for dt small compared to L.  A sweep whose
+    correction is below tol * L0 ends the step, and ``_state_L`` resolves
+    its end node with that sweep's evaluation there as its first iteration.
+    Once the error bound d_k r/(1-r) of correction d_k and ratio
+    r = d_k/d_(k-1) is below tol * L0, a transport through iterate k's path
+    ends the step instead, and ``_state_L`` resolves its end node from the
+    path's end value.
     """
     lay = _layout(N_CHEB, NSUB)
     L_vals = np.full(len(lay.nodes), L0)
@@ -585,8 +558,9 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
     flux_evals = 0
     for _ in range(MAX_PICARD):
         scratch, moments, extinct = _transport(ens, dt, L_vals)
-        resolved, yb, w0b, evals = _resolve_L(moments, L_vals[1:len(moments) + 1], ens.initial)
-        flux_evals += evals
+        guess = L_vals[1:len(moments) + 1]
+        resolved = _flux_L(moments, ens.initial.w_at(_boundary_labels(moments, guess)), guess)
+        flux_evals += 1
         # a node whose L is not positive ends the sweep before any later panel
         if not np.all(np.isfinite(resolved) & (resolved > 0)):
             break
@@ -598,7 +572,6 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
         L_vals = new_vals
         if diff < cfg.tol * L0:
             converged = True
-            end = resolved, yb, w0b
             break
         r = diff / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 1.0
         if r < 1.0 and diff * r / (1.0 - r) < cfg.tol * L0:
@@ -608,12 +581,14 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
         scratch, _, extinct = _transport(ens, dt, L_vals)
         if extinct:
             raise extinct
-        *end, evals = _resolve_L([scratch], L_vals[-1:], ens.initial)
+    if converged:
+        # a plain stop's last sweep evaluated the end node at guess[-1]
+        *end, evals = _state_L(scratch, L_vals[-1], None if on_bound else guess[-1])
         flux_evals += evals
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     stats = PicardStats(iterations=len(diffs), first_correction=diffs[0] if diffs else 0.0,
                         ratios=ratios, converged=converged, stopped_on_bound=on_bound,
-                        end_state=tuple(float(v[-1]) for v in end) if converged else None,
+                        end_state=tuple(end) if converged else None,
                         flux_evals=flux_evals)
     return scratch, PicardPath(ens.t, dt, L_vals), stats
 
@@ -708,7 +683,7 @@ def advance_global(profile: SurvivalProfile, t_final: float,
     pending = sorted(snapshot_times)
     terminated = "t_final"
     prior = None
-    L, yb, w0b = _state_L(ens, l_from_state(ens, profile.w0))
+    L, yb, w0b, _ = _state_L(ens, l_from_state(ens, profile.w0))
     while True:
         # the state at t = 0 or at the end of an accepted step
         _record(trace, ens, L, yb, w0b)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -383,7 +384,14 @@ class SurvivalProfile:
     @classmethod
     def load(cls, csv_path: str | Path) -> "SurvivalProfile":
         csv_path = Path(csv_path)
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            # a file without data rows is rejected below, by name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 2 or len(data) < 2:
+            raise DegenerateProfileError(
+                f"{csv_path}: a profile needs at least two rows of two columns (x, w), "
+                f"found {len(data)} row(s) of {data.shape[1]}")
         sidecar_path = csv_path.with_suffix(".json")
         tail = TailModel.compact()
         if sidecar_path.exists():

@@ -519,9 +519,10 @@ def test_lsw_summary_counts_steps_stopped_on_the_bound(tmp_path, capsys, monkeyp
 
 
 def test_lsw_summary_counts_the_flux_evaluations_of_the_sweeps(tmp_path, capsys, monkeypatch):
-    # each step's flux_evals is the _flux_L batches its L-resolutions took;
-    # the summary sums them over the accepted steps, leaving out halved
-    # attempts and the resolution of the initial state
+    # each step's flux_evals is the _flux_L calls it made, one per sweep and
+    # those of its end node's _state_L; the summary sums them over the
+    # accepted steps, leaving out halved attempts and the resolution of the
+    # initial state
     flux, picard = lsw_solver._flux_L, lsw_solver.picard_solve_interval
     batches, steps = [0], []
 

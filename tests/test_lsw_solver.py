@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import importlib.util
 import warnings
 from pathlib import Path
@@ -315,11 +316,16 @@ def test_descent_inverts_exit_time(monkeypatch, ds):
     assert np.all(np.abs(exit_time_frozen(out, L) - ref) <= 1e-12 * ref + floor)
 
 
-def test_far_field_cache_matches_full_quadrature(short_exp_run):
+def _w0b_at(ens, L):
+    # w0 at the label arriving at the origin of ens, read at L
+    return float(ens.initial.w_at(lsw_solver._boundary_labels([ens], np.array([L])))[0])
+
+
+def test_far_field_matches_full_quadrature(short_exp_run):
     _, res = short_exp_run
     ens = res.ensemble
     L = res.trace.L[-1]
-    w0b = float(ens.initial.w_at(lsw_solver._FluxBatch([ens]).labels(L)[0]))
+    w0b = _w0b_at(ens, L)
     # the clip of w at w0b in the augmented state never binds
     assert np.all(ens.w <= w0b)
     far = cellquad.power_suffix(ens.pos, ens.w, -2.0 / 3.0)
@@ -333,11 +339,9 @@ def test_far_field_cache_matches_full_quadrature(short_exp_run):
     k = lsw_solver._origin_split(ens.pos, L)
     near = lsw_solver._theta_cell_integrals(x[:k + 1], w[:k + 1], [L], [k + 1])[0]
     split = ((near + cellquad.power_total(x[k:], w[k:], third)) / (3.0 * w0b)) ** 3
-    # the far field a batch keeps is the suffix integral from survivor k - 1
-    batch = lsw_solver._FluxBatch([ens])
-    batch.split(np.array([L]))
-    assert batch.far[0] == pytest.approx(far[k - 1], rel=1e-13)
     assert lsw_solver.l_from_state(ens, w0b, L_guess=L) == pytest.approx(split, rel=1e-13)
+    # the far field is the suffix integral from survivor k - 1, w unclipped
+    assert far[k - 1] == pytest.approx(cellquad.power_total(x[k:], w[k:], third), rel=1e-13)
 
 
 def _layout():
@@ -363,35 +367,23 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
     return path.t + path.dt * _layout().nodes, path, _advance_panels(ens, path)[1]
 
 
+def _sweep_flux(moments, guesses):
+    """A sweep's one flux evaluation at its node states, each at the w0b of
+    the label its guess reads there, and those w0b."""
+    w0b = moments[0].initial.w_at(lsw_solver._boundary_labels(moments, guesses))
+    return lsw_solver._flux_L(moments, w0b, guesses), w0b
+
+
 def _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch):
-    # the batch reads what the sweep's transport keeps at each node
+    # the batch reads what the sweep's transport keeps at each node, and
+    # gives each node the bits its lone l_from_state gives it
     monkeypatch.setattr(lsw_solver, "EXTINCTION_FLOOR", 1)
     _, moments, extinct = lsw_solver._transport(ens, path.dt, path.values)
     assert extinct is None and len(moments) == len(at_nodes)
-    flux = lsw_solver._flux_L
-    calls = []      # the L each _flux_L call reads
-
-    def counted(batch, w0b, L_guess):
-        calls.append(L_guess.tolist())
-        return flux(batch, w0b, L_guess)
-
-    monkeypatch.setattr(lsw_solver, "_flux_L", counted)
-    L, yb, w0b, _ = lsw_solver._resolve_L(moments, guesses, ens.initial)
-    batch_calls = np.array(calls)
-    per_node_iters = []
+    got, w0b = _sweep_flux(moments, guesses)
     for i, (node, guess) in enumerate(zip(at_nodes, guesses)):
-        start = len(calls)
-        ref = lsw_solver._state_L(node, float(guess))
-        alone = [c[0] for c in calls[start:]]
-        per_node_iters.append(len(alone))
-        assert (L[i], yb[i], w0b[i]) == ref
-        # the batch moves node i through the L it reads alone, then holds
-        # it at its result while the others move
-        assert batch_calls[:len(alone), i].tolist() == alone
-        assert np.all(batch_calls[len(alone):, i] == L[i])
-    iters = np.array(per_node_iters)
-    assert len(batch_calls) == iters.max()
-    return iters
+        assert w0b[i] == _w0b_at(node, guess)
+        assert got[i] == lsw_solver.l_from_state(node, _w0b_at(node, guess), guess)
 
 
 @pytest.mark.parametrize("family", ["exponential", "power-tail"])
@@ -402,13 +394,13 @@ def test_batched_resolution_matches_per_node(family, short_exp_run, monkeypatch)
         ens = make_ensemble(lk.power_tail(1.0).profile)
     _, path, at_nodes = _first_sweep(ens)
     guesses = path.values[1:].copy()
-    # two nodes start from a guess so small that their first flux evaluation
-    # takes the head-cell branch; the last node does not
+    # two nodes read a guess so small that they take the head-cell branch;
+    # the last node takes the time-to-origin cells
     small = [lsw_solver.N_CHEB // 4, 5 * lsw_solver.N_CHEB // 8]
     guesses[small] *= 1e-6
-    assert all(at_nodes[i].pos[0] >= 0.125 * guesses[i] for i in small)
-    iters = _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch)
-    assert len(set(iters)) > 1
+    assert [lsw_solver._origin_split(e.pos, g) > 0 for e, g in zip(at_nodes, guesses)] == \
+        [i not in small for i in range(lsw_solver.N_CHEB)]
+    _assert_batch_matches_per_node(ens, path, at_nodes, guesses, monkeypatch)
 
 
 def test_batched_resolution_head_cell_branch(monkeypatch):
@@ -422,36 +414,37 @@ def test_batched_resolution_head_cell_branch(monkeypatch):
 
 @pytest.mark.parametrize("family", ["exponential", "power-tail"])
 def test_resolution_stops_on_its_error_bound(family, short_exp_run):
-    # the bound stop d r/(1-r) agrees with iterating each node until its
-    # change is below 1e-15, within the 1e-13 max(L, 1) floor, and takes
-    # fewer flux evaluations than stopping on the change alone
+    # the bound stop d r/(1-r) agrees with iterating until the change is
+    # below 1e-15, within the 1e-13 max(L, 1) floor, and takes fewer flux
+    # evaluations than stopping on the change alone
     ens = short_exp_run[1].ensemble if family == "exponential" else \
         make_ensemble(lk.power_tail(1.0).profile)
     _, path, at_nodes = _first_sweep(ens)
-    guesses = path.values[1:].copy()
-    L, _, _, evals = lsw_solver._resolve_L(at_nodes, guesses, ens.initial)
-    on_change = 0
-    for node, guess, got in zip(at_nodes, guesses, L):
-        batch = lsw_solver._FluxBatch([node])
-        prev, changes = float(guess), []
+    fewer = 0
+    for node, guess in zip(at_nodes, path.values[1:].tolist()):
+        got, _, _, evals = lsw_solver._state_L(node, guess)
+        prev, changes = guess, []
         for _ in range(lsw_solver._RESOLVE_CAP):
-            w0b = node.initial.w_at(batch.labels(np.array([prev])))
-            new = float(lsw_solver._flux_L(batch, w0b, np.array([prev]))[0])
+            new = lsw_solver.l_from_state(node, _w0b_at(node, prev), prev)
             changes.append(abs(new - prev))
             prev = new
             if changes[-1] < 1e-15 * max(prev, 1.0):
                 break
         assert changes[-1] < 1e-15 * max(prev, 1.0)
         assert abs(got - prev) <= 1e-13 * max(prev, 1.0)
-        on_change = max(on_change, next(i + 1 for i, d in enumerate(changes)
-                                        if d < 1e-13 * max(prev, 1.0)))
-    assert evals < on_change
+        on_change = next(i + 1 for i, d in enumerate(changes) if d < 1e-13 * max(prev, 1.0))
+        assert evals <= on_change
+        fewer += evals < on_change
+    assert fewer
 
 
 def test_resolution_warns_at_its_cap(short_exp_run, monkeypatch):
-    # a flux whose value flips by a relative 1e-8 between calls keeps every
-    # node's change, and its error bound, far above the floor
+    # a flux whose value flips by a relative 1e-8 between calls keeps the
+    # change, and its error bound, far above the floor; a seeded first
+    # iteration counts toward the cap
     _, path, at_nodes = _first_sweep(short_exp_run[1].ensemble)
+    node, guess = at_nodes[-1], float(path.values[-1])
+    first = lsw_solver.l_from_state(node, _w0b_at(node, guess), guess)
     clean = lsw_solver._flux_L
     flips = [1.0]
 
@@ -460,17 +453,15 @@ def test_resolution_warns_at_its_cap(short_exp_run, monkeypatch):
         return clean(*args) * (1.0 + 1e-8 * flips[0])
 
     monkeypatch.setattr(lsw_solver, "_flux_L", noisy)
-    guesses = path.values[1:].copy()
-    n = lsw_solver.N_CHEB
-    with pytest.warns(lk.ConvergenceWarning,
-                      match=f"{n} of {n} nodes did not converge in {lsw_solver._RESOLVE_CAP} iterations"):
-        evals = lsw_solver._resolve_L(at_nodes, guesses, at_nodes[0].initial)[3]
-    assert evals == lsw_solver._RESOLVE_CAP
+    cap = lsw_solver._RESOLVE_CAP
+    for args, evals in (((guess,), cap), ((first, guess), cap - 1)):
+        with pytest.warns(lk.ConvergenceWarning, match=f"did not converge in {cap} iterations"):
+            assert lsw_solver._state_L(node, *args)[3] == evals
 
 
-# The L-resolution route that read every state afresh on each fixed-point
-# iteration (its split, its clipped near cells, a whole far-field suffix
-# array), kept as the reference of the route that gathers those reads once.
+# A flux evaluation that reads every state afresh (its split, its clipped
+# near cells, a whole far-field suffix array), kept as the reference of
+# ``_flux_L``.
 
 
 def _ref_boundary_labels(states, L):
@@ -481,8 +472,9 @@ def _ref_boundary_labels(states, L):
     return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
 
 
-def _ref_flux_L(states, w0b, L_guess, far):
+def _ref_flux_L(states, w0b, L_guess):
     near, ks = np.empty(len(states)), np.ones(len(states), dtype=int)
+    far = [cellquad.power_suffix(s.pos, s.w, -2.0 / 3.0) for s in states]
     cells = []
     for i, state in enumerate(states):
         if L_guess[i] > 0 and state.pos[0] < lsw_solver.ORIGIN_FRACTION * L_guess[i]:
@@ -499,49 +491,29 @@ def _ref_flux_L(states, w0b, L_guess, far):
                      for i in range(len(states))])
 
 
-def _ref_resolve_L(states, L_guess, initial):
-    L = np.array(L_guess, dtype=float)
-    far = [cellquad.power_suffix(s.pos, s.w, -2.0 / 3.0) for s in states]
-    act = np.arange(len(states))
-    change = np.full(len(states), np.nan)
-    for evals in range(1, lsw_solver._RESOLVE_CAP + 1):
-        active = [states[i] for i in act]
-        w0b = initial.w_at(_ref_boundary_labels(active, L[act]))
-        L_new = _ref_flux_L(active, w0b, L[act], [far[i] for i in act])
-        d = np.abs(L_new - L[act])
-        r = d / change[act]
-        floor = 1e-13 * np.maximum(L[act], 1.0)
-        done = (d < floor) | (d * r < floor * (1.0 - r))
-        L[act], change[act] = L_new, d
-        act = act[~done]
-        if len(act) == 0:
-            break
-    yb = _ref_boundary_labels(states, L)
-    return L, yb, initial.w_at(yb), evals
-
-
 @pytest.mark.parametrize("family, cfg", [
     ("exponential", SolverConfig(tol=1e-6)),
     ("indicator(512)", SolverConfig()),
     ("power-tail(1)", SolverConfig(tol=1e-6)),
 ])
 def test_resolution_matches_the_per_iteration_route(family, cfg, monkeypatch):
+    # each sweep's one flux evaluation reads every node at the w0b of the
+    # label its guess reads, and agrees with the reference at every node
     fam = {"exponential": lk.exponential, "indicator(512)": lambda: lk.indicator(n=512),
            "power-tail(1)": lambda: lk.power_tail(1.0)}[family]()
-    resolve, captured = lsw_solver._resolve_L, []
+    flux, captured = lsw_solver._flux_L, []
 
-    def recorded(states, L_guess, initial):
-        captured.append((states, np.array(L_guess, dtype=float)))
-        return resolve(states, L_guess, initial)
+    def recorded(states, w0b, L_guess):
+        captured.append((states, w0b, L_guess.copy(), flux(states, w0b, L_guess)))
+        return captured[-1][3]
 
-    monkeypatch.setattr(lsw_solver, "_resolve_L", recorded)
+    monkeypatch.setattr(lsw_solver, "_flux_L", recorded)
     advance_global(fam.profile, 1.0, cfg, beta0=fam.beta_exact)
-    assert sum(len(states) == lsw_solver.N_CHEB for states, _ in captured) >= 20
-    for states, guesses in captured:
-        got, ref = resolve(states, guesses, fam.profile), _ref_resolve_L(states, guesses, fam.profile)
-        assert got[3] == ref[3]
-        for new, old in zip(got[:3], ref[:3]):
-            np.testing.assert_allclose(new, old, rtol=1e-13, atol=0)
+    sweeps = [c for c in captured if len(c[0]) == lsw_solver.N_CHEB]
+    assert len(sweeps) >= 20
+    for states, w0b, guesses, got in sweeps:
+        np.testing.assert_array_equal(w0b, fam.profile.w_at(_ref_boundary_labels(states, guesses)))
+        np.testing.assert_allclose(got, _ref_flux_L(states, w0b, guesses), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("ds_over_L", [1e-25, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
@@ -664,7 +636,7 @@ def test_stop_on_bound_returns_the_confirming_sweep(short_exp_run):
     out, path, stats = lsw_solver.picard_solve_interval(ens, cfg.delta * L0, L0, cfg)
     assert stats.converged and stats.stopped_on_bound and stats.iterations >= 2
     confirm, moments = _advance_panels(ens, path)
-    resolved = lsw_solver._resolve_L(moments, path.values[1:], ens.initial)[0]
+    resolved = _sweep_flux(moments, path.values[1:])[0]
     assert np.max(np.abs(resolved - path.values[1:])) < cfg.tol * L0
     for name in ("labels", "pos", "w", "jac"):
         np.testing.assert_array_equal(getattr(out, name), getattr(confirm, name))
@@ -763,19 +735,21 @@ def test_warm_and_cold_steps_agree(short_exp_run):
 
 
 def test_end_node_resolution_is_reused_exactly(monkeypatch):
-    # every accepted step records the (L, y_b, w0b) it resolved at its own
-    # end node, on either exit; only the initial state goes through _state_L
+    # _state_L runs once at t = 0 and once per accepted step, at its end
+    # node; a plain stop seeds it with the last sweep's evaluation there,
+    # which gives the bits of a fresh _state_L from the L that evaluation
+    # started from, one evaluation fewer
     picard, state_L = lsw_solver.picard_solve_interval, lsw_solver._state_L
-    steps, resolved_at = [], []
+    steps, resolutions = [], []
 
     def recorded(*args):
         out = picard(*args)
         steps.append(out)
         return out
 
-    def counted(ens, L_guess):
-        resolved_at.append(ens.t)
-        return state_L(ens, L_guess)
+    def counted(ens, *args):
+        resolutions.append((ens.t, args))
+        return state_L(ens, *args)
 
     monkeypatch.setattr(lsw_solver, "picard_solve_interval", recorded)
     monkeypatch.setattr(lsw_solver, "_state_L", counted)
@@ -784,15 +758,68 @@ def test_end_node_resolution_is_reused_exactly(monkeypatch):
     accepted = [out for out in steps if out[2].converged]
     assert [stats for _, _, stats in accepted] == res.picard
     assert 0 < sum(stats.stopped_on_bound for stats in res.picard) < len(accepted)
-    assert resolved_at == [0.0]
-    for (out, path, stats), L_prev, L in zip(accepted, res.trace.L, res.trace.L[1:]):
+    assert [t for t, _ in resolutions] == [0.0] + [out.t for out, _, _ in accepted]
+    for (out, path, stats), (_, args), L in zip(accepted, resolutions[1:], res.trace.L[1:]):
         assert stats.end_state[0] == L
-        ref = state_L(out, L_prev)
-        np.testing.assert_allclose(stats.end_state, ref, rtol=1e-12, atol=0)
-        if stats.stopped_on_bound:
-            # resolved from the accepted path's value at the end node
-            own = lsw_solver._resolve_L([out], path.values[-1:], out.initial)
-            assert stats.end_state == tuple(float(v[0]) for v in own[:3])
+        *end, evals = state_L(out, *args)
+        assert tuple(end) == stats.end_state
+        assert evals == stats.flux_evals - stats.iterations
+        # from the accepted path's value at the end node: afresh after the
+        # bound stop's transport, else seeded as the last sweep's value there
+        first, L_from = args
+        assert first == path.values[-1]
+        assert (L_from is None) == stats.stopped_on_bound
+        if not stats.stopped_on_bound:
+            fresh = state_L(out, L_from)
+            assert fresh[:3] == stats.end_state and fresh[3] == evals + 1
+
+
+@pytest.mark.parametrize("family, tol", [("exponential", 1e-6), ("power-tail(1)", 1e-6),
+                                         ("constant-beta(0.5)", 1e-8)])
+def test_every_end_state_is_a_fixed_point(family, tol, monkeypatch):
+    # every accepted step's (L, y_b, w0b) is what _state_L resolves on the
+    # ensemble the step returns, from that L, within 1e-12
+    fam = {"exponential": lk.exponential, "power-tail(1)": lambda: lk.power_tail(1.0),
+           "constant-beta(0.5)": lambda: lk.constant_beta(0.5)}[family]()
+    picard, steps = lsw_solver.picard_solve_interval, []
+    monkeypatch.setattr(lsw_solver, "picard_solve_interval",
+                        lambda *args: steps.append(picard(*args)) or steps[-1])
+    res = advance_global(fam.profile, 2.0, SolverConfig(tol=tol), beta0=fam.beta_exact)
+    assert res.terminated == "t_final"
+    for out, _, stats in steps:
+        if stats.converged:
+            ref = lsw_solver._state_L(out, stats.end_state[0])[:3]
+            np.testing.assert_allclose(stats.end_state, ref, rtol=1e-12, atol=0)
+
+
+@functools.cache
+def _run_to_half(family):
+    fam = {"exponential": lk.exponential, "power-tail(1)": lambda: lk.power_tail(1.0),
+           "indicator(512)": lambda: lk.indicator(n=512)}[family]()
+    return advance_global(fam.profile, 0.5, SolverConfig(tol=1e-6), beta0=fam.beta_exact)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-7, 1.0, 0.9])
+@pytest.mark.parametrize("family", ["exponential", "power-tail(1)", "indicator(512)"])
+def test_seeded_resolution_matches_a_fresh_one(family, scale):
+    # _state_L seeded with l_from_state at g, the flux balance's first
+    # iteration from g, gives the bits of _state_L from g, one evaluation fewer
+    res = _run_to_half(family)
+    ens = res.ensemble
+    g = scale * res.trace.L[-1]
+    first = lsw_solver.l_from_state(ens, _w0b_at(ens, g), g)
+    seeded, fresh = lsw_solver._state_L(ens, first, g), lsw_solver._state_L(ens, g)
+    assert seeded[:3] == fresh[:3]
+    assert seeded[3] == fresh[3] - 1
+
+
+def test_stationary_steps_take_one_flux_evaluation():
+    # on the stationary indicator datum each step ends on its first sweep,
+    # whose end-node evaluation is already the fixed point: _state_L adds none
+    fam = lk.indicator(n=512)
+    res = advance_global(fam.profile, 1.0, SolverConfig(), beta0=fam.beta_exact)
+    assert res.terminated == "t_final" and len(res.picard) >= 10
+    assert all(p.iterations == 1 and p.flux_evals == 1 for p in res.picard)
 
 
 def test_warm_starts_cut_the_sweeps(short_exp_run):
@@ -882,8 +909,7 @@ def test_segmented_theta_cells_match_the_one_state_formula(short_exp_run):
     Ls = [L_end * (0.8 + 0.01 * i) for i in range(60)]
     segments = []
     for L in Ls:
-        w0b = float(ens.initial.w_at(lsw_solver._FluxBatch([ens]).labels(L)[0]))
-        x, w = lsw_solver._augmented_state(ens, w0b)
+        x, w = lsw_solver._augmented_state(ens, _w0b_at(ens, L))
         k = lsw_solver._origin_split(ens.pos, L)
         segments.append((x[:k + 1], w[:k + 1]))
     assert len({len(x) for x, _ in segments}) > 1
@@ -971,3 +997,10 @@ def test_traced_solver_layers_resolve(monkeypatch):
     assert metrics["lsw_solver.transport.newton_iters_per_call"] >= 2
     assert metrics["lsw_solver.picard.steps"] == len(res.picard)
     assert metrics["lsw_solver.picard.sweeps"] == sum(p.iterations for p in res.picard)
+    # _state_L resolves t = 0 and each accepted step's end node; its flux
+    # evaluations are each step's beyond its sweeps, and those at t = 0
+    ens = make_ensemble(fam.profile, fam.beta_exact)
+    at_zero = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, fam.profile.w0))[3]
+    assert metrics["lsw_solver.lres.calls"] == len(res.picard) + 1
+    assert metrics["lsw_solver.lres.flux_evals"] == \
+        sum(p.flux_evals - p.iterations for p in res.picard) + at_zero

@@ -228,6 +228,15 @@ def test_save_load_round_trip(tmp_path, expf):
     assert back.tail.kind == expf.profile.tail.kind
 
 
+@pytest.mark.parametrize("text", ["x,w\n0,1\n", "x,w\n", "", "x,w,z\n0,1,1\n1,0.5,1\n"],
+                         ids=["one-row", "header-only", "empty", "three-columns"])
+def test_load_rejects_a_file_without_a_profile(tmp_path, text):
+    path = tmp_path / "prof.csv"
+    path.write_text(text)
+    with pytest.raises(lk.DegenerateProfileError, match="prof.csv: a profile needs at least two rows"):
+        lk.SurvivalProfile.load(path)
+
+
 def test_regular_variation_linear_end():
     fam = lk.constant_beta(0.5)
     est = lk.regular_variation_exponent(fam.profile)
