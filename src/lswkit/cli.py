@@ -1,25 +1,15 @@
-"""Scenario runner: INI configs in, traces / certificates / summaries out.
+"""Scenario runner: ``lswkit run <config.ini> [--output DIR]`` runs each section of
+a config as a scenario, ``lswkit families`` lists the built-in initial data and
+``lswkit compare <a.csv> <b.csv> [--tol T]`` diffs two traces column-wise.
 
-Commands:
-
-    lswkit run <config.ini> [--output DIR]   execute each section as a scenario
-    lswkit families                          list built-in initial data
-    lswkit compare <a.csv> <b.csv> [--tol T] diff two trace files column-wise
-
-Each config section chooses a model (lsw, linear, map_iteration,
-self_similar, analysis), an initial-data family with parameters, numeric
-settings, and a comma-separated list of checks; a setting the section leaves
-out takes the default of the function that reads it.  A runner per model runs
-it, writes its outputs and returns what the checks read; each requested
-check is then looked up in ``CHECKS`` by (model, name), and every section
-gets a ``summary.json`` with all of its rows.  The exit status is nonzero
-exactly when a requested check fails or is not evaluated (an unknown name,
-a check that needs snapshots the run did not take, or a certificate that
-does not apply), a solver run stops before t_final, or a kernel gives up at
-its iteration cap (a ``ConvergenceWarning``); a section that sets a key its
-model does not read, or a parameter its family does not take, fails before
-it runs.  Scenario crashes are reported and counted as failures without
-aborting the batch.
+A section chooses a model, an initial-data family with parameters, settings
+and a comma-separated list of checks.  ``SETTINGS`` parses it before anything
+runs; a runner per model runs it, each requested check is looked up in
+``CHECKS`` by (model, name), and every section gets a ``summary.json``.  The
+exit status is nonzero exactly when a section fails: a key its model does not
+read, a value that does not parse or lies outside its domain, a requested check
+that fails or is not evaluated, a run that stops before t_final, a kernel at
+its iteration cap (a ``ConvergenceWarning``), or a crash, which spares the rest.
 """
 from __future__ import annotations
 
@@ -35,88 +25,60 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceWarning, require_setting
 from .families import FAMILY_BUILDERS, make_family
 from . import jensen
-from .lsw_solver import (
-    SolverConfig, advance_global, coarsening_identity_check, mass_drift, beta_along_flow,
-    g_profile, normalized_view, dyadic_report,
-)
-from .linear_model import (
-    run_linear_model, stability_check, affine_exactness_check,
-)
-from .map_iteration import MapF, linear_map, cube_root_map, iterate, beta_transform
+from .lsw_solver import (SolverConfig, advance_global, coarsening_identity_check, mass_drift,
+                         beta_along_flow, g_profile, normalized_view, dyadic_report)
+from .linear_model import run_linear_model, stability_check, affine_exactness_check
+from .map_iteration import linear_map, cube_root_map, iterate, beta_transform
 from .profiles import beta_from_profile, regular_variation_exponent, write_csv, write_json
 from .self_similar import build_profile, g_alpha_profile
 
 OUTPUT_ROOT_ENV = "LSWKIT_OUTPUT_ROOT"
 
-# the parameters any family builder takes
-FAMILY_PARAM_KEYS = tuple(dict.fromkeys(
-    key for builder in FAMILY_BUILDERS.values() for key in inspect.signature(builder).parameters))
 
-
-def _numbers(opts: dict, keys) -> dict:
-    """The ``keys`` the section sets, as numbers; the rest keep their defaults."""
-    return {key: int(opts[key]) if key in ("n", "n_grid") else float(opts[key])
-            for key in keys if key in opts}
+def _given(opts: dict, *keys) -> dict:
+    """The ``keys`` the section sets; the rest keep the library's defaults."""
+    return {key: opts[key] for key in keys if key in opts}
 
 
 def _build_family(opts: dict):
     # make_family fails on a parameter the family does not take
-    return make_family(opts.get("family", "exponential"), **_numbers(opts, FAMILY_PARAM_KEYS))
-
-
-def _requested(opts: dict) -> list:
-    return [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]
-
-
-def _make_map(opts: dict) -> MapF:
-    kind = opts.get("map", "cube-root")
-    if kind == "linear":
-        return linear_map(float(opts.get("lam", 0.5)))
-    if kind == "cube-root":
-        return cube_root_map()
-    raise ConfigError(f"unknown map {kind!r}; choose linear or cube-root")
+    return make_family(opts["family"], **_given(opts, *(key for key in _FAMILY if key != "family")))
 
 
 # ---------------------------------------------------------------------------
-# per-model runners: each runs its model, writes its output files and
-# returns what the checks read; ``summary`` holds the model's own
-# summary.json fields
+# per-model runners: each runs its model on the parsed settings, writes its
+# output files and returns what the checks read (``summary``: its summary.json fields)
 
 
 def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
     fam = _build_family(opts)
-    cfg = SolverConfig(**_numbers(opts, ("delta", "tol")))
-    t_final = float(opts.get("t_final", 20.0))
-    snaps = tuple(float(v) for v in opts.get("snapshots", "").split(",") if v.strip())
-    requested = _requested(opts)
-    if "stationarity" in requested:
+    cfg = SolverConfig(**_given(opts, "delta", "tol"))
+    t_final, snaps = opts["t_final"], opts["snapshots"]
+    if "stationarity" in opts["checks"]:
         # evolve to the requested rescaled time: Lambda grows linearly at the
         # stationary rate beta*(0), so t(tau) is explicit
         if fam.beta_exact is None:
             raise ConfigError("stationarity check needs a family with a known beta")
         rate = float(fam.beta_exact(0.0))
-        tau_target = float(opts.get("tau_target", 2.0))
-        require_setting("tau_target", tau_target, zero_ok=True)
-        t_final = float((np.exp(tau_target * rate) - 1.0) / rate)
+        t_final = float((np.exp(opts["tau_target"] * rate) - 1.0) / rate)
         snaps = tuple(sorted(set(snaps) | {t_final}))
     outside = [f"{t:g}" for t in snaps if not 0.0 <= t <= t_final]
     if outside:
         # the run would never reach them, and the checks would read fewer snapshots
         raise ConfigError(f"snapshot time(s) {', '.join(outside)} outside [0, t_final={t_final:g}]")
-    result = advance_global(fam.profile, t_final, cfg, beta0=fam.beta_exact,
-                            snapshot_times=snaps)
+    result = advance_global(fam.profile, t_final, cfg, beta0=fam.beta_exact, snapshot_times=snaps)
     result.trace.save(outdir / "trace.csv")
     for i, snap in enumerate(result.snapshots):
         snap.profile().save(outdir / f"snapshot_{i}.csv")
     dyadic = None
-    if "dyadic" in requested and result.snapshots:
+    if "dyadic" in opts["checks"] and result.snapshots:
         dyadic = dyadic_report(result.snapshots)
         write_json(outdir / "dyadic.json",
                    [{"tau": r["tau"], "lengths": r["lengths"].tolist(),
@@ -134,9 +96,8 @@ def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
 
 def _run_linear(opts: dict, outdir: Path) -> SimpleNamespace:
     fam = _build_family(opts)
-    t_final = float(opts.get("t_final", 200.0))
-    result = run_linear_model(fam.profile, t_final, beta0=fam.beta_exact,
-                              **_numbers(opts, ("delta",)))
+    result = run_linear_model(fam.profile, opts["t_final"], beta0=fam.beta_exact,
+                              **_given(opts, "delta"))
     result.trace.save(outdir / "trace.csv")
     summary = {"T_final": result.trace.t[-1] if result.trace.t else 0.0,
                "tau_final": result.tau, "terminated": result.terminated}
@@ -145,54 +106,34 @@ def _run_linear(opts: dict, outdir: Path) -> SimpleNamespace:
 
 def _run_map_iteration(opts: dict, outdir: Path) -> SimpleNamespace:
     fam = _build_family(opts)
-    F = _make_map(opts)
-    hist = iterate(fam.profile, F, 0.5, 1.0, int(opts.get("n_steps", 20)),
-                   **_numbers(opts, ("n_grid",)))
+    F = linear_map(opts["lam"]) if opts["map"] == "linear" else cube_root_map()
+    hist = iterate(fam.profile, F, 0.5, 1.0, opts["n_steps"], **_given(opts, "n_grid"))
     hist.save(outdir / "history.csv")
     return SimpleNamespace(fam=fam, F=F, hist=hist)
 
 
 def _run_self_similar(opts: dict, outdir: Path) -> SimpleNamespace:
-    prof = build_profile(float(opts.get("alpha", 0.05)))
+    prof = build_profile(opts["alpha"])
     g = g_alpha_profile(prof)
     prof.save(outdir / "self_similar.csv", g=g.values)
     return SimpleNamespace(prof=prof, g=g)
 
 
 def _run_analysis(opts: dict, outdir: Path) -> SimpleNamespace:
-    if opts.get("family") == "self-similar":
+    if opts["family"] == "self-similar":
         raise ConfigError("family = self-similar in an analysis section: alpha would be both "
                           "the profile parameter and the Jensen exponent")
-    # alpha is the Jensen exponent here, not a family parameter
     fam = _build_family({key: value for key, value in opts.items() if key != "alpha"})
-    alpha = float(opts.get("alpha", 0.5))
     certificates = {}
     for name in ("reverse_jensen", "sharp_jensen"):
-        if name in _requested(opts):
-            certificates[name] = getattr(jensen, name)(fam.profile, alpha)
+        if name in opts["checks"]:
+            certificates[name] = getattr(jensen, name)(fam.profile, opts["alpha"])
             certificates[name].to_json(outdir / f"{name}.json")
-    return SimpleNamespace(fam=fam, alpha=alpha, certificates=certificates)
+    return SimpleNamespace(fam=fam, alpha=opts["alpha"], certificates=certificates)
 
 
-MODEL_RUNNERS = {
-    "lsw": _run_lsw,
-    "linear": _run_linear,
-    "map_iteration": _run_map_iteration,
-    "self_similar": _run_self_similar,
-    "analysis": _run_analysis,
-}
-
-# the keys a section of each model may set, besides model and checks: what
-# its runner and its checks read
-_FAMILY_KEYS = ("family",) + FAMILY_PARAM_KEYS
-MODEL_KEYS = {
-    "lsw": _FAMILY_KEYS + ("delta", "tol", "t_final", "snapshots", "tau_target"),
-    "linear": _FAMILY_KEYS + ("delta", "t_final", "beta_limit", "stability_tol"),
-    "map_iteration": _FAMILY_KEYS + ("map", "lam", "n_steps", "n_grid"),
-    "self_similar": ("alpha",),
-    "analysis": _FAMILY_KEYS + ("alpha", "rv_target"),
-}
-
+MODEL_RUNNERS = {"lsw": _run_lsw, "linear": _run_linear, "map_iteration": _run_map_iteration,
+                 "self_similar": _run_self_similar, "analysis": _run_analysis}
 
 # ---------------------------------------------------------------------------
 # the checks: each reads a runner's result and the section options, and
@@ -209,7 +150,7 @@ class CheckResult:
 
 NOT_EVALUATED = CheckResult(False, math.nan, math.nan, "unknown or not evaluated")
 
-# the bounds; stability takes its own from stability_tol when a section sets it
+# the bounds; stability takes its own from stability_tol (default: its bound here)
 BOUNDS = {
     "conservation": 1e-4,       # relative mass drift; a step's RK4 mass defect (linear)
     "identity": (0.02, 0.95),   # relative error, least fraction of samples within it
@@ -314,12 +255,12 @@ def _dyadic(run, opts) -> CheckResult | None:
 
 def _stability(run, opts) -> CheckResult | None:
     rep = stability_check(run.fam.profile, run.result)
-    target = opts.get("beta_limit")
+    target = _setting(opts, "linear", "beta_limit")
     if not rep.applicable or target is None:
         return None
-    tol = float(opts.get("stability_tol", BOUNDS["stability"]))
-    dev = abs(rep.slope - float(target))
-    return CheckResult(dev <= tol, dev, tol, f"slope {rep.slope:.4f} vs {float(target):.4f}")
+    tol = _setting(opts, "linear", "stability_tol")
+    dev = abs(rep.slope - target)
+    return CheckResult(dev <= tol, dev, tol, f"slope {rep.slope:.4f} vs {target:.4f}")
 
 
 def _pointwise_excess(run) -> float:
@@ -358,11 +299,11 @@ def _regular_variation(run, opts) -> CheckResult | None:
     est = regular_variation_exponent(run.fam.profile)
     if est.oscillatory:
         return CheckResult(False, est.residual, math.nan, f"oscillatory, residual {est.residual:.3g}")
-    target = opts.get("rv_target")
+    target = _setting(opts, "analysis", "rv_target")
     if target is None:
         return None
     tol = BOUNDS["regular_variation"]
-    dev = abs(est.exponent - float(target))
+    dev = abs(est.exponent - target)
     return CheckResult(dev <= tol, dev, tol, f"exponent {est.exponent:.4f}")
 
 
@@ -400,13 +341,77 @@ CHECKS = {
 }
 
 
-def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
-    """Run one section, evaluate its requested checks and write its summary.json."""
+# ---------------------------------------------------------------------------
+# the settings: for each model, every key its runner and its checks read.  A key
+# with the default None stays unset when the section leaves it out: the library
+# function that reads it applies its own default and checks its own domain.
+
+
+class Setting(NamedTuple):
+    parse: Callable | tuple  # int, float, _floats, or a tuple of the choices
+    default: object = None
+    sign: str | None = None  # a domain: finite and ">" or ">=" 0, or "" (see require_setting)
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+# a family parameter parses as its builders' annotation says, and keeps their default
+_FAMILY = {"family": Setting(tuple(sorted(FAMILY_BUILDERS)), "exponential"),
+           **{p.name: {"int": Setting(int, sign=">"), "float": Setting(float)}[p.annotation]
+              for builder in FAMILY_BUILDERS.values()
+              for p in inspect.signature(builder).parameters.values()}}
+SETTINGS = {
+    "lsw": {**_FAMILY, "delta": Setting(float), "tol": Setting(float),
+            "t_final": Setting(float, 20.0), "snapshots": Setting(_floats, ()),
+            "tau_target": Setting(float, 2.0, ">=")},
+    "linear": {**_FAMILY, "delta": Setting(float), "t_final": Setting(float, 200.0),
+               "beta_limit": Setting(float, sign=""),
+               "stability_tol": Setting(float, BOUNDS["stability"], ">")},
+    "map_iteration": {**_FAMILY, "map": Setting(("cube-root", "linear"), "cube-root"),
+                      "lam": Setting(float, 0.5), "n_steps": Setting(int, 20, ">"),
+                      "n_grid": Setting(int, sign=">")},
+    "self_similar": {"alpha": Setting(float, 0.05)},
+    # alpha is the Jensen exponent here, not a family parameter
+    "analysis": {**_FAMILY, "alpha": Setting(float, 0.5), "rv_target": Setting(float, sign="")},
+}
+
+
+def _setting(opts: dict, model: str, key: str):
+    """``key`` of a ``model`` section, parsed, or its default; errors name the key."""
+    parse, default, sign = SETTINGS[model][key]
+    text = opts.get(key, default)
+    if not isinstance(text, str):
+        return text
+    if isinstance(parse, tuple):
+        if text not in parse:
+            raise ConfigError(f"unknown {key} {text!r}; choose {', '.join(parse)}")
+        return text
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {text!r}: {exc}") from None
+    if sign is not None:
+        require_setting(key, value, sign)
+    return value
+
+
+def _parse_section(model: str, opts: dict) -> dict:
+    """The settings of a section, its defaults applied, and its checks as a list."""
     if model not in MODEL_RUNNERS:
         raise ConfigError(f"unknown model {model!r}")
-    unknown = [key for key in opts if key not in ("model", "checks") + MODEL_KEYS[model]]
+    unknown = [key for key in opts if key not in ("model", "checks", *SETTINGS[model])]
     if unknown:
         raise ConfigError(f"unknown key(s) for model {model!r}: {', '.join(unknown)}")
+    parsed = {key: value for key in SETTINGS[model]
+              if (value := _setting(opts, model, key)) is not None}
+    return {**parsed, "checks": [c.strip() for c in opts.get("checks", "").split(",") if c.strip()]}
+
+
+def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
+    """Run one section, evaluate its requested checks and write its summary.json."""
+    opts = _parse_section(model, opts)
     capped = []
     show = warnings.showwarning
 
@@ -422,7 +427,7 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
         warnings.showwarning = intercept
         run = MODEL_RUNNERS[model](opts, outdir)
         results = {}
-        for name in _requested(opts):
+        for name in opts["checks"]:
             check = CHECKS.get((model, name))
             # a name not registered for the model, or a check without the data
             # it needs, has not passed
@@ -438,12 +443,11 @@ def _run_section(section: str, model: str, opts: dict, outdir: Path) -> dict:
         results["convergence"] = CheckResult(
             False, len(capped), 0,
             f"{len(capped)} kernel call(s) hit the iteration cap, first: {capped[0]}")
-    record = {"model": model, "scenario": section, **summary,
-              "violations": [name for name, r in results.items() if not r.passed],
-              "checks": {name: {"passed": bool(r.passed), "value": float(r.value),
-                                "bound": float(r.bound), "detail": r.detail}
-                         for name, r in results.items()}}
-    write_json(outdir / "summary.json", record)
+    write_json(outdir / "summary.json", dict(
+        model=model, scenario=section, **summary,
+        violations=[name for name, r in results.items() if not r.passed],
+        checks={name: {"passed": bool(r.passed), "value": float(r.value), "bound": float(r.bound),
+                       "detail": r.detail} for name, r in results.items()}))
     return results
 
 
@@ -459,7 +463,6 @@ def run_config(config_path: str, output_root: str | None = None) -> int:
         return 2
     root = Path(output_root or os.environ.get(OUTPUT_ROOT_ENV) or
                 Path(config_path).resolve().parent / "out")
-    failures = 0
     rows = []
     for section in parser.sections():
         opts = dict(parser.items(section))
@@ -474,18 +477,15 @@ def run_config(config_path: str, output_root: str | None = None) -> int:
             # its summary.json keeps the traceback
             error = f"{type(exc).__name__}: {exc}"
             rows.append((section, "FAIL", error, time.perf_counter() - t0))
-            failures += 1
-            crash = {"model": model, "scenario": section, "error": error,
-                     "traceback": traceback.format_exc()}
-            write_json(outdir / "summary.json", crash)
+            write_json(outdir / "summary.json", dict(model=model, scenario=section, error=error,
+                                                     traceback=traceback.format_exc()))
             continue
         elapsed = time.perf_counter() - t0
         if not results:
             rows.append((section, "ok", "no checks requested", elapsed))
         for name, r in results.items():
             rows.append((section, "ok" if r.passed else "FAIL", f"{name}: {r.detail}", elapsed))
-            if not r.passed:
-                failures += 1
+    failures = sum(status == "FAIL" for _, status, _, _ in rows)
     width = max((len(r[0]) for r in rows), default=8)
     for section, status, detail, elapsed in rows:
         print(f"{section:<{width}}  {status:<4}  {detail}  [{elapsed:.2f}s]")
@@ -518,13 +518,12 @@ def compare_traces(path_a: str, path_b: str, tol: float | None = None) -> int:
             print(f"error: trace {path}: {' '.join(str(exc).split())}", file=sys.stderr)
             return 2
     a, b = traces
-    cols_a, cols_b = a.dtype.names, b.dtype.names
-    if cols_a != cols_b:
-        print(f"column mismatch: {cols_a} vs {cols_b}")
+    if a.dtype.names != b.dtype.names:
+        print(f"column mismatch: {a.dtype.names} vs {b.dtype.names}")
         return 1
     n = min(len(a), len(b))
     failed = []
-    for col in cols_a:
+    for col in a.dtype.names:
         va, vb = a[col][:n], b[col][:n]
         denom = np.maximum(np.abs(va), 1e-300)
         # equal entries, NaN against NaN included, do not differ; any other
@@ -553,8 +552,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute scenarios from an INI config")
     p_run.add_argument("config")
-    p_run.add_argument("--output", default=None,
-                       help=f"output root (default: $" + OUTPUT_ROOT_ENV + " or ./out)")
+    p_run.add_argument("--output", help=f"output root (default: ${OUTPUT_ROOT_ENV} or ./out)")
     sub.add_parser("families", help="list built-in initial-data families")
     p_cmp = sub.add_parser("compare", help="diff two trace CSV files")
     p_cmp.add_argument("a")

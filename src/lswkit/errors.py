@@ -34,7 +34,7 @@ class ConvergenceWarning(RuntimeWarning):
     """An iterative kernel reached its iteration cap before converging."""
 
 
-def require_setting(key: str, value: float, zero_ok: bool = False) -> None:
-    """Raise a ConfigError naming ``key`` unless ``value`` is finite and > 0 (>= 0 if zero_ok)."""
-    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
-        raise ConfigError(f"{key} = {value:g} must be finite and {'>=' if zero_ok else '>'} 0")
+def require_setting(key: str, value: float, sign: str = ">") -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is finite and ``sign`` 0 ("": any)."""
+    if not (math.isfinite(value) and {">": value > 0, ">=": value >= 0, "": True}[sign]):
+        raise ConfigError(f"{key} = {value:g} must be finite" + (f" and {sign} 0" if sign else ""))

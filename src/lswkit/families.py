@@ -251,7 +251,7 @@ def oscillating_compact(p: float, eps: float, n: int = 4096) -> AnalyticFamily:
     )
 
 
-def power_tail(eps: float, n: int = 2048) -> AnalyticFamily:
+def power_tail(eps: float, n: int = 4096) -> AnalyticFamily:
     """Density K/(1+x)^(2+eps) with K chosen for unit mass: w = eps/(1+x)^(1+eps).
 
     Constant beta = (1+eps)/eps; eps = 1 gives beta = 2.
@@ -268,7 +268,7 @@ def power_tail(eps: float, n: int = 2048) -> AnalyticFamily:
     def quantile(q):
         return q ** (-1.0 / (1.0 + eps)) - 1.0
 
-    grid = quantile_grid(quantile, n=max(n, 4096), per_halving=16)
+    grid = quantile_grid(quantile, n=n, per_halving=16)
     prof = SurvivalProfile(grid, w(grid), TailModel.power(1.0 + eps))
     b = (1.0 + eps) / eps
     return AnalyticFamily(

@@ -78,7 +78,7 @@ def run_linear_model(profile: SurvivalProfile, t_final: float, delta: float = 0.
     costs logarithmically many steps.
     """
     require_setting("delta", delta)
-    require_setting("t_final", t_final, zero_ok=True)
+    require_setting("t_final", t_final, ">=")
     if beta0 is None:
         beta0 = beta_interpolant(profile)
     mass0 = profile.mass
@@ -134,17 +134,18 @@ class StabilityReport:
 def stability_check(profile: SurvivalProfile, result: LinearRunResult) -> StabilityReport:
     """Compare the late-time growth rate Lambda/t with the boundary beta limit.
 
-    Applicable when the initial profile has a regularly varying end (the
-    boundary beta converges); flagged inapplicable for oscillatory tails.
+    Applicable when the initial profile has a regularly varying end (the boundary
+    beta converges) and the final third of the run holds at least 2 rows to fit.
     """
     a = result.trace.as_arrays()
     t, lam = a["t"], a["Lambda"]
     win = t >= (2.0 / 3.0) * t[-1]
-    slope = float(np.polyfit(t[win], lam[win], 1)[0])
+    fits = np.count_nonzero(win) >= 2
+    slope = float(np.polyfit(t[win], lam[win], 1)[0]) if fits else np.nan
     rv_exp = None
     oscillatory = False
-    applicable = True
-    note = ""
+    applicable = bool(fits)
+    note = "" if fits else "fewer than 2 trace rows to fit a slope"
     if not np.isfinite(profile.sup_x):
         applicable = False
         note = "support is unbounded; the growth-rate assertion needs compact data"

@@ -675,7 +675,7 @@ def advance_global(profile: SurvivalProfile, t_final: float,
                    beta0: Optional[Callable] = None,
                    snapshot_times: tuple = ()) -> RunResult:
     """Evolve to t_final with steps dt = delta * L, Picard-resolving each."""
-    require_setting("t_final", t_final, zero_ok=True)
+    require_setting("t_final", t_final, ">=")
     ens = make_ensemble(profile, beta0)
     trace = CoarseningTrace()
     snapshots: list[Snapshot] = []

@@ -81,7 +81,7 @@ def build_profile(alpha: float) -> SelfSimilarProfile:
     """
     if not 0 < alpha < ALPHA_MAX - ALPHA_MARGIN:
         raise ConfigError(
-            f"alpha must be below 4/27 - {ALPHA_MARGIN:g}; near the degenerate value "
+            f"alpha = {alpha:g} must lie in (0, 4/27 - {ALPHA_MARGIN:g}); near 4/27 "
             "the two roots of the drift coalesce and the profile is ill-conditioned"
         )
     a = f_alpha_roots(alpha)

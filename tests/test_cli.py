@@ -2,6 +2,7 @@ import configparser
 import importlib.util
 import inspect
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -191,7 +192,9 @@ def test_families_listing(capsys):
         params = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default}"
                            for p in inspect.signature(builder).parameters.values())
         assert f" {params} " in lines[name], (name, params)
-    assert set(cli.FAMILY_PARAM_KEYS) == {"beta", "eps", "p", "alpha", "n"}
+    # a section's family keys are the family and the parameters its builders take
+    solver_keys = {"delta", "tol", "t_final", "snapshots", "tau_target"}
+    assert set(cli.SETTINGS["lsw"]) - solver_keys == {"family", "beta", "eps", "p", "alpha", "n"}
 
 
 def test_linear_summary_contents(config_path, tmp_path):
@@ -844,30 +847,87 @@ def test_snapshot_at_t_final_is_taken(tmp_path, capsys):
         ["snapshot_0.csv", "snapshot_1.csv"]
 
 
+def _run_unusable(tmp_path, capsys, monkeypatch, model, key, value) -> str:
+    """The output of a section that sets ``key = value``, with every stepper
+    patched to raise: each value tried hangs, crashes or passes without a step
+    when it reaches one."""
+    def never(*args, **kwargs):
+        raise AssertionError("the stepper was reached")
+
+    monkeypatch.setattr(lsw_solver, "picard_solve_interval", never)
+    monkeypatch.setattr(linear_model, "_rk4", never)
+    monkeypatch.setattr(cli, "iterate", never)
+    cfg = tmp_path / "bad.ini"
+    settings = {"t_final": "0.5"} if "t_final" in cli.SETTINGS[model] else {}
+    settings[key] = value
+    # only the stationarity check reads tau_target
+    check = "stationarity" if key == "tau_target" else "conservation"
+    cfg.write_text(f"[bad]\nmodel = {model}\nfamily = exponential\nchecks = {check}\n" +
+                   "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("model, key, value", [
     ("lsw", "delta", "-0.05"), ("lsw", "delta", "0"), ("lsw", "tol", "0"),
     ("lsw", "t_final", "nan"), ("lsw", "t_final", "-1"),
     ("linear", "delta", "0"), ("linear", "delta", "-0.05"),
     ("linear", "t_final", "nan"), ("linear", "t_final", "-1"),
     ("lsw", "tau_target", "-1"), ("lsw", "tau_target", "nan"),
+    ("map_iteration", "n_steps", "0"), ("map_iteration", "n_steps", "-1"),
+    ("lsw", "n", "0"), ("map_iteration", "n_grid", "0"), ("linear", "stability_tol", "-1"),
 ])
 def test_unusable_setting_fails_the_section(tmp_path, capsys, monkeypatch, model, key, value):
-    # each of these hangs, crashes or passes without a step when it reaches
-    # the stepper
-    def never(*args, **kwargs):
-        raise AssertionError("the stepper was reached")
+    out = _run_unusable(tmp_path, capsys, monkeypatch, model, key, value)
+    assert f"bad  FAIL  ConfigError: {key} = {float(value):g} must be finite and" in out
 
-    monkeypatch.setattr(lsw_solver, "picard_solve_interval", never)
-    monkeypatch.setattr(linear_model, "_rk4", never)
-    cfg = tmp_path / "bad.ini"
-    settings = {"t_final": "0.5", key: value}
-    # only the stationarity check reads tau_target
-    check = "stationarity" if key == "tau_target" else "conservation"
-    cfg.write_text(f"[bad]\nmodel = {model}\nfamily = exponential\nchecks = {check}\n" +
-                   "".join(f"{k} = {v}\n" for k, v in settings.items()))
+
+@pytest.mark.parametrize("model, key, value", [
+    ("lsw", "n", "100.5"), ("lsw", "snapshots", "0.05, x"), ("map_iteration", "lam", "abc"),
+])
+def test_unparsable_setting_fails_the_section(tmp_path, capsys, monkeypatch, model, key, value):
+    out = _run_unusable(tmp_path, capsys, monkeypatch, model, key, value)
+    assert f"bad  FAIL  ConfigError: {key} = {value!r}: " in out
+
+
+_DOMAINS = [(model, key) for model, table in cli.SETTINGS.items()
+            for key, setting in table.items() if setting.sign is not None]
+
+
+@pytest.mark.parametrize("model, key", _DOMAINS, ids=[f"{m}-{k}" for m, k in _DOMAINS])
+def test_every_domain_in_the_table_can_fail(tmp_path, capsys, monkeypatch, model, key):
+    # NaN lies outside every float domain, 0 outside every integer one
+    value = "0" if cli.SETTINGS[model][key].parse is int else "nan"
+    out = _run_unusable(tmp_path, capsys, monkeypatch, model, key, value)
+    assert f"bad  FAIL  ConfigError: {key} = {float(value):g} must be finite" in out
+
+
+def test_stability_on_a_run_too_short_to_fit_is_not_evaluated(tmp_path, capfd):
+    # with t_final = 0 the trace holds one row: no slope to fit, and no
+    # polyfit to warn or to call LAPACK on it
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[short]\nmodel = linear\nfamily = constant-beta\nbeta = 0.5\nt_final = 0\n"
+                   "beta_limit = 0.5\nchecks = stability\n")
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
-    assert f"bad  FAIL  ConfigError: {key} = {float(value):g} must be finite and" in \
-        capsys.readouterr().out
+    out, err = capfd.readouterr()
+    assert "short  FAIL  stability: unknown or not evaluated" in out
+    assert "DLASCL" not in out + err and "Traceback" not in err
+
+
+def test_readme_lists_the_keys_of_the_settings_table():
+    # the model -> keys table of README.md against cli.SETTINGS, so the docs
+    # cannot drift from the runner
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {}
+    for line in readme.splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) == 2 and cells[0].strip().strip("`") in cli.SETTINGS:
+            listed[cells[0].strip().strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    assert {model: sorted(keys) for model, keys in listed.items()} == \
+        {model: sorted(table) for model, table in cli.SETTINGS.items()}
+    # as many settable keys per model as before the table
+    assert {model: len(table) for model, table in cli.SETTINGS.items()} == \
+        {"lsw": 11, "linear": 10, "map_iteration": 10, "self_similar": 1, "analysis": 7}
 
 
 @pytest.mark.parametrize("text, message", [

@@ -60,6 +60,15 @@ def test_power_tail_constant_beta():
     assert np.max(np.abs(est.values[ok] - 3.0)) < 0.02
 
 
+def test_power_tail_honours_its_grid_size():
+    # 4096 is the default n, not a floor: a smaller n builds a smaller grid
+    default, explicit = lk.power_tail(1.0), lk.power_tail(1.0, n=4096)
+    assert np.array_equal(default.profile.grid, explicit.profile.grid)
+    assert np.array_equal(default.profile.values, explicit.profile.values)
+    grid = lk.power_tail(1.0, n=2048).profile.grid
+    assert len(grid) == 2047 and np.all(np.diff(grid) > 0)
+
+
 def test_indicator_profile():
     fam = lk.indicator()
     assert fam.profile.mass == pytest.approx(1.0, abs=1e-14)

@@ -91,6 +91,14 @@ def test_build_profile_rejects_degenerate_alpha():
         build_profile(4.0 / 27.0)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, 0.148])
+def test_build_profile_names_alpha_and_its_interval(alpha):
+    # the message holds on either side of the interval
+    with pytest.raises(lk.ConfigError) as err:
+        build_profile(alpha)
+    assert str(err.value).startswith(f"alpha = {alpha:g} must lie in (0, 4/27 - 0.001)")
+
+
 def test_profile_save(tmp_path, profiles):
     g = g_alpha_profile(profiles[0.05])
     path = tmp_path / "ss.csv"
