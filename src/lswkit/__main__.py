@@ -1,0 +1,7 @@
+"""``python -m lswkit``: the ``lswkit`` command, also from a checkout with ``src`` on the path."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

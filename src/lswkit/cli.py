@@ -179,6 +179,11 @@ def _at_most(name: str, measure, fmt: str) -> Callable:
     return check
 
 
+def _after_a_step(check: Callable) -> Callable:
+    """``check``, not evaluated on a run that took no step: its trace holds one row."""
+    return lambda run, opts: check(run, opts) if len(run.result.trace.t) > 1 else None
+
+
 def _identity(run, opts) -> CheckResult | None:
     if len(run.result.trace.t) < 3:     # no centred difference
         return None
@@ -316,11 +321,11 @@ CHECKS = {
     ("lsw", "monotonicity"): _monotonicity,
     ("lsw", "stationarity"): _stationarity,
     ("lsw", "dyadic"): _dyadic,
-    ("linear", "conservation"): _at_most("conservation", lambda run: run.result.mass_defect,
-                                         "max relative RK4 mass defect {:.3g}"),
+    ("linear", "conservation"): _after_a_step(_at_most(
+        "conservation", lambda run: run.result.mass_defect, "max relative RK4 mass defect {:.3g}")),
     ("linear", "identity"): _identity,
-    ("linear", "affine"): _at_most("affine", lambda run: affine_exactness_check(run.result),
-                                   "max reconstruction deviation {:.3g}"),
+    ("linear", "affine"): _after_a_step(_at_most(
+        "affine", lambda run: affine_exactness_check(run.result), "max reconstruction deviation {:.3g}")),
     ("linear", "stability"): _stability,
     ("map_iteration", "pointwise"): _at_most("pointwise", _pointwise_excess, "max excess {:.3g}"),
     ("map_iteration", "sup_beta"): _at_most(
@@ -350,7 +355,7 @@ CHECKS = {
 class Setting(NamedTuple):
     parse: Callable | tuple  # int, float, _floats, or a tuple of the choices
     default: object = None
-    sign: str | None = None  # a domain: finite and ">" or ">=" 0, or "" (see require_setting)
+    sign: str | None = None  # a domain: finite and ">" or ">=" 0, "(0, 1)", or "" (see require_setting)
 
 
 def _floats(text: str) -> tuple:
@@ -374,7 +379,8 @@ SETTINGS = {
                       "n_grid": Setting(int, sign=">")},
     "self_similar": {"alpha": Setting(float, 0.05)},
     # alpha is the Jensen exponent here, not a family parameter
-    "analysis": {**_FAMILY, "alpha": Setting(float, 0.5), "rv_target": Setting(float, sign="")},
+    "analysis": {**_FAMILY, "alpha": Setting(float, 0.5, "(0, 1)"),
+                 "rv_target": Setting(float, sign="")},
 }
 
 

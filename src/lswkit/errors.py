@@ -35,6 +35,9 @@ class ConvergenceWarning(RuntimeWarning):
 
 
 def require_setting(key: str, value: float, sign: str = ">") -> None:
-    """Raise a ConfigError naming ``key`` unless ``value`` is finite and ``sign`` 0 ("": any)."""
-    if not (math.isfinite(value) and {">": value > 0, ">=": value >= 0, "": True}[sign]):
-        raise ConfigError(f"{key} = {value:g} must be finite" + (f" and {sign} 0" if sign else ""))
+    """Raise a ConfigError naming ``key`` unless ``value`` is finite and ``sign`` 0
+    ("": any value; "(0, 1)": in that interval)."""
+    inside, domain = {">": (value > 0, "> 0"), ">=": (value >= 0, ">= 0"), "": (True, ""),
+                      "(0, 1)": (0 < value < 1, "in (0, 1)")}[sign]
+    if not (math.isfinite(value) and inside):
+        raise ConfigError(f"{key} = {value:g} must be finite" + (f" and {domain}" if domain else ""))

@@ -10,11 +10,11 @@ iteration on the path L(s), which is a contraction for small enough steps.
 Characteristics reaching x = 0 are dissolving clusters; the last exit is
 kept, and the label currently arriving at the origin reconstructs w(0,t) and
 hence the mean cluster volume Lambda = mass/w(0,t).  Solver code rebinds
-ensemble arrays and never writes into them, so shallow copies are safe.
+ensemble arrays and never writes into them, so shallow copies, and the views
+of the survivors an exit leaves, are safe.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -108,7 +108,8 @@ def _analytic_descent(u, L, ds):
     moving = target > 0
     # an entry with target <= 0 would exit within ds and ends at the origin;
     # 0.5 only keeps its arithmetic finite
-    un = np.where(moving, start, 0.5)
+    exits = not moving.all()
+    un = np.where(moving, start, 0.5) if exits else start
     for i in range(_HALLEY_CAP):
         phi = _phi_of_u(un)
         f = phi - target
@@ -123,12 +124,15 @@ def _analytic_descent(u, L, ds):
         if guard is not None:
             sg, ug = step[guard], un[guard]
             step[guard] = np.where((sg <= ug) & (sg > ug - 1.0), sg, 0.0)
-        np.subtract(un, step, out=un, where=moving)
+        if i or exits:
+            np.subtract(un, step, out=un, where=moving)
+        else:
+            un -= step
     else:
         warnings.warn(f"_analytic_descent: {int(np.count_nonzero(moving))} of {len(un)} "
                       f"entries did not converge in {_HALLEY_CAP} Halley iterations",
                       ConvergenceWarning, stacklevel=2)
-    return np.where(target > 0, un, 0.0)
+    return np.where(target > 0, un, 0.0) if exits else un
 
 
 def _rk4(x, r, ds, L_a, L_mid, L_b):
@@ -184,6 +188,12 @@ class Ensemble:
     def n_alive(self) -> int:
         return len(self.pos)
 
+    def shallow_copy(self) -> Ensemble:
+        """``copy.copy`` without its dispatch: the copy shares the arrays."""
+        out = object.__new__(type(self))
+        out.__dict__ = self.__dict__.copy()
+        return out
+
 
 def make_ensemble(profile: SurvivalProfile, beta0: Optional[Callable] = None) -> Ensemble:
     """Seed one characteristic per grid node with positive position."""
@@ -200,28 +210,31 @@ def _speed(x, L):
     return np.maximum(np.abs(1.0 - np.cbrt(np.asarray(x, float) / L)), 1e-12)
 
 
-def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> Optional[np.ndarray]:
-    """Drop the survivors that reach x = 0 within ds of time a at frozen L;
-    keep the last exit.  Returns the mask of the survivors kept, or None if
-    none exits."""
+def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> int:
+    """Drop the survivors that reach x = 0 within ds of time a at frozen L
+    and keep the last exit; returns how many were dropped.
+
+    The frozen-L exit time grows with x, so exits lead: the cut runs
+    through the last survivor whose exit time is within ds, which becomes
+    the last exit, and the survivors kept are views of the arrays they came
+    from.  Near x ~ 1e-24 L the computed exit times are rounding and can
+    scatter; the cut then takes the survivors between them too."""
     x = ens.pos
     # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
     # can exit; the margins cover the rounding of _phi_of_u at tiny u
     k = int(np.searchsorted(x, max(2.0 * ds, 1e-18 * L), "right"))
     if not k:
-        return None
+        return 0
     tte = exit_time_frozen(x[:k], L)
-    exiting = np.flatnonzero(tte <= ds)
-    if not len(exiting):
-        return None
-    last = exiting[np.argsort(tte[exiting])[-1]]
-    ens.exit_t, ens.exit_y = a + float(tte[last]), float(ens.labels[last])
+    exits = np.flatnonzero(tte <= ds)
+    if not len(exits):
+        return 0
+    m = int(exits[-1]) + 1
+    ens.exit_t, ens.exit_y = a + float(tte[m - 1]), float(ens.labels[m - 1])
     # |v| = 1 at the origin, so J there is J / |v(x)|
-    ens.exit_jac = float(ens.jac[last] / _speed(x[last], L))
-    keep = np.ones(len(x), dtype=bool)
-    keep[exiting] = False
-    ens.labels, ens.pos, ens.w, ens.jac = ens.labels[keep], x[keep], ens.w[keep], ens.jac[keep]
-    return keep
+    ens.exit_jac = float(ens.jac[m - 1] / _speed(x[m - 1], L))
+    ens.labels, ens.pos, ens.w, ens.jac = ens.labels[m:], x[m:], ens.w[m:], ens.jac[m:]
+    return m
 
 
 def _lagrange_weights(x, s) -> np.ndarray:
@@ -267,29 +280,30 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
     taking a cube root of every survivor."""
     for a, b, (L_a, L_mid, L_b) in zip(ss[:-1], ss[1:], L_sub):
         ds = b - a
-        keep = _log_exits(ens, a, ds, L_a)
+        cut = _log_exits(ens, a, ds, L_a)
         ens.t = b
         x = ens.pos
         if root is None:
             r = np.cbrt(x / L_mid)
         else:
-            r = (root[0] if keep is None else root[0][keep]) * (root[1] / L_mid) ** (1.0 / 3.0)
+            r = root[0][cut:] * (root[1] / L_mid) ** (1.0 / 3.0)
         root = r, L_mid
         if len(x) == 0:
             continue
         # positions increase, so x < 0.9 L_mid, the descent's share, is a prefix
         low = int(np.searchsorted(x, 0.9 * L_mid))
-        parts = []       # (positions, roots) of the descent and the RK4 share
+        out, r_out = np.empty_like(x), np.empty_like(x)
         if low:
-            u = _analytic_descent(r[:low], L_mid, ds)
-            parts.append((L_mid * u ** 3, u))
+            u = r_out[:low] = _analytic_descent(r[:low], L_mid, ds)
+            out[:low] = L_mid * u ** 3
         if low < len(x):
-            parts.append(_rk4(x[low:], r[low:], ds, L_a, L_mid, L_b))
-        out, r_out = map(np.concatenate, zip(*parts))
+            out[low:], r_out[low:] = _rk4(x[low:], r[low:], ds, L_a, L_mid, L_b)
         # |1 - u'| / |1 - u| along the frozen-L flow, in a form that does not
         # cancel at u = 1; an entry the descent sent to the origin takes 1 / (1 - u)
         ratio = np.exp(ds / (3.0 * L_mid) - 0.5 * (r_out - r) * (r_out + r + 2.0))
-        ens.jac = ens.jac * np.divide(1.0, 1.0 - r, out=ratio, where=r_out == 0)
+        if not r_out.all():
+            np.divide(1.0, 1.0 - r, out=ratio, where=r_out == 0)
+        ens.jac = np.multiply(ens.jac, ratio, out=ratio)
         ens.pos = out
         root = r_out, L_mid
     return root
@@ -506,7 +520,7 @@ def _transport(ens: Ensemble, dt: float, L_vals: np.ndarray):
     table; each panel is one ``_advance``, and the survivors' cube root
     carries from one panel to the next."""
     lay = _layout(N_CHEB, NSUB)
-    scratch = copy.copy(ens)
+    scratch = ens.shallow_copy()
     moments = []
     root = None
     L_sub = _contract(lay.sub, L_vals.tolist())
@@ -515,7 +529,7 @@ def _transport(ens: Ensemble, dt: float, L_vals: np.ndarray):
         if scratch.n_alive < EXTINCTION_FLOOR:
             return scratch, moments, ExtinctionError(
                 f"survivor count fell below {EXTINCTION_FLOOR} at t={panel_ss[-1]:g}")
-        moments.append(copy.copy(scratch))
+        moments.append(scratch.shallow_copy())
     return scratch, moments, None
 
 

@@ -2,6 +2,7 @@ import configparser
 import importlib.util
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -914,6 +915,33 @@ def test_stability_on_a_run_too_short_to_fit_is_not_evaluated(tmp_path, capfd):
     assert "DLASCL" not in out + err and "Traceback" not in err
 
 
+def test_linear_run_without_a_step_does_not_evaluate_conservation_or_affine(tmp_path, capsys):
+    # with t_final = 0 no RK4 step runs: no mass defect to measure and no
+    # characteristic to reconstruct
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[short]\nmodel = linear\nfamily = constant-beta\nbeta = 0.5\nt_final = 0\n"
+                   "checks = conservation, affine\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    for name in ("conservation", "affine"):
+        assert f"short  FAIL  {name}: unknown or not evaluated" in out
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+def test_analysis_alpha_outside_the_unit_interval_fails_before_the_model_runs(
+        tmp_path, capsys, monkeypatch, alpha):
+    def never(*args, **kwargs):
+        raise AssertionError("the model ran")
+
+    monkeypatch.setitem(cli.MODEL_RUNNERS, "analysis", never)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[bad]\nmodel = analysis\nfamily = exponential\nalpha = {alpha}\n"
+                   "checks = gap, tail_bounds\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert f"bad  FAIL  ConfigError: alpha = {float(alpha):g} must be finite and in (0, 1)" in out
+
+
 def test_readme_lists_the_keys_of_the_settings_table():
     # the model -> keys table of README.md against cli.SETTINGS, so the docs
     # cannot drift from the runner
@@ -990,3 +1018,12 @@ def test_import_leaves_numpy_polynomial_out():
     done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0 and done.stdout == "False\n", done.stdout + done.stderr
+
+
+def test_module_runs_as_the_command():
+    # python -m lswkit from a checkout, with only src on the path
+    src = Path(lswkit.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "lswkit", "families"], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "exponential" in done.stdout

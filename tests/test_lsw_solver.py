@@ -529,14 +529,20 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
     lsw_solver._advance(ens, [a, b], [[L, L, L]])
     ds = b - a
     tte = exit_time_frozen(pos, L)
-    exiting = tte <= ds
-    assert np.any(exiting)
-    # the ensemble keeps the exit that sorts last by exit time
-    last = np.flatnonzero(exiting)[np.argsort(tte[exiting])[-1]]
+    exiting = np.flatnonzero(tte <= ds)
+    assert len(exiting)
+    # the exits lead: the cut runs through the last one, which the ensemble
+    # keeps as its last exit
+    m = exiting[-1] + 1
+    if ds_over_L >= 1e-15:
+        # the cut is the mask of the exits, and its last entry the one that
+        # sorts last by exit time; at 1e-25 the rounding of the exit times at
+        # tiny x scatters the exits over the cut
+        assert len(exiting) == m and np.argsort(tte[exiting])[-1] == m - 1
     jac = np.linspace(1.0, 2.0, len(pos))
     assert (ens.exit_t, ens.exit_y, ens.exit_jac) == \
-        (a + tte[last], pos[last], jac[last] / lsw_solver._speed(pos[last], L))
-    np.testing.assert_array_equal(ens.labels, pos[~exiting])
+        (a + tte[m - 1], pos[m - 1], jac[m - 1] / lsw_solver._speed(pos[m - 1], L))
+    np.testing.assert_array_equal(ens.labels, pos[m:])
 
 
 def test_sweeps_read_the_layout_table(short_exp_run, monkeypatch):
@@ -605,23 +611,26 @@ def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
     assert max(worst) <= 4.0
 
 
-def test_exits_leave_the_carried_root_by_mask():
+def test_exits_leave_the_carried_root_by_the_leading_cut():
     # at ds = 1e-25 L the rounding of the exit times at tiny x makes the
-    # exits a scattered subset of the head, not a prefix; the carried root
-    # must drop the same entries as the positions
+    # exits a scattered subset of the head; the cut runs through the last of
+    # them, and the carried root must drop the same entries as the positions
     L, a = 1.3, 0.7
     fam = lk.exponential()
     pos = L * np.geomspace(1e-24, 0.99, 4000)
     b = a + 1e-25 * L
-    exiting = np.flatnonzero(exit_time_frozen(pos, L) <= b - a)
+    exiting = np.flatnonzero(exit_time_frozen(pos, L) <= 0.5 * (b - a))
     assert len(exiting) and exiting[-1] + 1 > len(exiting)
     out = []
     for root in (None, (np.cbrt(pos / L), L)):
         ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos.copy(), w=np.exp(-pos),
                                   initial=fam.profile, beta0=fam.beta_exact, t=a)
+        labels = ens.labels
         out.append((ens, lsw_solver._advance(ens, [a, 0.5 * (a + b), b], [[L, L, L]] * 2, root)))
+        # the survivors' labels stay a view of the labels they started from
+        assert np.shares_memory(ens.labels, labels)
     (fresh, fresh_root), (carried, carried_root) = out
-    np.testing.assert_array_equal(carried.labels, np.delete(pos, exiting))
+    np.testing.assert_array_equal(carried.labels, pos[exiting[-1] + 1:])
     for name in ("pos", "jac"):
         np.testing.assert_array_equal(getattr(carried, name), getattr(fresh, name))
     np.testing.assert_array_equal(carried_root[0], fresh_root[0])
@@ -671,8 +680,9 @@ def test_stop_on_bound_builds_each_path_once(short_exp_run, monkeypatch):
 
 
 def test_solver_never_writes_into_ensemble_arrays(short_exp_run, monkeypatch):
-    # shallow copies of an ensemble are independent only while the solver
-    # rebinds its arrays; a write into a read-only array raises
+    # the survivors an exit leaves are views of the arrays before it, and
+    # shallow copies share them: both are safe only while the solver never
+    # writes into an ensemble array, which read-only arrays turn into an error
     frozen = copy.copy(short_exp_run[1].ensemble)
     arrays = {name: getattr(frozen, name).copy() for name in ("labels", "pos", "w", "jac")}
     for name, array in arrays.items():
@@ -680,16 +690,23 @@ def test_solver_never_writes_into_ensemble_arrays(short_exp_run, monkeypatch):
         setattr(frozen, name, array)
     last_exit = (frozen.t, frozen.exit_t, frozen.exit_y, frozen.exit_jac)
     assert frozen.exit_t > 0
-    cfg = SolverConfig(tol=1e-6)
     L0 = lsw_solver._state_L(frozen, short_exp_run[1].trace.L[-1])[0]
-    out, _, stats = lsw_solver.picard_solve_interval(frozen, cfg.delta * L0, L0, cfg)
-    assert stats.converged and out.t > frozen.t
-    # advance_global from the frozen ensemble, for three steps
+    # a step to a plain stop and one to a stop on the bound, both with exits
+    for tol, on_bound in ((1e-3, False), (1e-6, True)):
+        cfg = SolverConfig(tol=tol)
+        out, _, stats = lsw_solver.picard_solve_interval(frozen, cfg.delta * L0, L0, cfg)
+        assert stats.converged and stats.stopped_on_bound == on_bound and out.t > frozen.t
+        assert out.n_alive < frozen.n_alive
+    # advance_global from the frozen ensemble, for three steps, with snapshots
     monkeypatch.setattr(lsw_solver, "make_ensemble", lambda profile, beta0: frozen)
-    res = advance_global(frozen.initial, frozen.t + 3.0 * cfg.delta * L0, cfg,
-                         beta0=frozen.beta0)
-    assert res.terminated == "t_final" and len(res.picard) >= 3
+    t_end = frozen.t + 3.0 * cfg.delta * L0
+    res = advance_global(frozen.initial, t_end, cfg, beta0=frozen.beta0,
+                         snapshot_times=(frozen.t, t_end))
+    assert res.terminated == "t_final" and len(res.picard) >= 3 and len(res.snapshots) == 2
     assert res.ensemble.exit_t > frozen.exit_t
+    # labels and w stay views of the arrays the run started from
+    for name in ("labels", "w"):
+        assert np.shares_memory(getattr(res.ensemble, name), arrays[name])
     assert all(getattr(frozen, name) is array for name, array in arrays.items())
     assert (frozen.t, frozen.exit_t, frozen.exit_y, frozen.exit_jac) == last_exit
 

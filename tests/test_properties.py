@@ -226,6 +226,46 @@ def test_descent_from_the_table_matches_the_second_order_start(us, L, frac):
     assert np.all(np.abs(phi(out) - phi(ref)) <= 2.0 * floor)
 
 
+def _exits_by_mask(ens, a, ds, L):
+    """The survivors _log_exits keeps and the last exit it records, from a
+    boolean mask over every survivor: the last exit has the largest exit
+    time, the later entry on a tie."""
+    tte = exit_time_frozen(ens.pos, L)
+    exiting = np.flatnonzero(tte <= ds)
+    keep = np.ones(len(tte), dtype=bool)
+    keep[exiting] = False
+    if not len(exiting):
+        return keep, (ens.exit_t, ens.exit_y, ens.exit_jac)
+    last = exiting[np.argsort(tte[exiting], kind="stable")[-1]]
+    return keep, (a + float(tte[last]), float(ens.labels[last]),
+                  float(ens.jac[last] / lsw_solver._speed(ens.pos[last], L)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=1e-6, max_value=1.5), st.integers(1, 3)),
+                min_size=1, max_size=40),
+       lengths, st.integers(0, 39), st.sampled_from([0.5, 1.0, 2.0]))
+def test_exit_cut_matches_the_exit_mask(entries, L, j, scale):
+    # sorted positions, some of them repeated so that their exit times tie,
+    # and a substep ending at, before or after an entry's exit time
+    x_over_L, repeats = zip(*sorted(entries))
+    pos = L * np.repeat(x_over_L, repeats)
+    tte = exit_time_frozen(pos, L)
+    assume(np.all(tte[1:] >= tte[:-1]))
+    ds = scale * float(np.minimum(tte[j % len(tte)], L))
+    n = len(pos)
+    ens = lsw_solver.Ensemble(labels=np.arange(1.0, n + 1.0), pos=pos, w=np.linspace(1.0, 0.5, n),
+                              initial=None, beta0=None, jac=np.linspace(1.0, 3.0, n), t=0.5,
+                              exit_t=0.25, exit_y=0.5, exit_jac=2.0)
+    keep, last_exit = _exits_by_mask(ens, 0.5, ds, L)
+    arrays = {name: getattr(ens, name) for name in ("labels", "pos", "w", "jac")}
+    cut = lsw_solver._log_exits(ens, 0.5, ds, L)
+    assert cut == n - np.count_nonzero(keep)
+    for name, array in arrays.items():
+        np.testing.assert_array_equal(getattr(ens, name), array[keep])
+    assert (ens.exit_t, ens.exit_y, ens.exit_jac) == last_exit
+
+
 FAILING_PROPERTY = """\
 from hypothesis import given, strategies as st
 
