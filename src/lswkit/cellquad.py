@@ -25,12 +25,21 @@ def _cells(u, w, s, q1, q2) -> np.ndarray:
     row of cells per exponent."""
     u0, u1 = u[:-1], u[1:]
     w0, w1 = w[:-1], w[1:]
+    # in place, the operations of m = (w1 - w0) / du, a = w0 - m * u0,
+    # p1 = (q1[1:] - q1[:-1]) / (s + 1), p2 likewise from q2 and s + 2,
+    # and out = a * p1 + m * p2
     du = u1 - u0
-    m = (w1 - w0) / du
-    a = w0 - m * u0  # w = a + m*u on the cell
-    p1 = (q1[..., 1:] - q1[..., :-1]) / (s + 1.0)
-    p2 = (q2[..., 1:] - q2[..., :-1]) / (s + 2.0)
-    out = a * p1 + m * p2
+    m = w1 - w0
+    m /= du
+    a = m * u0
+    np.subtract(w0, a, out=a)  # w = a + m*u on the cell
+    out = q1[..., 1:] - q1[..., :-1]
+    out /= s + 1.0
+    out *= a
+    p2 = q2[..., 1:] - q2[..., :-1]
+    p2 /= s + 2.0
+    p2 *= m
+    out += p2
     # the primitive differences cancel catastrophically on cells much
     # narrower than their distance from the singularity; a midpoint
     # expansion with the leading curvature terms is then accurate to

@@ -313,9 +313,9 @@ def _regular_variation(run, opts) -> CheckResult | None:
 
 
 CHECKS = {
-    ("lsw", "conservation"): _at_most("conservation", lambda run: mass_drift(run.result.trace),
-                                      "max relative mass drift {:.3g}"),
-    ("lsw", "upper_bound"): _upper_bound,
+    ("lsw", "conservation"): _after_a_step(_at_most(
+        "conservation", lambda run: mass_drift(run.result.trace), "max relative mass drift {:.3g}")),
+    ("lsw", "upper_bound"): _after_a_step(_upper_bound),
     ("lsw", "identity"): _identity,
     ("lsw", "picard"): _picard,
     ("lsw", "monotonicity"): _monotonicity,

@@ -83,7 +83,7 @@ def quantile_grid(quantile, n: int = 2048, deep: int = QUANTILE_DEEP,
 
 
 def constant_beta(beta: float, n: int = 2048) -> AnalyticFamily:
-    """Profile whose beta function is identically ``beta``; h(0)=1, h'(0)=-1."""
+    """Profile with beta identically ``beta``; h(0)=1, h'(0)=-1; beta > 1 raises n to 4096 at least."""
     if not beta > 0:
         raise ConfigError("constant-beta family requires beta > 0")
     if beta == 1.0:

@@ -16,6 +16,7 @@ of the survivors an exit leaves, are safe.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from collections import namedtuple
@@ -34,11 +35,15 @@ from .profiles import (
 
 
 def drift(x, L):
-    return np.cbrt(np.asarray(x, float) / L) - 1.0
+    v = np.cbrt(np.asarray(x, float) / L)
+    v -= 1.0
+    return v
 
 
 def _phi_of_u(u):
-    # time-to-origin integrand antiderivative, in units of 3L
+    # time-to-origin integrand antiderivative, in units of 3L; one expression,
+    # as in place it is no faster on the few hundred entries of a descent and
+    # slower on the one-entry arrays and scalars of the exit screen
     return -0.5 * u * u - u - np.log1p(-u)
 
 
@@ -69,6 +74,21 @@ def exit_time_frozen(x, L):
     return np.where(u < 1.0, 3.0 * L * _phi_of_u(np.minimum(u, 1.0 - 1e-15)), np.inf)
 
 
+def _halley_step(f, u, half):
+    """Halley's step f / (phi' - f phi''/(2 phi')) on phi(u) - target = f,
+    both sides times u(1-u), with half = u/2: in place, the operations of
+    f * u * (1 - u) / (u * u * u - f * (1 - half))."""
+    step = f * u
+    step *= 1.0 - u
+    den = u * u
+    den *= u
+    tmp = 1.0 - half
+    tmp *= f
+    den -= tmp
+    step /= den
+    return step
+
+
 def _analytic_descent(u, L, ds):
     """Advance the survivors at u = (x/L)^(1/3) < 1 by ds with L frozen, by
     inverting the exit-time map; returns their new roots u', positions L u'^3.
@@ -84,9 +104,12 @@ def _analytic_descent(u, L, ds):
     ConvergenceWarning.
     """
     c = ds / (3.0 * L)
-    target = _phi_of_u(u) - c
-    s = np.cbrt(3.0 * target)
-    start = s * np.interp(s, _INVERSE_S, _INVERSE_RATIO)
+    target = _phi_of_u(u)
+    target -= c
+    s = 3.0 * target
+    np.cbrt(s, out=s)
+    start = np.interp(s, _INVERSE_S, _INVERSE_RATIO)
+    start *= s
     # below _TINY_ROOT phi cancels: a root there does not read its start from
     # the table, and a start there can face a target under the rounding of
     # phi, where a Halley step can throw it far out of [0, 1)
@@ -104,7 +127,7 @@ def _analytic_descent(u, L, ds):
             n = c * (1.0 - ut) / u2
             start[tiny] = np.minimum(ut - n * (1.0 + (0.5 * c) * (2.0 - ut) / (u2 * ut)), s[tiny])
         # these entries take only the steps that keep them inside [0, 1)
-        guard = np.flatnonzero(low)
+        guard = low.nonzero()[0]
     moving = target > 0
     # an entry with target <= 0 would exit within ds and ends at the origin;
     # 0.5 only keeps its arithmetic finite
@@ -115,12 +138,16 @@ def _analytic_descent(u, L, ds):
         f = phi - target
         half = 0.5 * un
         if i:
-            # |log1p(-u)| = phi + u + u^2/2; a NaN residual keeps moving
-            moving &= ~(np.abs(f) <= _PHI_FLOOR * (phi + un * (2.0 + half)))
+            # |log1p(-u)| = phi + u + u^2/2; a NaN residual keeps moving.
+            # The bound _PHI_FLOOR * (phi + un * (2 + half)), in place
+            bound = half + 2.0
+            bound *= un
+            bound += phi
+            bound *= _PHI_FLOOR
+            moving &= ~(np.abs(f, out=phi) <= bound)
             if not moving.any():
                 break
-        # Halley's step f / (phi' - f phi''/(2 phi')), both sides times u(1-u)
-        step = f * un * (1.0 - un) / (un * un * un - f * (1.0 - half))
+        step = _halley_step(f, un, half)
         if guard is not None:
             sg, ug = step[guard], un[guard]
             step[guard] = np.where((sg <= ug) & (sg > ug - 1.0), sg, 0.0)
@@ -139,12 +166,28 @@ def _rk4(x, r, ds, L_a, L_mid, L_b):
     """One RK4 step of length ds from x, whose root (x/L_mid)^(1/3) is r;
     returns the new positions and their roots at L_mid."""
     # the first stage's root at L_a is r rescaled
-    k1 = r * (L_mid / L_a) ** (1.0 / 3.0) - 1.0
-    k2 = drift(x + 0.5 * ds * k1, L_mid)
-    k3 = drift(x + 0.5 * ds * k2, L_mid)
-    k4 = drift(x + ds * k3, L_b)
-    out = x + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out, np.cbrt(out / L_mid)
+    k1 = r * (L_mid / L_a) ** (1.0 / 3.0)
+    k1 -= 1.0
+    # the stages read the drift at x + (ds/2) k1, x + (ds/2) k2 and x + ds k3
+    y = k1 * (0.5 * ds)
+    y += x
+    k2 = drift(y, L_mid)
+    np.multiply(k2, 0.5 * ds, out=y)
+    y += x
+    k3 = drift(y, L_mid)
+    np.multiply(k3, ds, out=y)
+    y += x
+    k4 = drift(y, L_b)
+    # x + (ds / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= ds / 6.0
+    k2 += x
+    root = k2 / L_mid
+    return k2, np.cbrt(root, out=root)
 
 
 @dataclass
@@ -222,11 +265,11 @@ def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> int:
     x = ens.pos
     # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
     # can exit; the margins cover the rounding of _phi_of_u at tiny u
-    k = int(np.searchsorted(x, max(2.0 * ds, 1e-18 * L), "right"))
+    k = int(x.searchsorted(max(2.0 * ds, 1e-18 * L), "right"))
     if not k:
         return 0
     tte = exit_time_frozen(x[:k], L)
-    exits = np.flatnonzero(tte <= ds)
+    exits = (tte <= ds).nonzero()[0]
     if not len(exits):
         return 0
     m = int(exits[-1]) + 1
@@ -291,16 +334,26 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
         if len(x) == 0:
             continue
         # positions increase, so x < 0.9 L_mid, the descent's share, is a prefix
-        low = int(np.searchsorted(x, 0.9 * L_mid))
-        out, r_out = np.empty_like(x), np.empty_like(x)
+        low = int(x.searchsorted(0.9 * L_mid))
         if low:
+            out, r_out = np.empty_like(x), np.empty_like(x)
             u = r_out[:low] = _analytic_descent(r[:low], L_mid, ds)
-            out[:low] = L_mid * u ** 3
-        if low < len(x):
-            out[low:], r_out[low:] = _rk4(x[low:], r[low:], ds, L_a, L_mid, L_b)
+            np.power(u, 3, out=out[:low])
+            out[:low] *= L_mid
+            if low < len(x):
+                out[low:], r_out[low:] = _rk4(x[low:], r[low:], ds, L_a, L_mid, L_b)
+        else:
+            out, r_out = _rk4(x, r, ds, L_a, L_mid, L_b)
         # |1 - u'| / |1 - u| along the frozen-L flow, in a form that does not
-        # cancel at u = 1; an entry the descent sent to the origin takes 1 / (1 - u)
-        ratio = np.exp(ds / (3.0 * L_mid) - 0.5 * (r_out - r) * (r_out + r + 2.0))
+        # cancel at u = 1; an entry the descent sent to the origin takes 1 / (1 - u).
+        # exp(ds / (3 L_mid) - 0.5 * (r_out - r) * (r_out + r + 2)), in place
+        ratio = r_out - r
+        ratio *= 0.5
+        tmp = r_out + r
+        tmp += 2.0
+        ratio *= tmp
+        np.subtract(ds / (3.0 * L_mid), ratio, out=ratio)
+        np.exp(ratio, out=ratio)
         if not r_out.all():
             np.divide(1.0, 1.0 - r, out=ratio, where=r_out == 0)
         ens.jac = np.multiply(ens.jac, ratio, out=ratio)
@@ -351,7 +404,7 @@ def _phi_primitive(u):
     small = u < 0.25
     big = ~small
     us, ub = u[small], u[big]
-    out[small] = np.sum(us ** _PHI_POW / _PHI_DEN, axis=0)
+    out[small] = (us ** _PHI_POW / _PHI_DEN).sum(axis=0)
     # finite for u < 1, which _theta_cells ensures
     out[big] = -ub**3 / 6 - ub**2 / 2 + ub + (1.0 - ub) * np.log1p(-ub)
     return out
@@ -359,7 +412,7 @@ def _phi_primitive(u):
 
 def _phi_u2_primitive(u):
     # int_0^u phi(s) s^2 ds = sum_{k>=3} u^(k+3)/(k(k+3))
-    return np.sum(np.asarray(u, float) ** (_PHI_K + 3) / (_PHI_K * (_PHI_K + 3)), axis=0)
+    return (np.asarray(u, float) ** (_PHI_K + 3) / (_PHI_K * (_PHI_K + 3))).sum(axis=0)
 
 
 def _theta_cells(x, w, L):
@@ -373,9 +426,9 @@ def _theta_cells(x, w, L):
     """
     u = np.minimum(np.cbrt(x / L), 1.0 - 1e-12)
     theta = 3.0 * L * _phi_of_u(u)
-    dtheta = np.diff(theta)
+    dtheta = theta[1:] - theta[:-1]
     rising = dtheta > 0
-    slope = np.where(rising, np.diff(w) / np.where(rising, dtheta, 1.0), 0.0)
+    slope = np.where(rising, (w[1:] - w[:-1]) / np.where(rising, dtheta, 1.0), 0.0)
     return u, theta, slope
 
 
@@ -384,32 +437,33 @@ def _theta_cell_integrals(x, w, Ls, n):
     states, in the time-to-origin model: x and w join the states' nodes, n
     counts them and Ls holds one L per state."""
     Ls = np.asarray(Ls, dtype=float)
-    u, theta, slope = _theta_cells(x, w, np.repeat(Ls, n))
-    d13 = 3.0 * np.diff(np.cbrt(x))
-    dphi = np.diff(_phi_primitive(u))
+    u, theta, slope = _theta_cells(x, w, Ls.repeat(n))
+    r, phi = np.cbrt(x), _phi_primitive(u)
+    d13 = 3.0 * (r[1:] - r[:-1])
+    dphi = phi[1:] - phi[:-1]
     # Python's pow: numpy's array pow differs from it in the last bit
-    c = np.repeat([9.0 * l ** (4.0 / 3.0) for l in Ls.tolist()], n)[:-1]
+    c = np.array([9.0 * l ** (4.0 / 3.0) for l in Ls.tolist()]).repeat(n)[:-1]
     cells = w[:-1] * d13 + slope * (c * dphi - theta[:-1] * d13)
     # the cell joining one state's last node to the next one's origin is
     # dropped; each state's cells are summed as they would be alone
     # (np.add.reduceat adds them in another order)
-    ends = np.cumsum(n).tolist()
+    ends = itertools.accumulate(n)
     return np.array([cells[end - m:end - 1].sum() for m, end in zip(n, ends)])
 
 
 def _theta_cell_mass(x, w, L) -> float:
     """Mass integral, int w dx over the cells of x, in the time-to-origin model."""
     u, theta, slope = _theta_cells(x, w, L)
-    dx = np.diff(x)
-    dpsi = np.diff(_phi_u2_primitive(u))
-    return float(np.sum(w[:-1] * dx + slope * (9.0 * L * L * dpsi - theta[:-1] * dx)))
+    dx = x[1:] - x[:-1]
+    psi = _phi_u2_primitive(u)
+    return float((w[:-1] * dx + slope * (9.0 * L * L * (psi[1:] - psi[:-1]) - theta[:-1] * dx)).sum())
 
 
 def _origin_split(pos, L) -> int:
     """Survivors whose cells get the time-to-origin model at L: those below
     ORIGIN_FRACTION * L and the first one at or above it; 0, a linear head
     cell, when none lies below or L is not positive."""
-    j = int(np.searchsorted(pos, ORIGIN_FRACTION * L)) if L > 0 else 0
+    j = int(pos.searchsorted(ORIGIN_FRACTION * L)) if L > 0 else 0
     return min(j + 1, len(pos)) if j else 0
 
 
@@ -565,7 +619,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
         # the quadratic in (s - t) / prior.dt through the prior's start, its middle and L0
         knots = np.array([prior.values[0], _contract(lay.mid, prior.values), L0])
         warm = _contract(_lagrange_weights((-1.0, -0.5, 0.0), lay.nodes[1:] * (dt / prior.dt)), knots)
-        if np.all(np.isfinite(warm) & (warm > 0)):
+        if (np.isfinite(warm) & (warm > 0)).all():
             L_vals[1:] = warm
     diffs = []
     converged = on_bound = False
@@ -576,12 +630,12 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
         resolved = _flux_L(moments, ens.initial.w_at(_boundary_labels(moments, guess)), guess)
         flux_evals += 1
         # a node whose L is not positive ends the sweep before any later panel
-        if not np.all(np.isfinite(resolved) & (resolved > 0)):
+        if not (np.isfinite(resolved) & (resolved > 0)).all():
             break
         if extinct:
             raise extinct
         new_vals = np.concatenate(([L0], resolved))
-        diff = float(np.max(np.abs(new_vals - L_vals)))
+        diff = float(np.abs(new_vals - L_vals).max())
         diffs.append(diff)
         L_vals = new_vals
         if diff < cfg.tol * L0:
@@ -662,11 +716,14 @@ def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: flo
     # the tail beyond the last survivor stretches with the label-map Jacobian
     tail = ens.initial.tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
     k = _origin_split(ens.pos, L)
+    # the trapezoid rule over the cells from node k on, as np.trapezoid sums it
+    cells = w[k + 1:] + w[k:-1]
+    cells *= x[k + 1:] - x[k:-1]
+    cells /= 2.0
+    mass = float(cells.sum())
     if k:
-        near = _theta_cell_mass(x[:k + 1], w[:k + 1], L)
-        mass = near + float(np.trapezoid(w[k:], x[k:])) + tail
-    else:
-        mass = float(np.trapezoid(w, x)) + tail
+        mass = _theta_cell_mass(x[:k + 1], w[:k + 1], L) + mass
+    mass += tail
     lam = mass / w0b
     energy = (2.0 / 3.0) * cellquad.power_total(x, w, -1.0 / 3.0)
     # slope of the label map at the origin: reciprocal of the transported

@@ -273,14 +273,14 @@ class SurvivalProfile:
         elif self.tail.kind == "power":
             tail = wm * np.power(xm / np.maximum(x, xm), self.tail.param)
         else:
-            tail = np.zeros_like(body)
+            tail = 0.0
         out = np.where(x > xm, tail, body)
         return float(out) if out.ndim == 0 else out
 
     def h_at(self, x):
         """Tail mass h(x) = integral of w over (x, infinity); exact per cell."""
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, len(self.grid) - 2)
+        idx = np.minimum(np.maximum(self.grid.searchsorted(x, "right") - 1, 0), len(self.grid) - 2)
         x1 = self.grid[idx + 1]
         wx = np.interp(np.minimum(x, self.grid[-1]), self.grid, self.values)
         # remaining piece of the containing cell

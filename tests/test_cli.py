@@ -761,7 +761,8 @@ def test_dyadic_report_is_strict_json(tmp_path, capsys):
 
 def test_run_without_a_step_keeps_its_rows(tmp_path, capsys):
     # with t_final = 0 there is no Picard step and one trace row: picard and
-    # identity are not evaluated, and conservation still reports
+    # identity are not evaluated, and neither is conservation, whose drift
+    # over one row reads 0 whatever the solver does
     cfg = tmp_path / "zero.ini"
     cfg.write_text("[zero]\nmodel = lsw\nfamily = exponential\nt_final = 0\n"
                    "checks = picard, identity, conservation\n")
@@ -772,12 +773,21 @@ def test_run_without_a_step_keeps_its_rows(tmp_path, capsys):
                       parse_constant=_reject_constant)
     assert "error" not in data
     assert data["steps"] == 0
-    assert data["violations"] == ["picard", "identity"]
-    for name in ("picard", "identity"):
+    assert data["violations"] == ["picard", "identity", "conservation"]
+    for name in ("picard", "identity", "conservation"):
         assert data["checks"][name] == {"passed": False, "value": None, "bound": None,
                                         "detail": "unknown or not evaluated"}
-    assert data["checks"]["conservation"]["passed"]
-    assert data["checks"]["conservation"]["bound"] == cli.BOUNDS["conservation"]
+
+
+@pytest.mark.parametrize("check", ["conservation", "upper_bound"])
+def test_lsw_run_without_a_step_does_not_evaluate(tmp_path, capsys, check):
+    # one trace row: no drift to measure and no Lambda(t) to bound
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(f"[zero]\nmodel = lsw\nfamily = exponential\nt_final = 0\nchecks = {check}\n")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert f"zero  FAIL  {check}: unknown or not evaluated" in out
+    assert "all checks passed" not in out
 
 
 def test_every_benchmark_probe_resolves():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lswkit as lk
+from lswkit.cli import main
 from lswkit.families import make_family
 
 
@@ -67,6 +68,19 @@ def test_power_tail_honours_its_grid_size():
     assert np.array_equal(default.profile.values, explicit.profile.values)
     grid = lk.power_tail(1.0, n=2048).profile.grid
     assert len(grid) == 2047 and np.all(np.diff(grid) > 0)
+
+
+def test_constant_beta_states_its_grid_floor(capsys):
+    # beta > 1 raises n to 4096, and the line `lswkit families` prints says so;
+    # beta < 1 honours n
+    floor = lk.constant_beta(2.0, n=4096).profile.grid
+    for n in (512, 2048):
+        assert np.array_equal(lk.constant_beta(2.0, n=n).profile.grid, floor)
+    assert len(floor) == 4095
+    assert len(lk.constant_beta(0.5, n=1024).profile.grid) < len(lk.constant_beta(0.5).profile.grid)
+    assert main(["families"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("constant-beta"))
+    assert line.endswith("beta > 1 raises n to 4096 at least.")
 
 
 def test_indicator_profile():
