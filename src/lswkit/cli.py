@@ -63,11 +63,11 @@ def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
     t_final, snaps = opts["t_final"], opts["snapshots"]
     if "stationarity" in opts["checks"]:
         # evolve to the requested rescaled time: Lambda grows linearly at the
-        # stationary rate beta*(0), so t(tau) is explicit
+        # stationary rate beta*(0), so t(tau) is explicit, and t = tau at rate 0
         if fam.beta_exact is None:
             raise ConfigError("stationarity check needs a family with a known beta")
-        rate = float(fam.beta_exact(0.0))
-        t_final = float((np.exp(opts["tau_target"] * rate) - 1.0) / rate)
+        rate, tau = float(fam.beta_exact(0.0)), opts["tau_target"]
+        t_final = float((np.exp(tau * rate) - 1.0) / rate) if rate else tau
         snaps = tuple(sorted(set(snaps) | {t_final}))
     outside = [f"{t:g}" for t in snaps if not 0.0 <= t <= t_final]
     if outside:
@@ -212,9 +212,12 @@ def _picard(run, opts) -> CheckResult | None:
     max_sweeps, max_ratio = BOUNDS["picard"]
     iters = max(p.iterations for p in run.result.picard)
     ratios = [r for p in run.result.picard for r in p.ratios]
-    ok = iters <= max_sweeps and all(r < max_ratio for r in ratios)
-    return CheckResult(ok, iters, max_sweeps,
-                       f"max iterations {iters}, max ratio {max(ratios, default=0.0):.3g}")
+    detail = f"max iterations {iters}, max ratio {max(ratios, default=0.0):.3g}"
+    slow = [r for r in ratios if not r < max_ratio]
+    if slow and iters <= max_sweeps:
+        # within the sweep cap, the step fails on its contraction ratio
+        return CheckResult(False, max(slow), max_ratio, detail)
+    return CheckResult(iters <= max_sweeps and not slow, iters, max_sweeps, detail)
 
 
 def _monotonicity(run, opts) -> CheckResult | None:
@@ -239,7 +242,9 @@ def _stationarity(run, opts) -> CheckResult | None:
     if not res.snapshots:
         return None
     y, ws = normalized_view(res.snapshots[-1])
-    yy = np.linspace(0.0, max(float(y[-1]), float(prof.sup_x)), 8192)
+    # over both supports; an unbounded one ends at the profile's last node
+    end = prof.sup_x if np.isfinite(prof.sup_x) else prof.grid[-1]
+    yy = np.linspace(0.0, max(float(y[-1]), float(end)), 8192)
     sup = float(np.max(np.abs(np.interp(yy, y, ws, right=0.0) - prof.w_at(yy))))
     berr = float(abs(res.trace.beta0[-1] - float(run.fam.beta_exact(0.0))))
     bound = BOUNDS["stationarity"]

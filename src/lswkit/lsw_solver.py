@@ -43,7 +43,7 @@ def drift(x, L):
 def _phi_of_u(u):
     # time-to-origin integrand antiderivative, in units of 3L; one expression,
     # as in place it is no faster on the few hundred entries of a descent and
-    # slower on the one-entry arrays and scalars of the exit screen
+    # slower on the scalars and one-entry arrays of the boundary readers
     return -0.5 * u * u - u - np.log1p(-u)
 
 
@@ -90,15 +90,21 @@ def _halley_step(f, u, half):
 
 
 def _analytic_descent(u, L, ds):
-    """Advance the survivors at u = (x/L)^(1/3) < 1 by ds with L frozen, by
-    inverting the exit-time map; returns their new roots u', positions L u'^3.
+    """Advance the survivors at u = (x/L)^(1/3) < 1, in increasing order, by
+    ds with L frozen, by inverting the exit-time map; returns (m, early, u'):
+    the first m entries reach the origin within ds, the last of them
+    ``early`` before its end (0.0 when m is 0), and u' holds the new roots
+    of the rest.
 
-    Exact for frozen L (entries that would cross 0 must have been screened
-    out by the caller).  Halley steps on phi(u') = phi(u) - ds/(3L) start
-    from the tabulated inverse of s = cbrt(3 phi), read at s = cbrt(3*target),
-    which one step makes exact to rounding; the first step is taken without a
-    test, and each entry stops once its residual is within the rounding floor
-    of ``_phi_of_u``, or keeps moving if its residual is NaN.  An entry whose
+    Exact for frozen L.  An entry exits within ds exactly when its target
+    phi(u) - ds/(3L) is <= 0; the exit time grows with u, so the exits lead,
+    and the cut runs through the last entry whose target is <= 0 (where
+    phi is rounding, near x ~ 1e-24 L, it takes the entries between scattered
+    exits too).  Halley steps on phi(u') = target start from the tabulated
+    inverse of s = cbrt(3 phi), read at s = cbrt(3*target), which one step
+    makes exact to rounding; the first step is taken without a test, and
+    each entry stops once its residual is within the rounding floor of
+    ``_phi_of_u``, or keeps moving if its residual is NaN.  An entry whose
     root or start lies below ``_TINY_ROOT`` takes no step out of [0, 1).
     Entries still moving after the iteration cap are reported in a
     ConvergenceWarning.
@@ -106,6 +112,12 @@ def _analytic_descent(u, L, ds):
     c = ds / (3.0 * L)
     target = _phi_of_u(u)
     target -= c
+    exits = (target <= 0.0).nonzero()[0]
+    m, early = 0, 0.0
+    if len(exits):
+        m = int(exits[-1]) + 1
+        early = -3.0 * L * float(target[m - 1])
+        u, target = u[m:], target[m:]
     s = 3.0 * target
     np.cbrt(s, out=s)
     start = np.interp(s, _INVERSE_S, _INVERSE_RATIO)
@@ -128,11 +140,8 @@ def _analytic_descent(u, L, ds):
             start[tiny] = np.minimum(ut - n * (1.0 + (0.5 * c) * (2.0 - ut) / (u2 * ut)), s[tiny])
         # these entries take only the steps that keep them inside [0, 1)
         guard = low.nonzero()[0]
-    moving = target > 0
-    # an entry with target <= 0 would exit within ds and ends at the origin;
-    # 0.5 only keeps its arithmetic finite
-    exits = not moving.all()
-    un = np.where(moving, start, 0.5) if exits else start
+    un = start
+    moving = np.ones(len(un), bool)
     for i in range(_HALLEY_CAP):
         phi = _phi_of_u(un)
         f = phi - target
@@ -151,7 +160,7 @@ def _analytic_descent(u, L, ds):
         if guard is not None:
             sg, ug = step[guard], un[guard]
             step[guard] = np.where((sg <= ug) & (sg > ug - 1.0), sg, 0.0)
-        if i or exits:
+        if i:
             np.subtract(un, step, out=un, where=moving)
         else:
             un -= step
@@ -159,7 +168,7 @@ def _analytic_descent(u, L, ds):
         warnings.warn(f"_analytic_descent: {int(np.count_nonzero(moving))} of {len(un)} "
                       f"entries did not converge in {_HALLEY_CAP} Halley iterations",
                       ConvergenceWarning, stacklevel=2)
-    return np.where(target > 0, un, 0.0) if exits else un
+    return m, early, un
 
 
 def _rk4(x, r, ds, L_a, L_mid, L_b):
@@ -253,33 +262,6 @@ def _speed(x, L):
     return np.maximum(np.abs(1.0 - np.cbrt(np.asarray(x, float) / L)), 1e-12)
 
 
-def _log_exits(ens: Ensemble, a: float, ds: float, L: float) -> int:
-    """Drop the survivors that reach x = 0 within ds of time a at frozen L
-    and keep the last exit; returns how many were dropped.
-
-    The frozen-L exit time grows with x, so exits lead: the cut runs
-    through the last survivor whose exit time is within ds, which becomes
-    the last exit, and the survivors kept are views of the arrays they came
-    from.  Near x ~ 1e-24 L the computed exit times are rounding and can
-    scatter; the cut then takes the survivors between them too."""
-    x = ens.pos
-    # phi(u) >= u^3/3 makes the exit time at least x, so only a prefix
-    # can exit; the margins cover the rounding of _phi_of_u at tiny u
-    k = int(x.searchsorted(max(2.0 * ds, 1e-18 * L), "right"))
-    if not k:
-        return 0
-    tte = exit_time_frozen(x[:k], L)
-    exits = (tte <= ds).nonzero()[0]
-    if not len(exits):
-        return 0
-    m = int(exits[-1]) + 1
-    ens.exit_t, ens.exit_y = a + float(tte[m - 1]), float(ens.labels[m - 1])
-    # |v| = 1 at the origin, so J there is J / |v(x)|
-    ens.exit_jac = float(ens.jac[m - 1] / _speed(x[m - 1], L))
-    ens.labels, ens.pos, ens.w, ens.jac = ens.labels[m:], x[m:], ens.w[m:], ens.jac[m:]
-    return m
-
-
 def _lagrange_weights(x, s) -> np.ndarray:
     """The Lagrange basis of the nodes x at the points s, node axis first: a
     product over the other nodes in node order, so a point at node j reads
@@ -314,7 +296,7 @@ def _layout(n_cheb: int, nsub: int) -> _Layout:
 
 def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None) -> tuple:
     """March survivors through the substeps between the times ``ss`` of one
-    panel, dropping exits; ``L_sub`` holds (L_a, L_mid, L_b), L at the
+    panel, cutting off the exits; ``L_sub`` holds (L_a, L_mid, L_b), L at the
     start, middle and end of each substep.
 
     ``root`` is the pair (r, L) with r = (pos/L)^(1/3), carried from the
@@ -323,21 +305,30 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
     taking a cube root of every survivor."""
     for a, b, (L_a, L_mid, L_b) in zip(ss[:-1], ss[1:], L_sub):
         ds = b - a
-        cut = _log_exits(ens, a, ds, L_a)
         ens.t = b
         x = ens.pos
         if root is None:
             r = np.cbrt(x / L_mid)
         else:
-            r = root[0][cut:] * (root[1] / L_mid) ** (1.0 / 3.0)
+            r = root[0] * (root[1] / L_mid) ** (1.0 / 3.0)
         root = r, L_mid
         if len(x) == 0:
             continue
-        # positions increase, so x < 0.9 L_mid, the descent's share, is a prefix
-        low = int(x.searchsorted(0.9 * L_mid))
+        # positions increase, so the descent's share is a prefix: x < 0.9 L_mid,
+        # widened over every survivor that can reach the origin within ds,
+        # whose root is below 1 - exp(-1.5 - ds/(3 L_mid)) as phi(u) > -log(1 - u) - 1.5
+        low = int(x.searchsorted(L_mid * max(0.9, -math.expm1(-1.5 - ds / (3.0 * L_mid)) ** 3)))
         if low:
+            cut, early, u = _analytic_descent(r[:low], L_mid, ds)
+            if cut:
+                # the exits are the leading survivors; the last one is kept,
+                # and as |v| = 1 at the origin, J there is J / |v(x)|
+                ens.exit_t, ens.exit_y = max(b - early, a), float(ens.labels[cut - 1])
+                ens.exit_jac = float(ens.jac[cut - 1] / (1.0 - r[cut - 1]))
+                ens.labels, ens.w, ens.jac = ens.labels[cut:], ens.w[cut:], ens.jac[cut:]
+                x, r, low = x[cut:], r[cut:], low - cut
             out, r_out = np.empty_like(x), np.empty_like(x)
-            u = r_out[:low] = _analytic_descent(r[:low], L_mid, ds)
+            r_out[:low] = u
             np.power(u, 3, out=out[:low])
             out[:low] *= L_mid
             if low < len(x):
@@ -345,8 +336,8 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
         else:
             out, r_out = _rk4(x, r, ds, L_a, L_mid, L_b)
         # |1 - u'| / |1 - u| along the frozen-L flow, in a form that does not
-        # cancel at u = 1; an entry the descent sent to the origin takes 1 / (1 - u).
-        # exp(ds / (3 L_mid) - 0.5 * (r_out - r) * (r_out + r + 2)), in place
+        # cancel at u = 1: exp(ds / (3 L_mid) - 0.5 * (r_out - r) * (r_out + r + 2)),
+        # in place
         ratio = r_out - r
         ratio *= 0.5
         tmp = r_out + r
@@ -354,8 +345,6 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
         ratio *= tmp
         np.subtract(ds / (3.0 * L_mid), ratio, out=ratio)
         np.exp(ratio, out=ratio)
-        if not r_out.all():
-            np.divide(1.0, 1.0 - r, out=ratio, where=r_out == 0)
         ens.jac = np.multiply(ens.jac, ratio, out=ratio)
         ens.pos = out
         root = r_out, L_mid

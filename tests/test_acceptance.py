@@ -107,10 +107,32 @@ def test_c04_coarsening_identity(exp_run, power_run):
         assert passes("lsw", "identity", fam=fam, result=res), fam.name
 
 
+def check_on(model: str, name: str, **run):
+    """The full result of table entry (model, name) on the given runner output."""
+    return CHECKS[(model, name)](SimpleNamespace(**run), {})
+
+
+def test_c04_identity_fails_on_a_beta0_biased_by_3_percent(exp_run):
+    # every centred-difference sample then misses beta0 by about 3%, past 2%
+    fam, res = exp_run
+    trace = dataclasses.replace(res.trace, beta0=[1.03 * b for b in res.trace.beta0])
+    r = check_on("lsw", "identity", fam=fam, result=SimpleNamespace(trace=trace))
+    assert not r.passed and r.value < r.bound
+
+
 def test_c05_conservation(exp_run, power_run, half_beta_run, stationary_run):
     stationary = (stationary_run[0], stationary_run[2])
     for fam, res in (exp_run, power_run, half_beta_run, stationary):
         assert passes("lsw", "conservation", fam=fam, result=res), fam.name
+
+
+def test_c05_conservation_fails_on_a_mass_row_off_by_2e_4(exp_run):
+    fam, res = exp_run
+    mass = list(res.trace.mass)
+    mass[len(mass) // 2] *= 1.0 + 2e-4
+    trace = dataclasses.replace(res.trace, mass=mass)
+    r = check_on("lsw", "conservation", fam=fam, result=SimpleNamespace(trace=trace))
+    assert not r.passed and r.value > r.bound
 
 
 def test_c06_upper_bounds(exp_run, power_run, half_beta_run):
@@ -134,6 +156,19 @@ def test_c08_picard_contraction(exp_run, exp_run_half_step):
     # cube-root step scaling predicts a 2^(1/3) reduction, allowed factor 2
     ratio = fc / fc_half
     assert 2.0 ** (1.0 / 3.0) / 2.0 <= ratio <= 2.0 ** (1.0 / 3.0) * 2.0
+
+
+@pytest.mark.parametrize("doctored", [{"iterations": 11}, {"ratios": [0.01, 1.0]}],
+                         ids=["11-sweeps", "ratio-1"])
+def test_c08_picard_fails_past_its_sweeps_or_its_ratio(exp_run, doctored):
+    # one step with a sweep past the cap of 10, or with a contraction ratio
+    # that is not strictly below 1: the check reports the bound it misses
+    fam, res = exp_run
+    picard = list(res.picard)
+    picard[len(picard) // 2] = dataclasses.replace(picard[len(picard) // 2], **doctored)
+    r = check_on("lsw", "picard", fam=fam, result=SimpleNamespace(picard=picard))
+    assert not r.passed
+    assert r.value > r.bound if "iterations" in doctored else r.value >= r.bound
 
 
 def test_c09_linear_model_stability(linear_run):

@@ -2,6 +2,7 @@ import configparser
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -856,6 +857,32 @@ def test_snapshot_at_t_final_is_taken(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(p.name for p in (tmp_path / "out" / "end").glob("snapshot_*.csv")) == \
         ["snapshot_0.csv", "snapshot_1.csv"]
+
+
+def test_stationarity_at_rate_zero_runs_to_tau(tmp_path, capsys):
+    # indicator has beta*(0) = 0, where t(tau) = (exp(tau r) - 1)/r tends to tau
+    cfg = tmp_path / "ind.ini"
+    cfg.write_text("[ind]\nmodel = lsw\nfamily = indicator\nn = 256\ntau_target = 0.5\n"
+                   "checks = stationarity\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert "ind  ok    stationarity: sup |w*-w*(0)| 0," in capsys.readouterr().out
+    assert json.loads((tmp_path / "out" / "ind" / "summary.json").read_text())["T_final"] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_stationarity_of_an_unbounded_profile_fails_with_a_finite_value():
+    # exponential is not stationary; its support has no end, so the profiles
+    # are compared up to the last node instead of over [0, inf)
+    fam = lswkit.exponential()
+    t_final = math.expm1(0.1)
+    res = lsw_solver.advance_global(fam.profile, t_final, lsw_solver.SolverConfig(tol=1e-6),
+                                    beta0=fam.beta_exact, snapshot_times=(t_final,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = cli.CHECKS[("lsw", "stationarity")](SimpleNamespace(fam=fam, result=res), {})
+    sup = float(re.search(r"sup \|w\*-w\*\(0\)\| (\S+),", r.detail).group(1))
+    assert not r.passed and math.isfinite(sup) and r.value > r.bound
 
 
 def _run_unusable(tmp_path, capsys, monkeypatch, model, key, value) -> str:

@@ -234,6 +234,19 @@ def test_panel_layout_keeps_lambda_near_a_fine_layout(monkeypatch):
     assert chosen != fine and chosen == pytest.approx(fine, rel=5e-7)
 
 
+@pytest.mark.parametrize("family", ["exponential", "power-tail(1)"])
+def test_steps_of_40_L_end_with_survivors_above_the_origin_and_in_order(family):
+    # delta = 40 takes the whole run in one step, whose middle panel's
+    # substeps are longer than the exit time from 0.9 L, the edge of the
+    # descent's share; the RK4 step past that edge would carry such
+    # survivors through the origin
+    fam = {"exponential": lk.exponential, "power-tail(1)": lambda: lk.power_tail(1.0)}[family]()
+    res = advance_global(fam.profile, 20.0, SolverConfig(delta=40.0, tol=1e-6), beta0=fam.beta_exact)
+    pos = res.ensemble.pos
+    assert res.terminated == "t_final" and res.trace.t[-1] == 20.0
+    assert np.all(pos > 0.0) and np.all(pos[1:] > pos[:-1])
+
+
 def test_extinction_reported():
     fam = lk.indicator(n=32)
     res = advance_global(fam.profile, 50.0, SolverConfig(), beta0=fam.beta_exact)
@@ -304,7 +317,9 @@ def test_descent_inverts_exit_time(monkeypatch, ds):
     monkeypatch.setattr(lsw_solver, "_phi_of_u", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = L * lsw_solver._analytic_descent(np.cbrt(x / L), L, ds) ** 3
+        cut, _, u_new = lsw_solver._analytic_descent(np.cbrt(x / L), L, ds)
+    out = L * u_new ** 3
+    assert cut == 0
     # one call for the target, one per Newton iteration
     assert calls[0] - 1 <= 8
     monkeypatch.setattr(lsw_solver, "_phi_of_u", clean)
@@ -517,32 +532,50 @@ def test_resolution_matches_the_per_iteration_route(family, cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("ds_over_L", [1e-25, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
-def test_prefix_exit_screening_matches_full_screening(ds_over_L, monkeypatch):
+def test_prefix_exit_screening_matches_full_screening(ds_over_L):
+    # the descent cuts the exits from its own targets phi(u) - ds/(3L) over
+    # its share of the survivors; the cut runs through the last target <= 0,
+    # and agrees with a screening of every survivor by its frozen-L exit time
     L, a = 1.3, 0.7
     fam = lk.exponential()
     pos = L * np.geomspace(1e-24, 0.99, 4000)
+    jac = np.linspace(1.0, 2.0, len(pos))
     ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos.copy(), w=np.exp(-pos),
-                              initial=fam.profile, beta0=fam.beta_exact,
-                              jac=np.linspace(1.0, 2.0, len(pos)), t=a)
+                              initial=fam.profile, beta0=fam.beta_exact, jac=jac, t=a)
     b = a + ds_over_L * L
-    monkeypatch.setattr(lsw_solver, "NSUB", 1)
     lsw_solver._advance(ens, [a, b], [[L, L, L]])
     ds = b - a
-    tte = exit_time_frozen(pos, L)
-    exiting = np.flatnonzero(tte <= ds)
+    exiting = np.flatnonzero(lsw_solver._phi_of_u(np.cbrt(pos / L)) - ds / (3.0 * L) <= 0)
     assert len(exiting)
-    # the exits lead: the cut runs through the last one, which the ensemble
-    # keeps as its last exit
     m = exiting[-1] + 1
-    if ds_over_L >= 1e-15:
-        # the cut is the mask of the exits, and its last entry the one that
-        # sorts last by exit time; at 1e-25 the rounding of the exit times at
-        # tiny x scatters the exits over the cut
-        assert len(exiting) == m and np.argsort(tte[exiting])[-1] == m - 1
-    jac = np.linspace(1.0, 2.0, len(pos))
-    assert (ens.exit_t, ens.exit_y, ens.exit_jac) == \
-        (a + tte[m - 1], pos[m - 1], jac[m - 1] / lsw_solver._speed(pos[m - 1], L))
     np.testing.assert_array_equal(ens.labels, pos[m:])
+    tte = exit_time_frozen(pos, L)
+    if ds_over_L >= 1e-15:
+        # the exits are a prefix, the mask of the exit times within ds, and
+        # the last one sorts last by exit time; at 1e-25 the rounding of phi
+        # at tiny x scatters them over the cut
+        assert len(exiting) == m and np.array_equal(exiting, np.flatnonzero(tte <= ds))
+        assert np.argsort(tte[exiting])[-1] == m - 1
+    # the last exit reaches the origin within the substep, at its frozen-L exit time
+    assert a <= ens.exit_t <= b
+    assert abs(ens.exit_t - (a + tte[m - 1])) <= 1e-12 * ds + 4.0 * np.spacing(b)
+    assert (ens.exit_y, ens.exit_jac) == (pos[m - 1], jac[m - 1] / lsw_solver._speed(pos[m - 1], L))
+
+
+def test_the_last_exit_is_timed_within_its_substep():
+    # a survivor whose phi rounds to 0 reaches the origin 3L (ds/(3L)) before
+    # the end of a substep from a = 0, and that product can round above ds:
+    # the exit is then timed at a, not before it
+    L = 1.3
+    x = L * np.geomspace(1e-24, 1e-18, 200)
+    x0 = x[lsw_solver._phi_of_u(np.cbrt(x / L)) == 0.0][0]
+    ds = next(d for d in np.linspace(6e-30, 7e-30, 1000) if 3.0 * L * (d / (3.0 * L)) > d)
+    pos = np.array([x0, 0.5 * L])
+    ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos.copy(), w=np.ones(2), initial=None,
+                              beta0=None, t=0.0, exit_t=-1.0)
+    lsw_solver._advance(ens, [0.0, ds], [[L, L, L]])
+    assert ens.n_alive == 1 and ens.exit_y == x0
+    assert ens.exit_t == 0.0
 
 
 def test_sweeps_read_the_layout_table(short_exp_run, monkeypatch):
@@ -586,15 +619,16 @@ def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
         ens = make_ensemble(lk.indicator(n=512).profile)
     nodes, path, _ = _first_sweep(ens, SolverConfig())
     values = path.values * (1.0 + 0.01 * np.sin(40.0 * nodes))
-    log_exits, descent, rk4 = lsw_solver._log_exits, lsw_solver._analytic_descent, lsw_solver._rk4
-    seen, worst = [], []
+    advance, descent, rk4 = lsw_solver._advance, lsw_solver._analytic_descent, lsw_solver._rk4
+    moved, seen, worst = [], [], []
 
-    def screened(e, *args):
-        keep = log_exits(e, *args)
-        seen.append(e.pos)
-        return keep
+    def tracked(e, *args):
+        moved.append(e)
+        return advance(e, *args)
 
     def checked_descent(u, L, ds):
+        # the descent's share leads the positions of the ensemble it moves
+        seen.append(moved[-1].pos)
         worst.append(np.max(_ulps(u, np.cbrt(seen[-1][:len(u)] / L))))
         return descent(u, L, ds)
 
@@ -602,7 +636,7 @@ def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
         worst.append(np.max(_ulps(r, np.cbrt(x / L_mid))))
         return rk4(x, r, ds, L_a, L_mid, L_b)
 
-    monkeypatch.setattr(lsw_solver, "_log_exits", screened)
+    monkeypatch.setattr(lsw_solver, "_advance", tracked)
     monkeypatch.setattr(lsw_solver, "_analytic_descent", checked_descent)
     monkeypatch.setattr(lsw_solver, "_rk4", checked_rk4)
     lsw_solver._transport(ens, path.dt, values)
@@ -612,14 +646,16 @@ def test_carried_root_tracks_the_positions(family, short_exp_run, monkeypatch):
 
 
 def test_exits_leave_the_carried_root_by_the_leading_cut():
-    # at ds = 1e-25 L the rounding of the exit times at tiny x makes the
-    # exits a scattered subset of the head; the cut runs through the last of
-    # them, and the carried root must drop the same entries as the positions
+    # at ds = 1e-25 L the rounding of phi at tiny x makes the exits, the
+    # targets phi(u) - ds/(3L) <= 0, a scattered subset of the head; the cut
+    # runs through the last of them, and the carried root must drop the same
+    # entries as the positions
     L, a = 1.3, 0.7
     fam = lk.exponential()
     pos = L * np.geomspace(1e-24, 0.99, 4000)
     b = a + 1e-25 * L
-    exiting = np.flatnonzero(exit_time_frozen(pos, L) <= 0.5 * (b - a))
+    ds = 0.5 * (b - a)
+    exiting = np.flatnonzero(lsw_solver._phi_of_u(np.cbrt(pos / L)) - ds / (3.0 * L) <= 0)
     assert len(exiting) and exiting[-1] + 1 > len(exiting)
     out = []
     for root in (None, (np.cbrt(pos / L), L)):
@@ -985,7 +1021,7 @@ def test_traced_descent_iterations_are_the_loop_count(monkeypatch):
     survivors = pos[exit_time_frozen(pos, L) > b - a]
     u = np.cbrt(survivors / L)
     monkeypatch.setattr(lsw_solver, "_HALLEY_CAP", int(iters))
-    np.testing.assert_array_equal(L * lsw_solver._analytic_descent(u, L, b - a) ** 3, ens.pos)
+    np.testing.assert_array_equal(L * lsw_solver._analytic_descent(u, L, b - a)[2] ** 3, ens.pos)
     monkeypatch.setattr(lsw_solver, "_HALLEY_CAP", int(iters) - 1)
     with pytest.warns(lk.ConvergenceWarning):
         lsw_solver._analytic_descent(u, L, b - a)

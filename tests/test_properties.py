@@ -173,11 +173,18 @@ def test_descent_inverts_exit_time_for_any_substep(r, L, frac):
     ds = frac * float(tte[0])
     assume(ds < tte[0])
     u = np.cbrt(x / L)
-    out = L * lsw_solver._analytic_descent(u, L, ds) ** 3
+    cut, early, u_new = lsw_solver._analytic_descent(u, L, ds)
     # the floor of test_lsw_solver.py::test_descent_inverts_exit_time: the
     # rounding of exit_time_frozen, which cancels for small x/L
     floor = 4.0 * 3.0 * L * np.finfo(float).eps * (u + np.abs(np.log1p(-u)))
     ref = tte - ds
+    if cut:
+        # its target rounds to <= 0: the time it has left, and how early
+        # it reaches the origin, are within that rounding
+        assert cut == 1 and ref[0] <= floor[0] and 0.0 <= early <= 1e-12 * tte[0] + floor[0]
+        return
+    assert len(u_new) == 1 and early == 0.0
+    out = L * u_new ** 3
     assert np.all(np.abs(exit_time_frozen(out, L) - ref) <= 1e-12 * ref + floor)
 
 
@@ -185,12 +192,15 @@ def test_descent_inverts_exit_time_for_any_substep(r, L, frac):
 @given(st.lists(x_over_L, min_size=1, max_size=40), lengths,
        st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 def test_descent_is_elementwise(rs, L, frac):
-    # each entry freezes once it converges, so it ends where it would alone
-    u = np.cbrt(np.array(rs))
+    # each entry freezes once it converges, so it ends where it would alone;
+    # an entry the batch keeps is kept alone, and the last one it cuts is cut
+    u = np.cbrt(np.sort(rs))
     ds = frac * float(np.min(exit_time_frozen(L * u**3, L)))
-    batch = lsw_solver._analytic_descent(u, L, ds)
-    alone = [lsw_solver._analytic_descent(u[i:i + 1], L, ds)[0] for i in range(len(u))]
-    assert np.array_equal(batch, np.array(alone))
+    cut, _, batch = lsw_solver._analytic_descent(u, L, ds)
+    alone = [lsw_solver._analytic_descent(u[i:i + 1], L, ds) for i in range(len(u))]
+    assert [m for m, _, _ in alone[cut:]] == [0] * (len(u) - cut)
+    assert np.array_equal(batch, np.array([r[0] for _, _, r in alone[cut:]]))
+    assert not cut or alone[cut - 1][0] == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,29 +226,30 @@ def test_descent_from_the_table_matches_the_second_order_start(us, L, frac):
     # the roots the descent serves, from its tiny-root threshold to
     # (0.9)^(1/3); a threshold of 1 sends every entry through the
     # second-order start and up to 60 Halley passes
-    u = np.array(us)
+    u = np.sort(us)
     ds = frac * float(np.min(exit_time_frozen(L * u**3, L)))
-    out = lsw_solver._analytic_descent(u, L, ds)
+    cut, _, out = lsw_solver._analytic_descent(u, L, ds)
     with mock.patch.object(lsw_solver, "_TINY_ROOT", 1.0):
-        ref = lsw_solver._analytic_descent(u, L, ds)
+        ref_cut, _, ref = lsw_solver._analytic_descent(u, L, ds)
+    assert cut == ref_cut
     phi = lsw_solver._phi_of_u
     floor = lsw_solver._PHI_FLOOR * (phi(ref) + ref * (2.0 + 0.5 * ref))
     assert np.all(np.abs(phi(out) - phi(ref)) <= 2.0 * floor)
 
 
-def _exits_by_mask(ens, a, ds, L):
-    """The survivors _log_exits keeps and the last exit it records, from a
-    boolean mask over every survivor: the last exit has the largest exit
-    time, the later entry on a tie."""
-    tte = exit_time_frozen(ens.pos, L)
-    exiting = np.flatnonzero(tte <= ds)
-    keep = np.ones(len(tte), dtype=bool)
-    keep[exiting] = False
-    if not len(exiting):
-        return keep, (ens.exit_t, ens.exit_y, ens.exit_jac)
-    last = exiting[np.argsort(tte[exiting], kind="stable")[-1]]
-    return keep, (a + float(tte[last]), float(ens.labels[last]),
-                  float(ens.jac[last] / lsw_solver._speed(ens.pos[last], L)))
+def _exits_by_mask(pos, ds, L):
+    """The survivors that reach the origin within ds at frozen L, by the
+    target phi(u) - ds/(3L) <= 0 of every survivor below L, and the one the
+    cut keeps as the last exit: the largest exit time, the later entry on a
+    tie."""
+    u = np.cbrt(pos / L)
+    target = np.full(len(pos), np.inf)
+    below = u < 1.0
+    target[below] = lsw_solver._phi_of_u(u[below]) - ds / (3.0 * L)
+    exiting = np.flatnonzero(target <= 0)
+    tte = exit_time_frozen(pos, L)
+    last = exiting[np.argsort(tte[exiting], kind="stable")[-1]] if len(exiting) else None
+    return target, exiting, last
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,20 +261,64 @@ def test_exit_cut_matches_the_exit_mask(entries, L, j, scale):
     # and a substep ending at, before or after an entry's exit time
     x_over_L, repeats = zip(*sorted(entries))
     pos = L * np.repeat(x_over_L, repeats)
-    tte = exit_time_frozen(pos, L)
-    assume(np.all(tte[1:] >= tte[:-1]))
-    ds = scale * float(np.minimum(tte[j % len(tte)], L))
+    a = 0.5
+    b = a + scale * float(np.minimum(exit_time_frozen(pos, L)[j % len(pos)], L))
+    ds = b - a
+    target, exiting, last = _exits_by_mask(pos, ds, L)
+    assume(np.all(target[1:] >= target[:-1]))
     n = len(pos)
-    ens = lsw_solver.Ensemble(labels=np.arange(1.0, n + 1.0), pos=pos, w=np.linspace(1.0, 0.5, n),
-                              initial=None, beta0=None, jac=np.linspace(1.0, 3.0, n), t=0.5,
+    arrays = dict(labels=np.arange(1.0, n + 1.0), pos=pos, w=np.linspace(1.0, 0.5, n),
+                  jac=np.linspace(1.0, 3.0, n))
+    keep = np.ones(n, dtype=bool)
+    keep[exiting] = False
+    ens = lsw_solver.Ensemble(**arrays, initial=None, beta0=None, t=a,
                               exit_t=0.25, exit_y=0.5, exit_jac=2.0)
-    keep, last_exit = _exits_by_mask(ens, 0.5, ds, L)
-    arrays = {name: getattr(ens, name) for name in ("labels", "pos", "w", "jac")}
-    cut = lsw_solver._log_exits(ens, 0.5, ds, L)
-    assert cut == n - np.count_nonzero(keep)
-    for name, array in arrays.items():
-        np.testing.assert_array_equal(getattr(ens, name), array[keep])
-    assert (ens.exit_t, ens.exit_y, ens.exit_jac) == last_exit
+    # the survivors the cut keeps, moved without the exits
+    alone = lsw_solver.Ensemble(**{k: v[keep] for k, v in arrays.items()}, initial=None,
+                                beta0=None, t=a)
+    lsw_solver._advance(ens, [a, b], [[L, L, L]])
+    lsw_solver._advance(alone, [a, b], [[L, L, L]])
+    for name in ("labels", "w"):
+        np.testing.assert_array_equal(getattr(ens, name), arrays[name][keep])
+    for name in ("pos", "jac"):
+        np.testing.assert_array_equal(getattr(ens, name), getattr(alone, name))
+    if last is None:
+        assert (ens.exit_t, ens.exit_y, ens.exit_jac) == (0.25, 0.5, 2.0)
+        return
+    assert (ens.exit_y, ens.exit_jac) == \
+        (arrays["labels"][last], arrays["jac"][last] / lsw_solver._speed(pos[last], L))
+    # within the substep, at the frozen-L exit time
+    assert a <= ens.exit_t <= b
+    assert abs(ens.exit_t - (a + exit_time_frozen(pos[last], L))) <= 1e-12 * ds + 4.0 * np.spacing(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-15, max_value=40.0), min_size=1, max_size=60, unique=True),
+       lengths, st.floats(min_value=-15.0, max_value=0.85),
+       st.floats(min_value=-0.05, max_value=0.05), st.floats(min_value=-0.05, max_value=0.05),
+       st.booleans())
+# survivors above 0.9 L that reach the origin within a 6.7 L substep, past
+# which the RK4 step would carry them
+@example(x_over_L=[0.5, 0.9, 0.91, 0.92, 0.95, 1.1], L=1.0, log_ds=0.826, da=0.0, db=0.0,
+         carried=False)
+def test_every_substep_keeps_the_survivors_off_the_origin(x_over_L, L, log_ds, da, db, carried):
+    # three substeps from survivors across the descent's share and the RK4
+    # share, of 1e-15 L up to the ~6.7 L that delta = 40 takes, with L moving
+    # within each: after every substep the survivors lie above 0 and in
+    # order, and an exit within it is recorded at a time within it
+    pos = L * np.sort(x_over_L)
+    n = len(pos)
+    ens = lsw_solver.Ensemble(labels=pos.copy(), pos=pos, w=np.linspace(1.0, 0.5, n),
+                              initial=None, beta0=None, t=0.0)
+    root = (np.cbrt(pos / L), L) if carried else None
+    ds = L * 10.0 ** log_ds
+    for a, b in zip(ds * np.arange(3), ds * np.arange(1, 4)):
+        alive = ens.n_alive
+        L_sub = [(L * (1.0 + da), L * (1.0 + 0.5 * (da + db)), L * (1.0 + db))]
+        root = lsw_solver._advance(ens, [a, b], L_sub, root)
+        assert np.all(ens.pos > 0.0) and np.all(ens.pos[1:] >= ens.pos[:-1])
+        if ens.n_alive < alive:
+            assert a <= ens.exit_t <= b
 
 
 FAILING_PROPERTY = """\
