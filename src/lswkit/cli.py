@@ -217,7 +217,7 @@ def _picard(run, opts) -> CheckResult | None:
     if slow and iters <= max_sweeps:
         # within the sweep cap, the step fails on its contraction ratio
         return CheckResult(False, max(slow), max_ratio, detail)
-    return CheckResult(iters <= max_sweeps and not slow, iters, max_sweeps, detail)
+    return CheckResult(iters <= max_sweeps, iters, max_sweeps, detail)
 
 
 def _monotonicity(run, opts) -> CheckResult | None:

@@ -868,7 +868,8 @@ def test_stationarity_at_rate_zero_runs_to_tau(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
     assert "ind  ok    stationarity: sup |w*-w*(0)| 0," in capsys.readouterr().out
-    assert json.loads((tmp_path / "out" / "ind" / "summary.json").read_text())["T_final"] == pytest.approx(0.5, rel=1e-12)
+    summary = json.loads((tmp_path / "out" / "ind" / "summary.json").read_text())
+    assert summary["T_final"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_stationarity_of_an_unbounded_profile_fails_with_a_finite_value():
