@@ -305,7 +305,11 @@ def make_family(name: str, **params) -> AnalyticFamily:
     except KeyError:
         raise ConfigError(f"unknown family {name!r}; available: "
                           + ", ".join(sorted(FAMILY_BUILDERS))) from None
-    unknown = [key for key in params if key not in inspect.signature(builder).parameters]
+    taken = inspect.signature(builder).parameters
+    unknown = [key for key in params if key not in taken]
     if unknown:
         raise ConfigError(f"family {name!r} takes no parameter(s) {', '.join(unknown)}")
+    missing = [key for key, p in taken.items() if p.default is p.empty and key not in params]
+    if missing:
+        raise ConfigError(f"family {name!r} needs parameter(s) {', '.join(missing)}")
     return builder(**params)

@@ -8,28 +8,26 @@ behind the uniform Jensen constants along the iteration.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceWarning, DegenerateImageError
+from .errors import ConfigError, DegenerateImageError
 from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
                        quantile_cells, quantile_positions, write_csv)
 from .families import QUANTILE_DEEP, QUANTILE_PER_HALVING, quantile_grid, quantile_levels
 
-_NEWTON_CAP = 60
-
 
 @dataclass(frozen=True)
 class MapF:
-    """Convex increasing map with 0 < F' < 1 and F(0) > 0."""
+    """Convex increasing map with 0 < F' < 1 and F(0) > 0; ``finv`` inverts it."""
 
     name: str
     f: Callable
     fprime: Callable
+    finv: Callable
 
     def __post_init__(self):
         xs = np.linspace(0.0, 50.0, 201)
@@ -40,34 +38,18 @@ class MapF:
             raise ConfigError(f"map {self.name!r}: F' must lie strictly in (0, 1)")
         if np.any(np.diff(fp) < -1e-12):
             raise ConfigError(f"map {self.name!r}: F must be convex (F' nondecreasing)")
+        if not np.allclose(self.finv(self.f(xs)), xs, rtol=1e-12, atol=1e-12):
+            raise ConfigError(f"map {self.name!r}: finv must invert f")
 
     def __call__(self, x):
         return self.f(np.asarray(x, float))
 
     def inverse(self, y):
-        """F^{-1} by Newton from the convexity bound; y must be >= F(0).
-
-        Convexity gives F(x) >= F(0) + F'(0) x, so x0 = (y - F(0))/F'(0) lies
-        at or right of the root, and Newton on a convex increasing F decreases
-        from there onto the root.  An entry is done once its step (clamped at
-        0) no longer decreases it, which is its rounding floor; entries still
-        moving after the iteration cap are reported in a ConvergenceWarning.
-        """
+        """F^{-1}(y) >= 0 for y >= F(0); a scalar y gives a float."""
         y = np.asarray(y, dtype=float)
-        f0 = float(self.f(0.0))
-        if np.any(y < f0 * (1 - 1e-12)):
+        if np.any(y < float(self.f(0.0)) * (1 - 1e-12)):
             raise ValueError("inverse requested below F(0)")
-        x = np.maximum((y - f0) / float(self.fprime(0.0)), 0.0)
-        for _ in range(_NEWTON_CAP):
-            new = np.maximum(x - (self.f(x) - y) / self.fprime(x), 0.0)
-            moving = new < x
-            if not moving.any():
-                break
-            x = np.where(moving, new, x)
-        else:
-            warnings.warn(f"MapF.inverse: {int(np.count_nonzero(moving))} of {moving.size} "
-                          f"entries did not converge in {_NEWTON_CAP} Newton iterations",
-                          ConvergenceWarning, stacklevel=2)
+        x = np.maximum(self.finv(y), 0.0)
         return float(x) if x.ndim == 0 else x
 
 
@@ -78,15 +60,52 @@ def linear_map(lam: float) -> MapF:
         name=f"linear({lam:g})",
         f=lambda x: (1.0 - lam) + lam * np.asarray(x, float),
         fprime=lambda x: np.full_like(np.asarray(x, float), lam),
+        finv=lambda y: (np.asarray(y, float) - (1.0 - lam)) / lam,
     )
+
+
+_CUBE_ROOT_F0 = 2.0 ** (1.0 / 3.0) - 1.0
+_ONE_ROOT = 2.0 / np.sqrt(27.0)  # above it, t^3 - t = q has one real root
+
+
+def _cube_root_f(x):
+    # F(0) + x (1 - 1/(t(t + 1) + 1)) for t = (1 + x)^(1/3): each operation is
+    # monotone, so F does not decrease between floats, as w(F(.)) needs
+    t = np.cbrt(1.0 + x)
+    return _CUBE_ROOT_F0 + x * (1.0 - 1.0 / (t * (t + 1.0) + 1.0))
+
+
+def _cube_root_inverse(y):
+    """x >= 0 with F(x) = y >= F(0) for the cube-root map, within 0.7 ulp.
+
+    t = (1 + x)^(1/3) solves t^3 - t = q = y - F(0), and x = q + v, v = t - 1.
+    Up to q = 2/sqrt(27), t = 2/sqrt(3) cos(arccos(q sqrt(27)/2)/3), whose v
+    is the product of sines below, exact at q = 0; above, Cardano's
+    t = A + 1/(3A), A^3 = (q/2)(1 + sqrt(1 - (2/(sqrt(27) q))^2)).  One Newton
+    step on v d = q, d = 2 + v(3 + v), also corrects the rounding of y - F(0).
+    """
+    y = np.asarray(y, float)
+    q = y - _CUBE_ROOT_F0
+    err = (y - q) - _CUBE_ROOT_F0  # exact: q + err = y - F(0)
+    v = np.empty_like(q)
+    low = q <= _ONE_ROOT
+    phi = np.arcsin(np.minimum(q[low] / _ONE_ROOT, 1.0)) / 6.0
+    v[low] = (4.0 / np.sqrt(3.0)) * np.sin(phi) * np.sin(np.pi / 6.0 - phi)
+    high = q[~low]
+    a = np.cbrt(0.5 * high * (1.0 + np.sqrt(1.0 - (_ONE_ROOT / np.minimum(high, 1e100)) ** 2)))
+    v[~low] = a + (1.0 / 3.0) / a - 1.0
+    d = 2.0 + v * (3.0 + v)
+    v -= ((v - q / d) * d - err) / (2.0 + v * (6.0 + 3.0 * v))  # v d - q - err, with no v^3
+    return q + (v + err)
 
 
 def cube_root_map() -> MapF:
     """F(x) = 2^(1/3) + x - (1+x)^(1/3); fixes 1, with F'(x) -> 1 at infinity."""
     return MapF(
         name="cube-root",
-        f=lambda x: 2.0 ** (1.0 / 3.0) + np.asarray(x, float) - np.cbrt(1.0 + np.asarray(x, float)),
+        f=_cube_root_f,
         fprime=lambda x: 1.0 - (1.0 / 3.0) * np.power(1.0 + np.asarray(x, float), -2.0 / 3.0),
+        finv=_cube_root_inverse,
     )
 
 
@@ -94,10 +113,9 @@ def apply_map(profile: SurvivalProfile, F: MapF, n_grid: int = 2048) -> Survival
     """Image profile x -> w(F(x)), resampled onto a fresh quantile grid.
 
     The image is piecewise linear through (F^{-1}(y), w(y)) over y = F(0) and
-    the source nodes beyond it, continued by the source tail; the new grid
-    reads it only at its quantile levels.  So F is inverted only at the ends
-    of the cells holding those levels, the last node and a compact support
-    end: at most 2 * 360 + 2 nodes of the ~2,000.
+    every source node beyond it, less each node whose image repeats its
+    predecessor's, and continued by the source tail; the new grid reads its
+    quantile levels from these nodes.
     """
     f0 = float(F(0.0))
     if f0 >= profile.sup_x:
@@ -105,27 +123,22 @@ def apply_map(profile: SurvivalProfile, F: MapF, n_grid: int = 2048) -> Survival
             f"F(0)={f0:g} at or beyond the support end {profile.sup_x:g}"
         )
     mask = profile.grid >= f0
-    y = np.concatenate(([f0], profile.grid[mask]))
+    x = np.concatenate(([0.0], F.inverse(profile.grid[mask])))  # F^{-1}(F(0)) = 0
+    keep = np.concatenate(([True], np.diff(x) > 0.0))
+    x = x[keep]
     # as SurvivalProfile scrubs rounding-level increases and ends a tail at a zero
-    vals = np.minimum.accumulate(np.concatenate(([profile.w_at(f0)], profile.values[mask])))
+    vals = np.minimum.accumulate(np.concatenate(([profile.w_at(f0)], profile.values[mask]))[keep])
     tail = profile.tail if vals[-1] > 0.0 else TailModel.compact()
+    if tail.kind == "exponential":
+        tail = TailModel.exponential(tail.param * float(F.fprime(x[-1])))
     # the levels quantile_grid reads, by the call that shares its cached array
     target = quantile_levels(QUANTILE_PER_HALVING, QUANTILE_DEEP) * vals[0]
     in_tail, j = quantile_cells(vals, target)
-    read = np.zeros(len(y), dtype=bool)
-    read[j] = True
-    read[j + 1] = True
-    # the support end: the first zero value, or the last node
-    end = len(y) - 1 if vals[-1] > 0.0 else int(np.count_nonzero(vals > 0.0))
-    read[[-1, end]] = True
-    read[0] = False  # F^{-1}(F(0)) = 0
-    x = np.zeros(len(y))
-    x[read] = F.inverse(y[read])
-    if tail.kind == "exponential":
-        tail = TailModel.exponential(tail.param * float(F.fprime(x[-1])))
     xq = quantile_positions(target, in_tail, j, vals, x[j], x[j + 1], float(x[-1]), tail)
+    # a compact image ends at its first zero value, or at its last node
+    end = float(x[min(np.count_nonzero(vals > 0.0), len(x) - 1)])
     grid = quantile_grid(lambda levels: xq, n=n_grid,
-                         support_end=float(x[end]) if tail.kind == "compact" else None)
+                         support_end=end if tail.kind == "compact" else None)
     # evaluate w(F(.)) from the source profile directly: composing with the
     # image's interpolant would stack a second interpolation and amplify
     # curvature noise

@@ -191,6 +191,11 @@ def quantile_positions(target, in_tail, j, values, x0, x1, xm: float, tail: Tail
     return out
 
 
+def _require_grid(grid: np.ndarray) -> None:
+    if grid[0] != 0.0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise DegenerateProfileError("grid must be finite and strictly increasing from 0")
+
+
 class SurvivalProfile:
     """Nonincreasing integrable w on [0, inf) with piecewise-linear body.
 
@@ -204,8 +209,7 @@ class SurvivalProfile:
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
             raise DegenerateProfileError("grid and values must be matching 1-d arrays")
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise DegenerateProfileError("grid must be strictly increasing from 0")
+        _require_grid(grid)
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise DegenerateProfileError("values must be finite and nonnegative")
         if np.any(np.diff(values) > 1e-12 * values[0]):
@@ -321,7 +325,7 @@ class SurvivalProfile:
         over the cells.
         """
         s = np.asarray(s, dtype=float)
-        body = np.sum(cellquad.power_cells(self.grid, self.values, s), axis=-1)
+        body = cellquad.power_total(self.grid, self.values, s)
         xm, wm = float(self.grid[-1]), float(self.values[-1])
         tail = np.reshape([_tail_power_integral(self.tail, xm, wm, si)
                            for si in s.ravel().tolist()], s.shape)
@@ -359,9 +363,8 @@ class SurvivalProfile:
         if not lam > 0:
             raise ValueError("dilation factor must be positive")
         grid = self.grid * lam
-        # the values stay valid; only the scaled grid's strict increase can break
-        if not np.all(np.diff(grid) > 0):
-            raise DegenerateProfileError("grid must be strictly increasing from 0")
+        # the values stay valid; only the scaled grid can break
+        _require_grid(grid)
         tail = self.tail
         if tail.kind == "exponential":
             tail = TailModel.exponential(tail.param / lam)

@@ -1,7 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
+import lswkit as lk
 from lswkit import cellquad
+from lswkit.map_iteration import apply_map, cube_root_map, normalize
 
 
 def test_power_cells_constant_data():
@@ -123,3 +126,73 @@ def test_flux_total_is_the_cube_root_form_of_the_power_total():
     assert cellquad.flux_total(x[-1:], w[-1:]) == 0.0
     # int_0^1 x^(-2/3) dx = 3 for w == 1
     assert cellquad.flux_total(np.linspace(0.0, 1.0, 400), np.ones(400)) == pytest.approx(3.0, rel=1e-15)
+
+
+_EXPONENTS = np.array([-2.0 / 3.0, -0.5, -1.0 / 3.0, 0.0, 0.5])
+
+
+def _mp_power_total(x, w, s, shift=0.0):
+    """50-digit integral of (x - shift)^s * wlin(x): each cell's exact
+    primitive, on the float nodes and exponent."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(float(s))
+        u = [mpmath.mpf(float(v)) - mpmath.mpf(shift) for v in x]
+        w = [mpmath.mpf(float(v)) for v in w]
+        total = mpmath.mpf(0)
+        for u0, u1, w0, w1 in zip(u[:-1], u[1:], w[:-1], w[1:]):
+            m = (w1 - w0) / (u1 - u0)
+            total += ((w0 - m * u0) * (u1 ** (s + 1) - u0 ** (s + 1)) / (s + 1)
+                      + m * (u1 ** (s + 2) - u0 ** (s + 2)) / (s + 2))
+        return total
+
+
+def _total_cases():
+    base = np.linspace(0.0, 3.0, 40)
+    # pairs of nodes 1e-9, 3e-5 and one ulp apart, relative to their position
+    pairs = np.sort(np.concatenate((base, base[1:] * (1.0 + 1e-9), base[1:] * (1.0 + 3e-5),
+                                    np.nextafter(base[1:], 9.0))))
+    prof = lk.constant_beta(0.5).profile
+    for _ in range(50):
+        prof = apply_map(normalize(prof, 0.5, 1.0)[1], cube_root_map())
+    yield "narrow-pairs", pairs, np.exp(-pairs), 0.0
+    # w drops by half across a cell one ulp wide
+    yield "one-ulp-drop", np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 2.0]), \
+        np.array([1.0, 0.9, 0.8, 0.3, 0.0]), 0.0
+    yield "two-nodes", np.array([0.0, 1.7]), np.array([1.0, 0.2]), 0.0
+    yield "two-nodes-flat", np.array([0.0, 3e-5]), np.array([1.0, 1.0]), 0.0
+    # x - shift is exact on [shift, 2 shift]
+    x = 2.5 + np.linspace(0.0, 2.5, 30)
+    yield "shift", x, np.exp(2.5 - x), 2.5
+    # over 200 narrow cells: quantile nodes a few ulp apart near the support end
+    yield "constant-beta(0.5)-after-50-cube-root-steps", prof.grid, prof.values, 0.0
+
+
+@pytest.mark.parametrize("case", list(_total_cases()), ids=lambda c: c[0])
+def test_power_total_is_within_4_eps_of_a_50_digit_reference(case):
+    name, x, w, shift = case
+    if name.startswith("constant-beta"):
+        assert np.count_nonzero(np.diff(x) < 1e-4 * x[:-1]) > 200
+    got = cellquad.power_total(x, w, _EXPONENTS, shift)
+    for s, total in zip(_EXPONENTS, got):
+        ref = _mp_power_total(x, w, s, shift)
+        assert float(abs(mpmath.mpf(float(total)) - ref) / ref) <= 4 * np.finfo(float).eps, s
+
+
+@pytest.mark.parametrize("n", [2, 9, 88, 2048, 5000])
+def test_power_total_lone_exponent_keeps_its_batch_bits(n):
+    x = np.concatenate(([0.0], np.geomspace(1e-6, 40.0, n - 1)))
+    w = np.exp(-x)
+    for lo in (0, 1):  # from u = 0, and from its first positive node
+        for batch in ([-0.5, 0.0], [-2.0 / 3.0, -0.5, -1.0 / 3.0], [-0.5, -0.5, 0.0, 0.5, 2.0]):
+            totals = cellquad.power_total(x[lo:], w[lo:], np.array(batch))
+            assert totals.tolist() == [cellquad.power_total(x[lo:], w[lo:], s) for s in batch]
+
+
+def test_power_total_matches_the_per_cell_sum():
+    # the by-parts total and the per-cell route agree to rounding, with the
+    # narrow-cell expansion on the narrow cells
+    x, w = _narrow_and_wide_grid()
+    for lo in (0, 1):
+        got = cellquad.power_total(x[lo:], w[lo:], _EXPONENTS)
+        ref = cellquad.power_cells(x[lo:], w[lo:], _EXPONENTS).sum(axis=-1)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)

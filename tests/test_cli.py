@@ -110,6 +110,17 @@ def test_family_parameter_the_family_does_not_take_fails(tmp_path, capsys):
     assert not (tmp_path / "out" / "w" / "trace.csv").exists()
 
 
+def test_family_parameter_left_unset_fails_naming_it(tmp_path, capsys):
+    # power-tail's eps has no default; the builder must not fail as a TypeError
+    cfg = tmp_path / "pt.ini"
+    cfg.write_text("[pt]\nmodel = lsw\nfamily = power-tail\nt_final = 0.2\nchecks = conservation\n")
+    rc = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "pt  FAIL  ConfigError: family 'power-tail' needs parameter(s) eps" in out
+    assert "TypeError" not in out
+
+
 def test_energy_bound_carries_the_mass():
     # E <= mass Lambda^(-1/3): a trace of mass 0.5 whose E lies between
     # 0.5 Lambda^(-1/3) and Lambda^(-1/3) violates it

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,8 @@ def test_map_validation():
     with pytest.raises(lk.ConfigError):
         # F(0) = 0 is not allowed
         MapF(name="bad", f=lambda x: 0.5 * np.asarray(x, float),
-             fprime=lambda x: np.full_like(np.asarray(x, float), 0.5))
+             fprime=lambda x: np.full_like(np.asarray(x, float), 0.5),
+             finv=lambda y: 2.0 * np.asarray(y, float))
 
 
 def test_inverse_round_trip():
@@ -85,34 +87,70 @@ def test_inverse_is_elementwise(F, offsets, data):
     assert F.inverse(y[idx]).tobytes() == F.inverse(y)[idx].tobytes()
 
 
-@pytest.mark.parametrize("F", MAPS, ids=lambda F: F.name)
-def test_inverse_takes_at_most_ten_sweeps(F):
-    calls = []
-
-    def counted(x):
-        calls.append(np.size(x))
-        return F.f(x)
-
-    G = MapF(name=F.name, f=counted, fprime=F.fprime)
-    calls.clear()
-    G.inverse(_levels(F))
-    # one F(0) call, then one call per Newton sweep
-    assert len(calls) <= 11
-
-
-def test_inverse_warns_when_out_of_sweeps():
-    # an f that grows by a relative 1e-8 on every call moves its root down
-    # at every sweep, so no entry reaches a rounding floor
+def test_map_rejects_an_inverse_that_does_not_invert():
     F = cube_root_map()
-    drift = [1.0]
+    with pytest.raises(lk.ConfigError, match="finv must invert f"):
+        MapF(name="off", f=F.f, fprime=F.fprime, finv=lambda y: F.finv(y) * (1.0 + 1e-9))
 
-    def drifting(x):
-        drift[0] *= 1.0 + 1e-8
-        return drift[0] * F.f(x)
 
-    G = MapF(name="drifting", f=drifting, fprime=F.fprime)
-    with pytest.warns(lk.ConvergenceWarning, match=r"MapF.inverse: 3 of 3 entries did not converge"):
-        G.inverse(np.array([1.0, 2.0, 5.0]))
+_F0 = 2.0 ** (1.0 / 3.0) - 1.0   # the cube-root map's F(0)
+_Q1 = 2.0 / np.sqrt(27.0)        # where t^3 - t = q turns from three real roots to one
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=_F0, max_value=np.finfo(float).max), min_size=1, max_size=60))
+def test_cube_root_inverse_is_finite_and_nondecreasing_up_to_the_float_maximum(ys):
+    # warning-free too: pytest turns an overflow or invalid warning into an error
+    y = np.sort(np.array(ys))
+    x = cube_root_map().inverse(y)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0) and np.all(np.diff(x) >= 0.0)
+
+
+@pytest.mark.parametrize("y0", [_F0, _F0 + _Q1, 1.0, 3.0, 1e3, 1e20, np.finfo(float).max],
+                         ids=["F(0)", "F(0)+q1", "1", "3", "1e3", "1e20", "max"])
+def test_cube_root_inverse_is_nondecreasing_float_by_float(y0):
+    # 4,000 consecutive floats on either side of y0 (across the branch at q1),
+    # and 8,000 below the float maximum
+    k = np.arange(-8000, 1) if y0 == np.finfo(float).max else np.arange(-4000, 4000)
+    y = y0 + k * np.spacing(np.nextafter(y0, 0.0))
+    y = y[y >= _F0]
+    x = cube_root_map().inverse(y)
+    assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0.0)
+
+
+def _mp_cube_root_inverse(y):
+    """50-digit x with F(x) = y: Newton on v (2 + v (3 + v)) = q = y - F(0),
+    from a start right of the root, where it decreases onto it."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(float(y)) - mpmath.mpf(_F0)
+        if q <= 0:
+            return mpmath.mpf(0)
+        v = min(q / 2, mpmath.cbrt(q))
+        while True:
+            new = v - (v * (2 + v * (3 + v)) - q) / (2 + v * (6 + 3 * v))
+            if new >= v:
+                return q + v
+            v = new
+
+
+def test_cube_root_inverse_is_within_an_ulp_of_a_50_digit_reference():
+    rng = np.random.default_rng(5)
+    y = np.concatenate((
+        [_F0], _F0 + np.geomspace(1e-17, 1e150, 1500), _F0 + 10.0 ** rng.uniform(-3.0, 3.0, 1500),
+        _F0 + _Q1 * (1.0 + np.linspace(-1e-6, 1e-6, 201)),   # around the branch at q1
+        _F0 + _Q1 + np.arange(-100, 100) * np.spacing(_Q1)))
+    x = cube_root_map().inverse(y)
+    with mpmath.workdps(50):
+        err = [float(abs(mpmath.mpf(float(xi)) - _mp_cube_root_inverse(yi))) for xi, yi in zip(x, y)]
+    assert np.max(np.array(err) / np.spacing(np.maximum(x, 1.0))) <= 1.0
+
+
+@pytest.mark.parametrize("x0", [1e-12, 0.5, 1.0, 1.0013063359232797, 7.3, 1e8, 1e200])
+def test_cube_root_map_is_nondecreasing_float_by_float(x0):
+    # w(F(.)) on a steep profile, where nodes sit an ulp apart, needs it:
+    # the indicator's image after 7 normalized steps ends near 1.0013 that way
+    x = x0 + np.arange(20000) * np.spacing(x0)
+    assert np.all(np.diff(cube_root_map()(x)) >= 0.0)
 
 
 def test_apply_map_composition():
@@ -121,23 +159,6 @@ def test_apply_map_composition():
     image = apply_map(fam.profile, F)
     xs = np.linspace(0.0, 10.0, 200)
     np.testing.assert_allclose(image.w_at(xs), fam.profile.w_at(F(xs)), rtol=2e-3)
-
-
-def test_apply_map_inverts_only_the_read_nodes(monkeypatch):
-    # the ends of the cells holding the 360 levels, the last node and the
-    # support end, not the ~2,000 source nodes at or beyond F(0)
-    inverse = MapF.inverse
-    sizes = []
-
-    def counted(self, y):
-        sizes.append(np.size(y))
-        return inverse(self, y)
-
-    monkeypatch.setattr(MapF, "inverse", counted)
-    for fam in (lk.exponential(), lk.power_tail(1.0), lk.indicator()):
-        sizes.clear()
-        apply_map(fam.profile, cube_root_map())
-        assert len(sizes) == 1 and sizes[0] <= 2 * 360 + 2, (fam.name, sizes)
 
 
 def _full_route(profile, F, n_grid=2048):
@@ -250,16 +271,16 @@ def test_iterate_history_save(tmp_path):
 
 
 def test_iterate_takes_one_moment_per_exponent(monkeypatch):
-    # each recorded state takes <X^a> for a in {1/3, 1/2, 2/3} in one cell
+    # each recorded state takes <X^a> for a in {1/3, 1/2, 2/3} in one
     # pass; normalize reuses the memoized <X^(1/2)>
     calls = []
-    power_cells = cellquad.power_cells
+    power_total = cellquad.power_total
 
     def counted(*args, **kwargs):
         calls.append(args[2])
-        return power_cells(*args, **kwargs)
+        return power_total(*args, **kwargs)
 
-    monkeypatch.setattr(cellquad, "power_cells", counted)
+    monkeypatch.setattr(cellquad, "power_total", counted)
     n_steps = 2
     iterate(lk.exponential().profile, cube_root_map(), 0.5, 1.0, n_steps, n_grid=512)
     assert len(calls) == n_steps + 1

@@ -219,6 +219,27 @@ def test_dilate_keeps_the_strict_increase_check():
         p.dilate(1e-318)
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [np.nan, 1.0, 2.0]],
+                         ids=["nan", "inf", "nan-first"])
+def test_profile_rejects_a_non_finite_grid_node(grid):
+    # a NaN fails every comparison, so the strict-increase test alone passes it
+    with pytest.raises(lk.DegenerateProfileError, match="grid must be finite"):
+        lk.SurvivalProfile(np.array(grid), np.array([1.0, 0.5, 0.0]))
+
+
+def test_load_rejects_a_non_finite_grid_node(tmp_path):
+    path = tmp_path / "prof.csv"
+    path.write_text("x,w\n0,1\nnan,0.5\n2,0\n")
+    with pytest.raises(lk.DegenerateProfileError, match="grid must be finite"):
+        lk.SurvivalProfile.load(path)
+
+
+def test_dilate_rejects_an_overflowing_grid():
+    # the scaled last node overflows to inf (numpy's overflow warning aside)
+    with np.errstate(over="ignore"), pytest.raises(lk.DegenerateProfileError, match="grid must be finite"):
+        lk.exponential().profile.dilate(1e307)
+
+
 def test_save_load_round_trip(tmp_path, expf):
     path = tmp_path / "prof.csv"
     expf.profile.save(path)
