@@ -471,24 +471,24 @@ def _flux_L(states: list, w0b: np.ndarray, L_guess: np.ndarray) -> np.ndarray:
 
     A state splits at k = ``_origin_split(pos, L_guess)``: time-to-origin
     cells over the origin and its first k survivors, one
-    ``_theta_cell_integrals`` call for every state that has them, and k = 0
-    takes one linear head cell instead.  Linear cells from survivor
-    max(k, 1) - 1 on are the far field, one ``cellquad.flux_total`` pass
+    ``_theta_cell_integrals`` call for every state that has them, and linear
+    cells from survivor k - 1 on, the far field, one ``cellquad.power_total``
     with w unclipped at w0b, where the clip cannot bind: w0b = w0(y_b) with
-    y_b at or below the first survivor's label, and w0 is nonincreasing.
+    y_b at or below the first survivor's label, and w0 is nonincreasing.  A
+    state with k = 0 is linear throughout, one ``power_total`` over its
+    augmented state.
     """
     ks = [_origin_split(s.pos, l) for s, l in zip(states, L_guess.tolist())]
-    far = np.array([cellquad.flux_total(s.pos[max(k, 1) - 1:], s.w[max(k, 1) - 1:])
-                    for s, k in zip(states, ks)])
-    near = np.empty(len(states))
+    far = np.empty(len(states))
+    for i, (s, k) in enumerate(zip(states, ks)):
+        x, w = (s.pos[k - 1:], s.w[k - 1:]) if k else _augmented_state(s, w0b[i])
+        far[i] = cellquad.power_total(x, w, -2.0 / 3.0)
+    near = np.zeros(len(states))
     th = [i for i, k in enumerate(ks) if k]
     if th:
         xs, ws = zip(*(_augmented_state(states[i], w0b[i], ks[i]) for i in th))
         near[th] = _theta_cell_integrals(np.concatenate(xs), np.concatenate(ws), L_guess[th],
                                          [ks[i] + 1 for i in th])
-    for i, k in enumerate(ks):
-        if not k:
-            near[i] = cellquad.power_total(*_augmented_state(states[i], w0b[i], 1), -2.0 / 3.0)
     return ((near + far) / (3.0 * w0b)) ** 3
 
 

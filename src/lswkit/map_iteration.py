@@ -38,6 +38,8 @@ class MapF:
             raise ConfigError(f"map {self.name!r}: F' must lie strictly in (0, 1)")
         if np.any(np.diff(fp) < -1e-12):
             raise ConfigError(f"map {self.name!r}: F must be convex (F' nondecreasing)")
+        if np.any(self.f(np.nextafter(xs, np.inf)) < self.f(xs)):
+            raise ConfigError(f"map {self.name!r}: F must not decrease between adjacent floats")
         if not np.allclose(self.finv(self.f(xs)), xs, rtol=1e-12, atol=1e-12):
             raise ConfigError(f"map {self.name!r}: finv must invert f")
 

@@ -4,7 +4,7 @@ The central object is :class:`SurvivalProfile`: a nonincreasing integrable
 function ``w`` sampled on a strictly increasing grid starting at 0, extended
 beyond the last node by an analytic tail model (compact cutoff, exponential
 or power decay).  All moments and singular integrals are evaluated with the
-exact per-cell formulas from :mod:`lswkit.cellquad`, so identities such as
+exact formulas from :mod:`lswkit.cellquad`, so identities such as
 mass conservation hold to rounding error for the piecewise-linear
 representative.
 

@@ -138,25 +138,6 @@ def ref_advance(ens, ss, L_sub, root=None):
     return root
 
 
-def ref_cells(u, w, s, q1, q2):
-    u0, u1 = u[:-1], u[1:]
-    w0, w1 = w[:-1], w[1:]
-    du = u1 - u0
-    m = (w1 - w0) / du
-    a = w0 - m * u0
-    p1 = (q1[..., 1:] - q1[..., :-1]) / (s + 1.0)
-    p2 = (q2[..., 1:] - q2[..., :-1]) / (s + 2.0)
-    out = a * p1 + m * p2
-    narrow = (du < 1e-4 * u0).nonzero()[0]
-    if len(narrow):
-        du, m = du[narrow], m[narrow]
-        um = 0.5 * (u0[narrow] + u1[narrow])
-        wm = 0.5 * (w0[narrow] + w1[narrow])
-        corr = s * du**2 / (12.0 * um) * (m + wm * (s - 1.0) / (2.0 * um))
-        out[..., narrow] = np.power(um, np.repeat(s, len(um), axis=-1)) * du * (wm + corr)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -166,7 +147,8 @@ def sorted_positions(seed, n, lo, hi):
     rng = np.random.default_rng(seed)
     x = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
     if n > 8:
-        # neighbours 1e-7 relative apart: the narrow cells of _cells
+        # neighbours 1e-7 relative apart: narrow cells, which power_cells
+        # takes by its series
         x[: n // 8] = x[n // 8: 2 * (n // 8)] * (1.0 + 1e-7)
     return np.sort(x)
 
@@ -281,40 +263,6 @@ def test_advance_matches_its_one_expression_form(seed, n, L, ds_over_L, carried)
     assert (new.t, new.exit_t, new.exit_y, new.exit_jac) == (ref.t, ref.exit_t, ref.exit_y, ref.exit_jac)
 
 
-def cell_inputs(seed, n, exponents):
-    u = np.concatenate(([0.0], sorted_positions(seed, n, 1e-6, 30.0)))
-    w = np.exp(-u)
-    s = np.array(exponents, dtype=float).reshape(-1, 1)
-    return u, w, s
-
-
-@settings(max_examples=100, deadline=None)
-@given(seeds, sizes, st.lists(st.floats(min_value=-0.9, max_value=3.0), min_size=1, max_size=3)
-       .filter(lambda e: len(e) != 2))
-def test_cells_match_their_one_expression_form(seed, n, exponents):
-    # one row of cells per exponent: 1 and 3 rows, narrow cells included
-    u, w, s = cell_inputs(seed, n, exponents)
-    q1, q2 = cellquad._powers(u, s + 1.0), cellquad._powers(u, s + 2.0)
-    assert same_bits(cellquad._cells(u, w, s, q1, q2), ref_cells(u, w, s, q1, q2))
-
-
-@pytest.mark.parametrize("exponents", [[0.5], [2.0], [-2.0 / 3.0, -1.0 / 3.0, 1.0]])
-def test_cells_match_their_one_expression_form_at_special_exponents(exponents):
-    u, w, s = cell_inputs(7, 2047, exponents)
-    q1, q2 = cellquad._powers(u, s + 1.0), cellquad._powers(u, s + 2.0)
-    assert same_bits(cellquad._cells(u, w, s, q1, q2), ref_cells(u, w, s, q1, q2))
-
-
-@settings(max_examples=100, deadline=None)
-@given(seeds, sizes)
-def test_flux_cells_match_their_one_expression_form(seed, n):
-    # flux_total's form: one exponent, 1-d powers x^(1/3) and x * x^(1/3)
-    x, w, _ = cell_inputs(seed, n, [-2.0 / 3.0])
-    r = np.cbrt(x)
-    s = cellquad._FLUX_EXPONENT
-    assert same_bits(cellquad._cells(x, w, s, r, x * r), ref_cells(x, w, s, r, x * r))
-
-
 # ---------------------------------------------------------------------------
 # read-only guard: no kernel writes into an argument or a carried root
 
@@ -367,15 +315,13 @@ def test_advance_writes_into_no_ensemble_array_or_carried_root(carried):
     assert same_bits(ens.pos, ref.pos) and same_bits(ens.jac, ref.jac)
 
 
-def test_cells_and_flux_total_write_into_no_argument():
-    u, w, s = cell_inputs(11, 1500, [-2.0 / 3.0, 0.5, 2.0])
-    q1, q2 = cellquad._powers(u, s + 1.0), cellquad._powers(u, s + 2.0)
-    ref = ref_cells(u, w, s, q1, q2)
-    u, w, s, q1, q2 = frozen(u, w, s, q1, q2)
-    assert same_bits(cellquad._cells(u, w, s, q1, q2), ref)
-    r = np.cbrt(u)
-    ref_flux = float(ref_cells(u, w, cellquad._FLUX_EXPONENT, r, u * r).sum())
-    assert cellquad.flux_total(u, w) == ref_flux
+def test_power_cells_writes_into_no_argument():
+    u = np.concatenate(([0.0], sorted_positions(11, 1500, 1e-6, 30.0)))
+    w = np.exp(-u)
+    ref = {s: cellquad.power_cells(u, w, s) for s in (-2.0 / 3.0, 0.5, 2.0)}
+    u, w = frozen(u, w)
+    for s, cells in ref.items():
+        assert same_bits(cellquad.power_cells(u, w, s), cells)
 
 
 def test_theta_cell_integrals_write_into_no_argument():

@@ -93,6 +93,19 @@ def test_map_rejects_an_inverse_that_does_not_invert():
         MapF(name="off", f=F.f, fprime=F.fprime, finv=lambda y: F.finv(y) * (1.0 + 1e-9))
 
 
+def test_map_rejects_an_f_that_steps_back_between_adjacent_floats():
+    # the cube-root map's old form: its F at the float after x = 2.0 lies one
+    # ulp below F(2.0), which apply_map's images cannot absorb
+    F = cube_root_map()
+    old = lambda x: 2.0 ** (1.0 / 3.0) + np.asarray(x, float) - np.cbrt(1.0 + np.asarray(x, float))
+    assert old(np.nextafter(2.0, np.inf)) < old(2.0)
+    with pytest.raises(lk.ConfigError, match="adjacent floats"):
+        MapF(name="old-cube-root", f=old, fprime=F.fprime, finv=F.finv)
+    # the package's own maps pass the same check
+    for lam in (0.3, 0.5, 0.7):
+        linear_map(lam)
+
+
 _F0 = 2.0 ** (1.0 / 3.0) - 1.0   # the cube-root map's F(0)
 _Q1 = 2.0 / np.sqrt(27.0)        # where t^3 - t = q turns from three real roots to one
 
