@@ -45,10 +45,34 @@ def test_power_cells_narrow_cells_no_cancellation():
 
 def _narrow_and_wide_grid():
     # uniform cells near the origin, then a run of cells 1e-7 wide at
-    # distance ~2 (narrow: du < 1e-4 u) between wide ones
+    # distance ~2 (narrow: du < 1e-2 u) between wide ones
     x = np.concatenate((np.linspace(0.0, 2.0, 40), 2.0 + np.arange(1, 30) * 1e-7,
                         np.linspace(2.5, 6.0, 20)))
     return x, np.exp(-x) * (1.0 + 0.3 * np.cos(7.0 * x))
+
+
+@pytest.mark.parametrize("s", [-2.0 / 3.0, -1.0 / 3.0, np.array([-2.0 / 3.0, -0.5, 0.0])])
+def test_power_cells_expands_only_the_narrow_cells(s):
+    x, w = _narrow_and_wide_grid()
+    # reference: both forms of the tilted integral on every cell, the series
+    # picked on narrow ones (r = du/u below 1e-2)
+    u, w0, w1 = x[1:-1], w[1:-1], w[2:]
+    r = (x[2:] - u) / u
+    narrow = r < 1e-2
+    assert 0 < np.count_nonzero(narrow) < len(r)
+    for si in np.atleast_1d(s):
+        s1 = si + 1.0
+        e = np.expm1(np.log1p(r) * s1)
+        closed = (e * (1.0 + r) - s1 * r) / (s1 * (si + 2.0) * r)
+        term = series = 0.5 * r
+        for j in range(1, 8):
+            term = term * r * ((si - j + 1.0) / (j + 2.0))
+            series = series + term
+        cells = (w1 * (e / s1) + (w0 - w1) * np.where(narrow, series, closed)) * u ** s1
+        first = x[1] ** s1 * (w[1] + (w[0] - w[1]) / (si + 2.0)) / s1
+        np.testing.assert_array_equal(cellquad.power_cells(x, w, si), np.concatenate(([first], cells)))
+        # the closed form cancels on the narrow cells, losing a million ulps
+        assert np.max(np.abs(closed - series)[narrow] / series[narrow]) > 1e-10
 
 
 def test_power_suffix_matches_total_and_is_monotone():
