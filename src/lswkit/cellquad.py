@@ -49,27 +49,27 @@ def power_cells(x: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
     return cells
 
 
-def power_total(x, w, s, shift: float = 0.0):
-    """Exact integral of (x - shift)^s * wlin(x) over the grid, by parts.
+def power_total(x, w, s):
+    """Exact integral of x^s * wlin(x) over the grid, by parts.
 
-    With u = x - shift: (u_m^(s+1) w_m - u_0^(s+1) w_0 + the sum over cells of
-    (w_i - w_(i+1)) times the cell mean of u^(s+1)) / (s+1), that mean taken as
-    u_i^(s+1) expm1((s+2) log1p(r)) / ((s+2) r) for r = du/u_i, which does not
-    cancel on a narrow cell, and as u_1^(s+1)/(s+2) on a first cell from u = 0.
-    Requires s > -1 and x >= shift.  From u = 0 and for a nonincreasing w, every
-    term is nonnegative; from u_0 > 0 the boundary terms cancel to about
-    eps u_0/(u_m - u_0) relative.  An array of exponents gives one total each.
+    (x_m^(s+1) w_m - x_0^(s+1) w_0 + the sum over cells of (w_i - w_(i+1))
+    times the cell mean of x^(s+1)) / (s+1), that mean taken as
+    x_i^(s+1) expm1((s+2) log1p(r)) / ((s+2) r) for r = dx/x_i, which does not
+    cancel on a narrow cell, and as x_1^(s+1)/(s+2) on a first cell from x = 0.
+    Requires s > -1 and x >= 0.  From x = 0 and for a nonincreasing w, every
+    term is nonnegative; from x_0 > 0 the boundary terms cancel to about
+    eps x_0/(x_m - x_0) relative.  An array of exponents gives one total each.
     """
-    u = np.asarray(x, dtype=float) - shift
+    x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     lone = np.ndim(s) == 0
     s = np.reshape(np.asarray(s, dtype=float), (-1, 1))
     # one power per node, by pow on every entry: numpy takes sqrt or a square
     # for an exponent 1/2 or 2 in a stride-0 operand, or not, depending on the
     # layout, so a full exponent array keeps a total's bits alone and in a batch
-    q = np.power(u, np.repeat(s + 1.0, len(u), axis=-1))
-    k = int(u[0] == 0.0)  # a first cell from u = 0
-    r = (u[k + 1:] - u[k:-1]) / u[k:-1]
+    q = np.power(x, np.repeat(s + 1.0, len(x), axis=-1))
+    k = int(x[0] == 0.0)  # a first cell from x = 0
+    r = (x[k + 1:] - x[k:-1]) / x[k:-1]
     mean = np.expm1(np.log1p(r) * (s + 2.0)) / (r * (s + 2.0)) * q[:, k:-1]
     mean = np.concatenate((q[:, 1:1 + k] / (s + 2.0), mean), axis=1) * (w[:-1] - w[1:])
     total = (mean.sum(axis=-1) + q[:, -1] * w[-1] - q[:, 0] * w[0]) / (s[:, 0] + 1.0)

@@ -227,7 +227,7 @@ def _monotonicity(run, opts) -> CheckResult | None:
         return None
     worst = 0.0
     for snap in res.snapshots:
-        tb, _ = beta_along_flow(snap, run.fam.profile, res.ensemble.beta0)
+        tb = beta_along_flow(snap, run.fam.profile, res.ensemble.beta0)
         bv = tb.values[~tb.low_confidence]
         worst = max(worst, float(np.max(np.maximum(-np.diff(bv), 0.0), initial=0.0)))
         gx, gv = g_profile(snap)
@@ -265,10 +265,10 @@ def _dyadic(run, opts) -> CheckResult | None:
 
 def _stability(run, opts) -> CheckResult | None:
     rep = stability_check(run.fam.profile, run.result)
-    target = _setting(opts, "linear", "beta_limit")
+    target = opts.get("beta_limit")
     if not rep.applicable or target is None:
         return None
-    tol = _setting(opts, "linear", "stability_tol")
+    tol = opts["stability_tol"]
     dev = abs(rep.slope - target)
     return CheckResult(dev <= tol, dev, tol, f"slope {rep.slope:.4f} vs {target:.4f}")
 
@@ -309,7 +309,7 @@ def _regular_variation(run, opts) -> CheckResult | None:
     est = regular_variation_exponent(run.fam.profile)
     if est.oscillatory:
         return CheckResult(False, est.residual, math.nan, f"oscillatory, residual {est.residual:.3g}")
-    target = _setting(opts, "analysis", "rv_target")
+    target = opts.get("rv_target")
     if target is None:
         return None
     tol = BOUNDS["regular_variation"]

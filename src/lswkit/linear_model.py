@@ -65,7 +65,7 @@ def _energy(profile: SurvivalProfile, tau: float, B: float) -> float:
     mask = profile.grid > B
     y = np.concatenate(([B], profile.grid[mask]))
     w = np.concatenate(([profile.w_at(B)], profile.values[mask]))
-    body = cellquad.power_total(y, w, -1.0 / 3.0, shift=B)
+    body = cellquad.power_total(y - B, w, -1.0 / 3.0)
     tail = profile.tail_mass * (y[-1] - B) ** (-1.0 / 3.0) if profile.tail_mass > 0 else 0.0
     return (2.0 / 3.0) * np.exp(2.0 * tau / 3.0) * (body + tail)
 

@@ -28,10 +28,7 @@ import numpy as np
 
 from . import cellquad
 from .errors import ConvergenceWarning, ExtinctionError, require_setting
-from .profiles import (
-    SurvivalProfile, BetaProfile, beta_from_profile, beta_interpolant, derivative_nonuniform,
-    low_confidence_mask, write_csv,
-)
+from .profiles import SurvivalProfile, BetaProfile, beta_interpolant, low_confidence_mask, write_csv
 
 
 def drift(x, L):
@@ -256,12 +253,6 @@ def make_ensemble(profile: SurvivalProfile, beta0: Optional[Callable] = None) ->
                     w=profile.values[mask].copy(), initial=profile, beta0=beta0)
 
 
-def _speed(x, L):
-    # magnitude of the drift; the Jacobian dx/dy along a characteristic is
-    # proportional to it while L is frozen, since d(ln J)/ds = v'(x) = d(ln|v|)/ds
-    return np.maximum(np.abs(1.0 - np.cbrt(np.asarray(x, float) / L)), 1e-12)
-
-
 def _lagrange_weights(x, s) -> np.ndarray:
     """The Lagrange basis of the nodes x at the points s, node axis first: a
     product over the other nodes in node order, so a point at node j reads
@@ -351,24 +342,6 @@ def _advance(ens: Ensemble, ss: list, L_sub: list, root: Optional[tuple] = None)
     return root
 
 
-def boundary_jacobian(ens: Ensemble, L: float) -> float:
-    """dx/dy of the characteristic currently at the origin.
-
-    Interpolated in log between the last exit and the projected exit of the
-    first survivor; its reciprocal is the slope dF/dx of the label map at
-    x = 0.
-    """
-    t0, j0 = ens.exit_t, ens.exit_jac
-    if ens.n_alive == 0:
-        return j0
-    t1 = ens.t + float(exit_time_frozen(ens.pos[0], L))
-    j1 = float(ens.jac[0]) / float(_speed(ens.pos[0], L))
-    if not np.isfinite(t1) or t1 <= t0 or not j0 > 0 or not j1 > 0:
-        return j0
-    lj = np.log(j0) + (np.log(j1) - np.log(j0)) * (ens.t - t0) / (t1 - t0)
-    return float(np.exp(lj))
-
-
 def _augmented_state(state, w0b: float, n: Optional[int] = None):
     """(x, w) of an Ensemble or Snapshot, or of its first n survivors, behind
     the origin node (0, w0b), w clipped at w0b."""
@@ -456,14 +429,30 @@ def _origin_split(pos, L) -> int:
     return min(j + 1, len(pos)) if j else 0
 
 
-def _boundary_labels(states: list, L: np.ndarray) -> np.ndarray:
-    """Label arriving at x = 0 in each of ``states`` at its L, by exit-time
-    interpolation between the last exit and the first survivor's."""
-    t, x1, y1, t0, y0 = np.array([(s.t, s.pos[0], s.labels[0], s.exit_t, s.exit_y)
-                                  for s in states]).reshape(-1, 5).T
+def _origin(states: list, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The label y_b and the Jacobian J_b = dx/dy of the characteristic at
+    x = 0 in each of ``states`` at its L, the one reader of the origin.
+
+    Both come from one interpolation in time between the last exit and the
+    first survivor's frozen-L exit: y_b is linear in time, and J_b is
+    log-linear, ending at the survivor's J/|v|, as J is proportional to the
+    speed |v| along a frozen-L characteristic and |v| = 1 at the origin.
+    Where that exit is not finite or not later than the last one, both are
+    the last exit's; so is J_b where either Jacobian is not positive.  1/J_b
+    is the slope dF/dx of the label map at x = 0, where dF/dx has a
+    cube-root cusp that no difference quotient over the nodes can read.
+    """
+    t, x1, y1, j1, t0, y0, j0 = np.array(
+        [(s.t, s.pos[0], s.labels[0], s.jac[0], s.exit_t, s.exit_y, s.exit_jac)
+         for s in states]).reshape(-1, 7).T
     t1 = t + exit_time_frozen(x1, L)
     ok = np.isfinite(t1) & (t1 > t0)
-    return np.where(ok, y0 + (y1 - y0) * (t - t0) / np.where(ok, t1 - t0, 1.0), y0)
+    span = np.where(ok, t1 - t0, 1.0)
+    yb = np.where(ok, y0 + (y1 - y0) * (t - t0) / span, y0)
+    j1 = j1 / np.maximum(np.abs(1.0 - np.cbrt(x1 / L)), 1e-12)
+    ok &= (j0 > 0) & (j1 > 0)
+    lj0, lj1 = np.log(np.where(ok, j0, 1.0)), np.log(np.where(ok, j1, 1.0))
+    return yb, np.where(ok, np.exp(lj0 + (lj1 - lj0) * (t - t0) / span), j0)
 
 
 def _flux_L(states: list, w0b: np.ndarray, L_guess: np.ndarray) -> np.ndarray:
@@ -508,9 +497,10 @@ _RESOLVE_CAP = 40   # fixed-point iterations before _state_L reports no converge
 
 
 def _state_L(ens: Ensemble, L_guess: float, L_from: Optional[float] = None) -> tuple:
-    """Self-consistent (L, y_b, w0b) at the ensemble's current time, by
+    """Self-consistent (L, y_b, w0b, J_b) at the ensemble's current time, by
     fixed-point iteration of the flux balance from L_guess, and the number
-    of ``l_from_state`` evaluations it took.
+    of ``l_from_state`` evaluations it took; y_b and J_b are ``_origin``'s
+    at that L.
 
     Given ``L_from``, L_guess is the flux balance's value at L_from: the
     first iteration, taken without evaluating it again.  The iteration stops
@@ -519,14 +509,14 @@ def _state_L(ens: Ensemble, L_guess: float, L_from: Optional[float] = None) -> t
     from; one still moving after ``_RESOLVE_CAP`` iterations is reported in
     a ConvergenceWarning.
     """
-    def labels(L):
-        return _boundary_labels([ens], np.array([L]))
+    def origin(L):
+        return _origin([ens], np.array([L]))
 
     L, new = (L_guess, None) if L_from is None else (L_from, L_guess)
     change, evals = math.nan, 0   # NaN: the first change has no ratio
     for _ in range(_RESOLVE_CAP):
         if new is None:
-            new = l_from_state(ens, ens.initial.w_at(labels(L))[0], L)
+            new = l_from_state(ens, ens.initial.w_at(origin(L)[0])[0], L)
             evals += 1
         d = abs(new - L)
         r = d / change
@@ -538,8 +528,8 @@ def _state_L(ens: Ensemble, L_guess: float, L_from: Optional[float] = None) -> t
     else:
         warnings.warn(f"_state_L: L at t={ens.t:g} did not converge in {_RESOLVE_CAP} iterations",
                       ConvergenceWarning, stacklevel=2)
-    yb = labels(L)
-    return float(L), float(yb[0]), float(ens.initial.w_at(yb)[0]), evals
+    yb, jb = origin(L)
+    return float(L), float(yb[0]), float(ens.initial.w_at(yb)[0]), float(jb[0]), evals
 
 
 @dataclass
@@ -549,7 +539,7 @@ class PicardStats:
     ratios: list
     converged: bool
     stopped_on_bound: bool = False   # converged on the error bound, not a confirming sweep
-    end_state: Optional[tuple] = None   # (L, y_b, w0b) at the end node of a converged step
+    end_state: Optional[tuple] = None   # (L, y_b, w0b, J_b) at the end node of a converged step
     flux_evals: int = 0          # flux evaluations: one per sweep, plus the end node's _state_L ones
 
 
@@ -616,7 +606,7 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
     for _ in range(MAX_PICARD):
         scratch, moments, extinct = _transport(ens, dt, L_vals)
         guess = L_vals[1:len(moments) + 1]
-        resolved = _flux_L(moments, ens.initial.w_at(_boundary_labels(moments, guess)), guess)
+        resolved = _flux_L(moments, ens.initial.w_at(_origin(moments, guess)[0]), guess)
         flux_evals += 1
         # a node whose L is not positive ends the sweep before any later panel
         if not (np.isfinite(resolved) & (resolved > 0)).all():
@@ -659,6 +649,7 @@ class Snapshot:
     w: np.ndarray
     y_b: float
     w0b: float
+    J_b: float          # dx/dy of the characteristic at the origin
     L: float
     Lambda: float
     jac: np.ndarray     # dx/dy at the surviving nodes
@@ -700,7 +691,8 @@ class RunResult:
     terminated: str = "t_final"
 
 
-def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: float) -> None:
+def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: float,
+            jb: float) -> None:
     x, w = _augmented_state(ens, w0b)
     # the tail beyond the last survivor stretches with the label-map Jacobian
     tail = ens.initial.tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
@@ -715,10 +707,8 @@ def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: flo
     mass += tail
     lam = mass / w0b
     energy = (2.0 / 3.0) * cellquad.power_total(x, w, -1.0 / 3.0)
-    # slope of the label map at the origin: reciprocal of the transported
-    # Jacobian; one-sided differences are useless here because dF/dx has a
-    # cube-root cusp inherited from the drift gradient
-    fp0 = 1.0 / boundary_jacobian(ens, L)
+    # slope of the label map at the origin: reciprocal of _origin's Jacobian
+    fp0 = 1.0 / jb
     h0b = float(ens.initial.h_at(yb))
     beta_origin = float(ens.beta0(yb)) * fp0 * mass / h0b if h0b > 0 else 0.0
     if trace.t:
@@ -743,14 +733,14 @@ def advance_global(profile: SurvivalProfile, t_final: float,
     pending = sorted(snapshot_times)
     terminated = "t_final"
     prior = None
-    L, yb, w0b, _ = _state_L(ens, l_from_state(ens, profile.w0))
+    L, yb, w0b, jb, _ = _state_L(ens, l_from_state(ens, profile.w0))
     while True:
         # the state at t = 0 or at the end of an accepted step
-        _record(trace, ens, L, yb, w0b)
+        _record(trace, ens, L, yb, w0b, jb)
         while pending and ens.t >= pending[0] - 1e-12:
             snapshots.append(Snapshot(
                 t=ens.t, tau=trace.tau[-1], labels=ens.labels.copy(),
-                pos=ens.pos.copy(), w=ens.w.copy(), y_b=yb, w0b=w0b,
+                pos=ens.pos.copy(), w=ens.w.copy(), y_b=yb, w0b=w0b, J_b=jb,
                 L=L, Lambda=trace.Lambda[-1], jac=ens.jac.copy(),
             ))
             pending.pop(0)
@@ -771,7 +761,7 @@ def advance_global(profile: SurvivalProfile, t_final: float,
             break
         ens, prior = advanced, path
         picard_log.append(stats)
-        L, yb, w0b = stats.end_state
+        L, yb, w0b, jb = stats.end_state
     return RunResult(trace=trace, snapshots=snapshots, ensemble=ens,
                      picard=picard_log, terminated=terminated)
 
@@ -806,19 +796,20 @@ def coarsening_identity_check(trace: CoarseningTrace) -> np.ndarray:
     return np.abs(dl - bmid) / np.maximum(np.abs(bmid), IDENTITY_FLOOR)
 
 
-def beta_along_flow(snap: Snapshot, initial: SurvivalProfile,
-                    beta0: Callable) -> tuple[BetaProfile, BetaProfile]:
-    """beta(.,t) via the transported form and via direct differentiation.
+def beta_along_flow(snap: Snapshot, initial: SurvivalProfile, beta0: Callable) -> BetaProfile:
+    """beta(.,t) at the snapshot's nodes, transported along the flow.
 
-    Transported form: beta(x,t) = beta0(F(x,t)) * dF/dx * h(x,t) / h0(F(x,t)),
-    with F the label map and h the current tail mass.
+    beta(x,t) = beta0(F(x,t)) * dF/dx * h(x,t) / h0(F(x,t)), with F the
+    label map and h the current tail mass.  dF/dx is the reciprocal of the
+    transported Jacobian dx/dy: the survivors' own, and at the origin the
+    J_b of ``_origin``, which the trace's beta(0,t) reads too.  A difference
+    quotient would read position rounding over the survivors' gaps, as small
+    as ~1e-8, and the cube-root cusp at the origin.  The direct estimate is
+    ``beta_from_profile(snap.profile())``.
     """
     x, w = _augmented_state(snap, snap.w0b)
     y = np.concatenate(([snap.y_b], snap.labels))
-    # dF/dx is the reciprocal of the transported Jacobian dx/dy at the
-    # survivors; a difference quotient over their gaps, as small as ~1e-8,
-    # would read position rounding.  The origin keeps a one-sided quotient.
-    fp = np.concatenate((derivative_nonuniform(x[:3], y[:3])[:1], 1.0 / snap.jac))
+    fp = 1.0 / np.concatenate(([snap.J_b], snap.jac))
     # the analytic tail beyond the last survivor is the initial tail mass
     # stretched by the local Jacobian dx/dy of the label map
     j_end = float(snap.jac[-1]) if len(snap.jac) else 1.0
@@ -827,10 +818,8 @@ def beta_along_flow(snap: Snapshot, initial: SurvivalProfile,
     ok = h0 > 0
     vals = np.where(ok, beta0(y) * fp * h_cur / np.where(ok, h0, 1.0), 0.0)
     # masked where the direct estimate is, so the two compare on one node set
-    transported = BetaProfile(grid=x, values=vals, support_end=float(x[-1]),
-                              low_confidence=low_confidence_mask(x))
-    direct = beta_from_profile(snap.profile())
-    return transported, direct
+    return BetaProfile(grid=x, values=vals, support_end=float(x[-1]),
+                       low_confidence=low_confidence_mask(x))
 
 
 def g_profile(snap: Snapshot) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import cellquad
 from .errors import ConfigError, DegenerateImageError
 from .profiles import (BetaProfile, SurvivalProfile, TailModel, beta_from_profile, beta_envelope,
                        quantile_cells, quantile_positions, write_csv)
@@ -164,9 +165,7 @@ def beta_transform(profile: SurvivalProfile, F: MapF) -> BetaProfile:
     xz = np.concatenate(([0.0], F.inverse(z[1:])))
     phi = wz / F.fprime(xz)
     # suffix integrals of w/F' and w on the z-grid, plus tail corrections
-    dz = np.diff(z)
-    cells_phi = 0.5 * (phi[:-1] + phi[1:]) * dz
-    suffix_phi = np.concatenate((np.cumsum(cells_phi[::-1])[::-1], [0.0]))
+    suffix_phi = cellquad.linear_suffix(z, phi)
     h = profile.h_at(z)
     tail_h = float(h[-1])
     suffix_phi = suffix_phi + tail_h / float(F.fprime(xz[-1]))

@@ -13,8 +13,8 @@ import pytest
 
 import lswkit as lk
 from lswkit import jensen
-from lswkit.cli import CHECKS
-from lswkit.lsw_solver import SolverConfig, advance_global, dyadic_report
+from lswkit.cli import CHECKS, _parse_section
+from lswkit.lsw_solver import SolverConfig, advance_global, beta_along_flow, dyadic_report
 from lswkit.linear_model import run_linear_model, stability_check
 from lswkit.map_iteration import linear_map, cube_root_map, iterate, beta_transform
 from lswkit.profiles import beta_from_profile
@@ -72,8 +72,9 @@ def linear_run():
 
 
 def passes(model: str, name: str, opts: dict | None = None, **run) -> bool:
-    """The verdict of table entry (model, name) on the given runner output."""
-    return CHECKS[(model, name)](SimpleNamespace(**run), opts or {}).passed
+    """The verdict of table entry (model, name) on the given runner output,
+    with the section settings ``opts`` parsed as the CLI parses them."""
+    return CHECKS[(model, name)](SimpleNamespace(**run), _parse_section(model, opts or {})).passed
 
 
 def test_c01_constant_beta_round_trip():
@@ -197,6 +198,17 @@ def test_c10_monotonicity_fails_on_a_jacobian_dip(half_beta_run):
     doctored = SimpleNamespace(snapshots=[dataclasses.replace(snap, jac=jac)],
                                ensemble=res.ensemble)
     assert not passes("lsw", "monotonicity", fam=fam, result=doctored)
+
+
+def test_c10_transported_beta_at_the_origin_is_the_traces(exp_run, power_run, half_beta_run):
+    # the snapshots' beta(0, t) and the trace's read dF/dx at the origin from
+    # one Jacobian; they differ only in the tail mass, a trapezoid sum in the
+    # snapshot and the time-to-origin cells in the trace
+    for fam, res in (exp_run, power_run, half_beta_run):
+        for snap in res.snapshots:
+            tb = beta_along_flow(snap, fam.profile, res.ensemble.beta0)
+            b0 = res.trace.beta0[res.trace.t.index(snap.t)]
+            assert abs(tb.values[0] / b0 - 1.0) <= 1e-4, (fam.name, snap.t)
 
 
 def test_c11_dyadic_ratio(half_beta_run):

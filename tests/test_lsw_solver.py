@@ -125,10 +125,15 @@ def test_normalized_view_scaling(short_exp_run):
 def test_transported_beta_matches_direct(short_exp_run):
     fam, res = short_exp_run
     snap = res.snapshots[-1]
-    tb, direct = beta_along_flow(snap, fam.profile, res.ensemble.beta0)
+    tb = beta_along_flow(snap, fam.profile, res.ensemble.beta0)
+    direct = lk.beta_from_profile(snap.profile())
     ok = ~tb.low_confidence
     bulk = ok & (np.interp(tb.grid, np.concatenate(([0], snap.pos)),
                            np.concatenate(([snap.w0b], snap.w))) > snap.w0b * 2.0**-12)
+    # at the origin the direct estimate is a one-sided quotient across the
+    # cube-root cusp of the label map; the transported beta there matches
+    # the trace's beta(0,t) instead (test_acceptance)
+    bulk[0] = False
     dv = np.interp(tb.grid[bulk], direct.grid[~direct.low_confidence],
                    direct.values[~direct.low_confidence])
     assert np.max(np.abs(tb.values[bulk] - dv)) < 0.02
@@ -212,7 +217,7 @@ def test_transported_beta_does_not_drop_at_six_panels(monkeypatch):
     fam = lk.constant_beta(0.5)
     res = advance_global(fam.profile, 2.6, SolverConfig(tol=1e-6), beta0=fam.beta_exact,
                          snapshot_times=(2.5,))
-    tb, _ = beta_along_flow(res.snapshots[0], fam.profile, res.ensemble.beta0)
+    tb = beta_along_flow(res.snapshots[0], fam.profile, res.ensemble.beta0)
     bv = tb.values[~tb.low_confidence]
     assert np.max(np.maximum(-np.diff(bv), 0.0), initial=0.0) <= 1e-6
 
@@ -333,7 +338,7 @@ def test_descent_inverts_exit_time(monkeypatch, ds):
 
 def _w0b_at(ens, L):
     # w0 at the label arriving at the origin of ens, read at L
-    return float(ens.initial.w_at(lsw_solver._boundary_labels([ens], np.array([L])))[0])
+    return float(ens.initial.w_at(lsw_solver._origin([ens], np.array([L]))[0])[0])
 
 
 def test_far_field_matches_full_quadrature(short_exp_run):
@@ -385,7 +390,7 @@ def _first_sweep(ens, cfg=SolverConfig(tol=1e-6)):
 def _sweep_flux(moments, guesses):
     """A sweep's one flux evaluation at its node states, each at the w0b of
     the label its guess reads there, and those w0b."""
-    w0b = moments[0].initial.w_at(lsw_solver._boundary_labels(moments, guesses))
+    w0b = moments[0].initial.w_at(lsw_solver._origin(moments, guesses)[0])
     return lsw_solver._flux_L(moments, w0b, guesses), w0b
 
 
@@ -437,7 +442,7 @@ def test_resolution_stops_on_its_error_bound(family, short_exp_run):
     _, path, at_nodes = _first_sweep(ens)
     fewer = 0
     for node, guess in zip(at_nodes, path.values[1:].tolist()):
-        got, _, _, evals = lsw_solver._state_L(node, guess)
+        got, *_, evals = lsw_solver._state_L(node, guess)
         prev, changes = guess, []
         for _ in range(lsw_solver._RESOLVE_CAP):
             new = lsw_solver.l_from_state(node, _w0b_at(node, prev), prev)
@@ -471,7 +476,7 @@ def test_resolution_warns_at_its_cap(short_exp_run, monkeypatch):
     cap = lsw_solver._RESOLVE_CAP
     for args, evals in (((guess,), cap), ((first, guess), cap - 1)):
         with pytest.warns(lk.ConvergenceWarning, match=f"did not converge in {cap} iterations"):
-            assert lsw_solver._state_L(node, *args)[3] == evals
+            assert lsw_solver._state_L(node, *args)[-1] == evals
 
 
 # A flux evaluation that reads every state afresh (its split, its clipped
@@ -559,7 +564,31 @@ def test_prefix_exit_screening_matches_full_screening(ds_over_L):
     # the last exit reaches the origin within the substep, at its frozen-L exit time
     assert a <= ens.exit_t <= b
     assert abs(ens.exit_t - (a + tte[m - 1])) <= 1e-12 * ds + 4.0 * np.spacing(b)
-    assert (ens.exit_y, ens.exit_jac) == (pos[m - 1], jac[m - 1] / lsw_solver._speed(pos[m - 1], L))
+    # as |v| = 1 at the origin, the exit's Jacobian is J / |v| at its last position
+    assert (ens.exit_y, ens.exit_jac) == (pos[m - 1], jac[m - 1] / (1.0 - np.cbrt(pos[m - 1] / L)))
+
+
+def test_origin_interpolates_label_and_jacobian_at_one_time():
+    # between the last exit at t0 and the first survivor's frozen-L exit at
+    # t1, the label at the origin is linear and the Jacobian log-linear in
+    # time, ending at the survivor's J/|v|; an exit not later than t0, or a
+    # Jacobian that is not positive, falls back to the last exit's
+    L, t = 1.3, 1.5
+    pos = np.array([0.2, 0.7])
+
+    def state(**last):
+        exit_ = dict(exit_t=1.0, exit_y=0.5, exit_jac=2.0) | last
+        return lsw_solver.Ensemble(labels=np.array([1.0, 2.0]), pos=pos, w=np.ones(2),
+                                   jac=np.array([3.0, 4.0]), initial=None, beta0=None,
+                                   t=t, **exit_)
+
+    t1 = t + float(exit_time_frozen(pos[0], L))
+    f = (t - 1.0) / (t1 - 1.0)
+    j1 = 3.0 / (1.0 - np.cbrt(pos[0] / L))
+    states = [state(), state(exit_t=t1), state(exit_jac=0.0)]
+    yb, jb = lsw_solver._origin(states, np.full(3, L))
+    np.testing.assert_allclose(yb, [0.5 + 0.5 * f, 0.5, 0.5 + 0.5 * f], rtol=1e-15)
+    np.testing.assert_allclose(jb, [2.0 * (j1 / 2.0) ** f, 2.0, 0.0], rtol=1e-14)
 
 
 def test_the_last_exit_is_timed_within_its_substep():
@@ -824,13 +853,13 @@ def test_end_node_resolution_is_reused_exactly(monkeypatch):
         assert (L_from is None) == stats.stopped_on_bound
         if not stats.stopped_on_bound:
             fresh = state_L(out, L_from)
-            assert fresh[:3] == stats.end_state and fresh[3] == evals + 1
+            assert fresh[:4] == stats.end_state and fresh[4] == evals + 1
 
 
 @pytest.mark.parametrize("family, tol", [("exponential", 1e-6), ("power-tail(1)", 1e-6),
                                          ("constant-beta(0.5)", 1e-8)])
 def test_every_end_state_is_a_fixed_point(family, tol, monkeypatch):
-    # every accepted step's (L, y_b, w0b) is what _state_L resolves on the
+    # every accepted step's (L, y_b, w0b, J_b) is what _state_L resolves on the
     # ensemble the step returns, from that L, within 1e-12
     fam = {"exponential": lk.exponential, "power-tail(1)": lambda: lk.power_tail(1.0),
            "constant-beta(0.5)": lambda: lk.constant_beta(0.5)}[family]()
@@ -841,7 +870,7 @@ def test_every_end_state_is_a_fixed_point(family, tol, monkeypatch):
     assert res.terminated == "t_final"
     for out, _, stats in steps:
         if stats.converged:
-            ref = lsw_solver._state_L(out, stats.end_state[0])[:3]
+            ref = lsw_solver._state_L(out, stats.end_state[0])[:4]
             np.testing.assert_allclose(stats.end_state, ref, rtol=1e-12, atol=0)
 
 
@@ -862,8 +891,8 @@ def test_seeded_resolution_matches_a_fresh_one(family, scale):
     g = scale * res.trace.L[-1]
     first = lsw_solver.l_from_state(ens, _w0b_at(ens, g), g)
     seeded, fresh = lsw_solver._state_L(ens, first, g), lsw_solver._state_L(ens, g)
-    assert seeded[:3] == fresh[:3]
-    assert seeded[3] == fresh[3] - 1
+    assert seeded[:4] == fresh[:4]
+    assert seeded[4] == fresh[4] - 1
 
 
 def test_stationary_steps_take_one_flux_evaluation():
@@ -1053,7 +1082,7 @@ def test_traced_solver_layers_resolve(monkeypatch):
     # _state_L resolves t = 0 and each accepted step's end node; its flux
     # evaluations are each step's beyond its sweeps, and those at t = 0
     ens = make_ensemble(fam.profile, fam.beta_exact)
-    at_zero = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, fam.profile.w0))[3]
+    at_zero = lsw_solver._state_L(ens, lsw_solver.l_from_state(ens, fam.profile.w0))[-1]
     assert metrics["lsw_solver.lres.calls"] == len(res.picard) + 1
     assert metrics["lsw_solver.lres.flux_evals"] == \
         sum(p.flux_evals - p.iterations for p in res.picard) + at_zero
