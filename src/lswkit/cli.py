@@ -69,10 +69,6 @@ def _run_lsw(opts: dict, outdir: Path) -> SimpleNamespace:
         rate, tau = float(fam.beta_exact(0.0)), opts["tau_target"]
         t_final = float((np.exp(tau * rate) - 1.0) / rate) if rate else tau
         snaps = tuple(sorted(set(snaps) | {t_final}))
-    outside = [f"{t:g}" for t in snaps if not 0.0 <= t <= t_final]
-    if outside:
-        # the run would never reach them, and the checks would read fewer snapshots
-        raise ConfigError(f"snapshot time(s) {', '.join(outside)} outside [0, t_final={t_final:g}]")
     result = advance_global(fam.profile, t_final, cfg, beta0=fam.beta_exact, snapshot_times=snaps)
     result.trace.save(outdir / "trace.csv")
     for i, snap in enumerate(result.snapshots):

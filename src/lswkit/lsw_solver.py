@@ -10,8 +10,8 @@ iteration on the path L(s), which is a contraction for small enough steps.
 Characteristics reaching x = 0 are dissolving clusters; the last exit is
 kept, and the label currently arriving at the origin reconstructs w(0,t) and
 hence the mean cluster volume Lambda = mass/w(0,t).  Solver code rebinds
-ensemble arrays and never writes into them, so shallow copies, and the views
-of the survivors an exit leaves, are safe.
+ensemble arrays and never writes into them, so shallow copies, snapshots and
+the views of the survivors an exit leaves are safe.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cellquad
-from .errors import ConvergenceWarning, ExtinctionError, require_setting
+from .errors import ConfigError, ConvergenceWarning, ExtinctionError, require_setting
 from .profiles import SurvivalProfile, BetaProfile, beta_interpolant, low_confidence_mask, write_csv
 
 
@@ -350,10 +350,10 @@ def _augmented_state(state, w0b: float, n: Optional[int] = None):
     return x, w
 
 
-# the series of _phi_u2_primitive runs over k = 3..60, that of _phi_primitive
-# over k = 3..28: on u < 1/4 each later term is below half an ulp of the sum,
-# 12/(k(k+1)) 4^(3-k) < 2^-54 of its first term, so adding them in order
-# would change no bit
+# the series of int_0^u phi(s) s^2 ds in _tail_mass runs over k = 3..60, that
+# of _phi_primitive over k = 3..28: on u < 1/4 each later term is below half
+# an ulp of the sum, 12/(k(k+1)) 4^(3-k) < 2^-54 of its first term, so adding
+# them in order would change no bit
 _PHI_K = np.arange(3, 61).reshape(-1, 1)
 _PHI_POW, _PHI_DEN = _PHI_K[:26] + 1, _PHI_K[:26] * (_PHI_K[:26] + 1)   # k = 3..28
 
@@ -370,11 +370,6 @@ def _phi_primitive(u):
     # finite for u < 1, which _theta_cells ensures
     out[big] = -ub**3 / 6 - ub**2 / 2 + ub + (1.0 - ub) * np.log1p(-ub)
     return out
-
-
-def _phi_u2_primitive(u):
-    # int_0^u phi(s) s^2 ds = sum_{k>=3} u^(k+3)/(k(k+3))
-    return (np.asarray(u, float) ** (_PHI_K + 3) / (_PHI_K * (_PHI_K + 3))).sum(axis=0)
 
 
 def _theta_cells(x, w, L):
@@ -413,20 +408,43 @@ def _theta_cell_integrals(x, w, Ls, n):
     return np.array([cells[end - m:end - 1].sum() for m, end in zip(n, ends)])
 
 
-def _theta_cell_mass(x, w, L) -> float:
-    """Mass integral, int w dx over the cells of x, in the time-to-origin model."""
-    u, theta, slope = _theta_cells(x, w, L)
-    dx = x[1:] - x[:-1]
-    psi = _phi_u2_primitive(u)
-    return float((w[:-1] * dx + slope * (9.0 * L * L * (psi[1:] - psi[:-1]) - theta[:-1] * dx)).sum())
-
-
 def _origin_split(pos, L) -> int:
     """Survivors whose cells get the time-to-origin model at L: those below
     ORIGIN_FRACTION * L and the first one at or above it; 0, a linear head
     cell, when none lies below or L is not positive."""
     j = int(pos.searchsorted(ORIGIN_FRACTION * L)) if L > 0 else 0
     return min(j + 1, len(pos)) if j else 0
+
+
+def _tail_mass(state, initial: SurvivalProfile, L: float, w0b: float):
+    """(x, w, h): the augmented state of an Ensemble or Snapshot and its tail
+    mass h(x,t) = int_x^inf w at every node: time-to-origin cells up to
+    survivor ``_origin_split(pos, L)``, trapezoids beyond, and the initial
+    tail stretched by the last Jacobian.  h[0], the mass, sums the near cells,
+    then the trapezoids as np.trapezoid does, then the tail."""
+    x, w = _augmented_state(state, w0b)
+    tail = initial.tail_mass * (float(state.jac[-1]) if len(state.jac) else 1.0)
+    k = _origin_split(state.pos, L)
+    cells = (w[k + 1:] + w[k:-1]) * (x[k + 1:] - x[k:-1]) / 2.0
+    mass = cells.sum()
+    if k:
+        u, theta, slope = _theta_cells(x[:k + 1], w[:k + 1], L)
+        dx = x[1:k + 1] - x[:k]
+        psi = (u ** (_PHI_K + 3) / (_PHI_K * (_PHI_K + 3))).sum(axis=0)   # int_0^u phi s^2 ds
+        near = w[:k] * dx + slope * (9.0 * L * L * (psi[1:] - psi[:-1]) - theta[:-1] * dx)
+        mass = near.sum() + mass
+        cells = np.concatenate((near, cells))
+    h = np.append(np.cumsum(cells[::-1])[::-1], 0.0) + tail
+    h[0] = mass + tail
+    return x, w, h
+
+
+def _transported_beta(beta0: Callable, initial: SurvivalProfile, y, jac, h):
+    """beta(x,t) = beta0(y) (1/J) h(x,t) / h0(y) on the characteristic of label
+    y with Jacobian J = dx/dy and tail mass h, 0 where h0(y) is 0."""
+    h0 = initial.h_at(y)
+    ok = h0 > 0
+    return np.where(ok, beta0(y) * (1.0 / jac) * h / np.where(ok, h0, 1.0), 0.0)
 
 
 def _origin(states: list, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -642,6 +660,8 @@ def picard_solve_interval(ens: Ensemble, dt: float, L0: float, cfg: SolverConfig
 
 @dataclass
 class Snapshot:
+    """The accepted state of a trace row; its arrays are the ensemble's."""
+
     t: float
     tau: float
     labels: np.ndarray
@@ -692,40 +712,33 @@ class RunResult:
 
 
 def _record(trace: CoarseningTrace, ens: Ensemble, L: float, yb: float, w0b: float,
-            jb: float) -> None:
-    x, w = _augmented_state(ens, w0b)
-    # the tail beyond the last survivor stretches with the label-map Jacobian
-    tail = ens.initial.tail_mass * (float(ens.jac[-1]) if len(ens.jac) else 1.0)
-    k = _origin_split(ens.pos, L)
-    # the trapezoid rule over the cells from node k on, as np.trapezoid sums it
-    cells = w[k + 1:] + w[k:-1]
-    cells *= x[k + 1:] - x[k:-1]
-    cells /= 2.0
-    mass = float(cells.sum())
-    if k:
-        mass = _theta_cell_mass(x[:k + 1], w[:k + 1], L) + mass
-    mass += tail
+            jb: float) -> Snapshot:
+    """Append the trace row of the accepted state ``ens``; return its Snapshot."""
+    x, w, h = _tail_mass(ens, ens.initial, L, w0b)
+    mass = float(h[0])
     lam = mass / w0b
     energy = (2.0 / 3.0) * cellquad.power_total(x, w, -1.0 / 3.0)
-    # slope of the label map at the origin: reciprocal of _origin's Jacobian
-    fp0 = 1.0 / jb
-    h0b = float(ens.initial.h_at(yb))
-    beta_origin = float(ens.beta0(yb)) * fp0 * mass / h0b if h0b > 0 else 0.0
-    if trace.t:
-        dtau = (ens.t - trace.t[-1]) * 0.5 * (1.0 / lam + 1.0 / trace.Lambda[-1])
-        tau = trace.tau[-1] + dtau
-    else:
-        tau = 0.0
+    # the slope of the label map at the origin is 1/J_b, _origin's Jacobian
+    beta_origin = float(_transported_beta(ens.beta0, ens.initial, yb, jb, mass))
+    tau = (trace.tau[-1] + (ens.t - trace.t[-1]) * 0.5 * (1.0 / lam + 1.0 / trace.Lambda[-1])
+           if trace.t else 0.0)
     trace.append(t=ens.t, tau=tau, L=L, Lambda=lam, E=energy, beta0=beta_origin, mass=mass,
                  gamma=lam / L)
+    return Snapshot(t=ens.t, tau=tau, labels=ens.labels, pos=ens.pos, w=ens.w, y_b=yb,
+                    w0b=w0b, J_b=jb, L=L, Lambda=lam, jac=ens.jac)
 
 
 def advance_global(profile: SurvivalProfile, t_final: float,
                    cfg: SolverConfig = SolverConfig(),
                    beta0: Optional[Callable] = None,
                    snapshot_times: tuple = ()) -> RunResult:
-    """Evolve to t_final with steps dt = delta * L, Picard-resolving each."""
+    """Evolve to t_final with steps dt = delta * L, Picard-resolving each;
+    a snapshot is the record of the first step at or after its time, which
+    must lie in [0, t_final], or the run would never reach it."""
     require_setting("t_final", t_final, ">=")
+    outside = [f"{t:g}" for t in snapshot_times if not 0.0 <= t <= t_final]
+    if outside:
+        raise ConfigError(f"snapshot time(s) {', '.join(outside)} outside [0, t_final={t_final:g}]")
     ens = make_ensemble(profile, beta0)
     trace = CoarseningTrace()
     snapshots: list[Snapshot] = []
@@ -736,13 +749,9 @@ def advance_global(profile: SurvivalProfile, t_final: float,
     L, yb, w0b, jb, _ = _state_L(ens, l_from_state(ens, profile.w0))
     while True:
         # the state at t = 0 or at the end of an accepted step
-        _record(trace, ens, L, yb, w0b, jb)
+        snap = _record(trace, ens, L, yb, w0b, jb)
         while pending and ens.t >= pending[0] - 1e-12:
-            snapshots.append(Snapshot(
-                t=ens.t, tau=trace.tau[-1], labels=ens.labels.copy(),
-                pos=ens.pos.copy(), w=ens.w.copy(), y_b=yb, w0b=w0b, J_b=jb,
-                L=L, Lambda=trace.Lambda[-1], jac=ens.jac.copy(),
-            ))
+            snapshots.append(snap)
             pending.pop(0)
         if ens.t >= t_final - 1e-12:
             break
@@ -802,21 +811,16 @@ def beta_along_flow(snap: Snapshot, initial: SurvivalProfile, beta0: Callable) -
     beta(x,t) = beta0(F(x,t)) * dF/dx * h(x,t) / h0(F(x,t)), with F the
     label map and h the current tail mass.  dF/dx is the reciprocal of the
     transported Jacobian dx/dy: the survivors' own, and at the origin the
-    J_b of ``_origin``, which the trace's beta(0,t) reads too.  A difference
-    quotient would read position rounding over the survivors' gaps, as small
-    as ~1e-8, and the cube-root cusp at the origin.  The direct estimate is
+    J_b of ``_origin``.  A difference quotient would read position rounding
+    over the survivors' gaps, as small as ~1e-8, and the cube-root cusp at
+    the origin.  h is ``_tail_mass`` at the snapshot's L and the expression
+    is ``_transported_beta``, both as the trace's row, so the value at the
+    origin is the trace's beta(0,t) to the bit.  The direct estimate is
     ``beta_from_profile(snap.profile())``.
     """
-    x, w = _augmented_state(snap, snap.w0b)
+    x, _, h = _tail_mass(snap, initial, snap.L, snap.w0b)
     y = np.concatenate(([snap.y_b], snap.labels))
-    fp = 1.0 / np.concatenate(([snap.J_b], snap.jac))
-    # the analytic tail beyond the last survivor is the initial tail mass
-    # stretched by the local Jacobian dx/dy of the label map
-    j_end = float(snap.jac[-1]) if len(snap.jac) else 1.0
-    h_cur = cellquad.linear_suffix(x, w) + initial.tail_mass * j_end
-    h0 = initial.h_at(y)
-    ok = h0 > 0
-    vals = np.where(ok, beta0(y) * fp * h_cur / np.where(ok, h0, 1.0), 0.0)
+    vals = _transported_beta(beta0, initial, y, np.concatenate(([snap.J_b], snap.jac)), h)
     # masked where the direct estimate is, so the two compare on one node set
     return BetaProfile(grid=x, values=vals, support_end=float(x[-1]),
                        low_confidence=low_confidence_mask(x))

@@ -141,6 +141,15 @@ def test_c06_upper_bounds(exp_run, power_run, half_beta_run):
         assert passes("lsw", "upper_bound", fam=fam, result=res), fam.name
 
 
+def test_c06_trace_energy_is_the_snapshot_profiles(exp_run, power_run, half_beta_run):
+    # the E that c06 bounds is SurvivalProfile.energy of the snapshot's
+    # profile: one definition of the energy, to the bit
+    for fam, res in (exp_run, power_run, half_beta_run):
+        for snap in res.snapshots:
+            assert res.trace.E[res.trace.t.index(snap.t)] == snap.profile().energy(), \
+                (fam.name, snap.t)
+
+
 def test_c07_lower_bound_floor(exp_run, power_run):
     for key, (_, res) in (("exponential", exp_run), ("power_tail", power_run)):
         a = res.trace.as_arrays()
@@ -201,14 +210,12 @@ def test_c10_monotonicity_fails_on_a_jacobian_dip(half_beta_run):
 
 
 def test_c10_transported_beta_at_the_origin_is_the_traces(exp_run, power_run, half_beta_run):
-    # the snapshots' beta(0, t) and the trace's read dF/dx at the origin from
-    # one Jacobian; they differ only in the tail mass, a trapezoid sum in the
-    # snapshot and the time-to-origin cells in the trace
+    # the snapshots' beta(0, t) and the trace's are one expression of one
+    # Jacobian and one tail-mass quadrature, so they agree to the bit
     for fam, res in (exp_run, power_run, half_beta_run):
         for snap in res.snapshots:
             tb = beta_along_flow(snap, fam.profile, res.ensemble.beta0)
-            b0 = res.trace.beta0[res.trace.t.index(snap.t)]
-            assert abs(tb.values[0] / b0 - 1.0) <= 1e-4, (fam.name, snap.t)
+            assert tb.values[0] == res.trace.beta0[res.trace.t.index(snap.t)], (fam.name, snap.t)
 
 
 def test_c11_dyadic_ratio(half_beta_run):

@@ -47,6 +47,32 @@ def test_advance_global_rejects_an_unusable_t_final(t_final, monkeypatch):
         advance_global(lk.exponential().profile, t_final)
 
 
+@pytest.mark.parametrize("times, outside", [((0.25, 3.0), "3"), ((0.25, np.nan), "nan")],
+                         ids=["late", "nan"])
+def test_advance_global_rejects_a_snapshot_time_it_never_reaches(times, outside, monkeypatch):
+    # the run would end as "t_final" with fewer snapshots than asked for
+    monkeypatch.setattr(lsw_solver, "picard_solve_interval", _never)
+    with pytest.raises(lk.ConfigError,
+                       match=rf"^snapshot time\(s\) {outside} outside \[0, t_final=0.5\]$"):
+        advance_global(lk.indicator(64).profile, 0.5, snapshot_times=times)
+
+
+def test_snapshots_share_the_ensemble_arrays_and_the_first_keeps_the_initial_state():
+    # a snapshot is the record of its step, with the ensemble's arrays; a
+    # write into one of them anywhere in a later Picard step would show here
+    fam = lk.exponential()
+    start = make_ensemble(fam.profile)
+    res = advance_global(fam.profile, 5.0, SolverConfig(tol=1e-6), beta0=fam.beta_exact,
+                         snapshot_times=(0.0, 5.0))
+    first, last = res.snapshots
+    assert first.t == 0.0 and last.t == 5.0 and res.terminated == "t_final"
+    for name in ("labels", "pos", "w"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(start, name))
+    np.testing.assert_array_equal(first.jac, 1.0)
+    assert all(getattr(last, name) is getattr(res.ensemble, name)
+               for name in ("labels", "pos", "w", "jac"))
+
+
 def test_drift_sign_and_zero():
     L = 2.0
     assert drift(L, L) == pytest.approx(0.0, abs=1e-14)
